@@ -92,7 +92,7 @@ std::string host_name() {
 }
 
 struct PipelineRecord {
-  const char* engine;  // "parallel_heap" or "overlapped_mmap"
+  const char* engine;  // "overlapped_heap" or "overlapped_mmap"
   std::size_t threads;
   double cells = 0;    // total DP cells across all stages, one scan
   double seconds = 0;  // best-of-3 end-to-end (load + scan)
@@ -155,9 +155,10 @@ struct HistogramReport {
 };
 
 /// End-to-end pipeline sweep: database load (from .fsqdb) + full filter
-/// cascade, heap-parallel vs. mmap-overlapped, threads in {1, N/2, N}.
-/// Each timing is best-of-3 after one warm-up; hit lists are asserted
-/// bit-identical between the engines at every thread count.
+/// cascade through the overlapped engine, heap-decoded vs. mmap'd,
+/// threads in {1, N/2, N}.  Each timing is best-of-3 after one warm-up;
+/// hit lists are asserted bit-identical between the two representations
+/// at every thread count.
 std::vector<PipelineRecord> bench_pipeline(double scale, int M,
                                            TelemetryReport& tel,
                                            HistogramReport& hist) {
@@ -183,14 +184,14 @@ std::vector<PipelineRecord> bench_pipeline(double scale, int M,
   for (std::size_t threads : thread_counts) {
     auto run_heap = [&] {
       auto loaded = bio::read_seq_db_file(path);
-      return search.run_cpu_parallel(loaded, threads);
+      return search.run_cpu_overlapped(loaded, threads);
     };
     auto run_stream = [&] {
       bio::MappedSeqDb mapped(path);
       return search.run_cpu_overlapped(mapped, threads);
     };
 
-    PipelineRecord heap{"parallel_heap", threads};
+    PipelineRecord heap{"overlapped_heap", threads};
     PipelineRecord stream{"overlapped_mmap", threads};
     pipeline::SearchResult heap_result, stream_result;
     for (int rep = 0; rep < 4; ++rep) {  // rep 0 is the warm-up
@@ -313,7 +314,7 @@ std::vector<PipelineRecord> bench_pipeline(double scale, int M,
 }
 
 /// The hmmscan dual: many short models, one database.  Times 32
-/// per-model scans against ONE lane-packed fused sweep (run_cpu_fused)
+/// per-model overlapped scans against ONE lane-packed fused sweep
 /// on the same pool, asserts the per-model hit lists bit-identical, and
 /// records models/sec plus the packed-group shape so CI can guard the
 /// >= 2x fused speedup on AVX2-capable hosts (docs/multi_model.md).
@@ -365,31 +366,26 @@ MultiModelReport bench_multi_model(double scale) {
   rep.threads = hw;
   ThreadPool pool(hw);
 
-  const int lane_width = static_cast<int>(
-      cpu::backend::tier_kernels(cpu::resolve_simd_tier(
-                                     cpu::active_simd_tier()))
-          .u8_lanes);
-  const auto plan = hmm::plan_model_groups(lengths, lane_width,
-                                           hmm::fuse_options_from_env());
+  std::vector<const pipeline::HmmSearch*> ptrs;
+  for (const auto& s : searches) ptrs.push_back(s.get());
+  const auto plan = pipeline::plan_fusion(ptrs);
   rep.groups = plan.groups.size();
   rep.fused_models = plan.fused_models();
   rep.models_per_group = plan.models_per_group();
   rep.lane_occupancy = plan.lane_occupancy();
-
-  std::vector<const pipeline::HmmSearch*> ptrs;
-  for (const auto& s : searches) ptrs.push_back(s.get());
 
   std::vector<pipeline::SearchResult> seq_results;
   pipeline::HmmSearch::CoalescedScan fused;
   for (int rep_i = 0; rep_i < 4; ++rep_i) {  // rep 0 is the warm-up
     Timer t;
     seq_results.clear();
-    for (const auto* s : ptrs) seq_results.push_back(s->run_cpu_parallel(src, pool));
+    for (const auto* s : ptrs)
+      seq_results.push_back(s->run_cpu_overlapped(src, pool));
     double s = t.seconds();
     if (rep_i > 0 && (rep.seq_seconds == 0 || s < rep.seq_seconds))
       rep.seq_seconds = s;
     t.reset();
-    fused = pipeline::HmmSearch::run_cpu_fused(ptrs, src, pool, &plan);
+    fused = pipeline::HmmSearch::run_cpu_coalesced(ptrs, src, pool, &plan);
     s = t.seconds();
     if (rep_i > 0 && (rep.fused_seconds == 0 || s < rep.fused_seconds))
       rep.fused_seconds = s;
@@ -490,8 +486,9 @@ int main(int argc, char** argv) {
   }
   cpu::reset_simd_tier();
 
-  // Full-pipeline end-to-end: heap-parallel vs. mmap-overlapped engines
-  // at double the stage-sweep database scale (still interactive).
+  // Full-pipeline end-to-end: the overlapped engine over the heap and the
+  // mmap'd database at double the stage-sweep database scale (still
+  // interactive).
   TelemetryReport tel;
   HistogramReport hist;
   auto pipeline_records = bench_pipeline(scale * 2, M, tel, hist);

@@ -50,8 +50,6 @@ int main() {
   std::printf("\nhits reported: %zu\n", r.hits.size());
   std::printf(
       "\nPaper reference (Env_nr, M=400): pass rates 2.2%% -> 0.1%%;\n"
-      "execution time 80.6%% MSV / 14.5%% P7Viterbi / 4.9%% Forward.\n"
-      "(Our Forward stage is a generic float implementation, not HMMER's\n"
-      "SSE Forward, so its time share runs higher than the paper's.)\n");
+      "execution time 80.6%% MSV / 14.5%% P7Viterbi / 4.9%% Forward.\n");
   return 0;
 }

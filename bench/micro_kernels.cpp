@@ -11,11 +11,11 @@
 #include "cpu/msv_scalar.hpp"
 #include "cpu/msv_wide.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
-#include "cpu/ssv.hpp"
 #include "cpu/vit_filter.hpp"
 #include "cpu/vit_scalar.hpp"
 #include "gpu/search.hpp"
 #include "hmm/generator.hpp"
+#include "pipeline/batch_scanner.hpp"
 
 namespace {
 
@@ -150,9 +150,10 @@ BENCHMARK(BM_VitStriped)->Arg(100)->Arg(400);
 
 void BM_SsvStriped(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));
+  pipeline::BatchScanner scanner(f.msv, f.vit);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        cpu::ssv_striped(f.msv, f.seq.codes.data(), f.seq.length()));
+        scanner.ssv(0, f.seq.codes.data(), f.seq.length()));
   set_cell_rate(state, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_SsvStriped)->Arg(100)->Arg(400);

@@ -13,11 +13,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cpu/fwd_filter.hpp"
-#include "cpu/msv_filter.hpp"
-#include "cpu/ssv.hpp"
-#include "cpu/vit_filter.hpp"
 #include "hmm/sampler.hpp"
+#include "pipeline/batch_scanner.hpp"
 
 using namespace finehmm;
 using namespace finehmm::bench;
@@ -42,9 +39,7 @@ int main() {
   profile::MsvProfile msv(prof);
   profile::VitProfile vit(prof);
   profile::FwdProfile fwd(prof);
-  cpu::MsvFilter msv_f(msv);
-  cpu::VitFilter vit_f(vit);
-  cpu::FwdFilter fwd_f(fwd);
+  pipeline::BatchScanner scanner(msv, vit, &fwd);
 
   auto score_set = [&](const std::vector<bio::Sequence>& seqs,
                        std::vector<double>& ssv_s, std::vector<double>& msv_s,
@@ -56,11 +51,11 @@ int main() {
         return r.overflowed ? 100.0
                             : hmm::nats_to_bits(r.score_nats, L);
       };
-      ssv_s.push_back(cap(cpu::ssv_striped(msv, seq.codes.data(), L)));
-      msv_s.push_back(cap(msv_f.score(seq.codes.data(), L)));
-      vit_s.push_back(cap(vit_f.score(seq.codes.data(), L)));
+      ssv_s.push_back(cap(scanner.ssv(0, seq.codes.data(), L)));
+      msv_s.push_back(cap(scanner.msv(0, seq.codes.data(), L)));
+      vit_s.push_back(cap(scanner.vit(0, seq.codes.data(), L)));
       fwd_s.push_back(
-          hmm::nats_to_bits(fwd_f.score(seq.codes.data(), L), L));
+          hmm::nats_to_bits(scanner.fwd(0, seq.codes.data(), L), L));
     }
   };
 

@@ -95,8 +95,9 @@ int main(int argc, char** argv) {
       std::vector<const pipeline::HmmSearch*> ptrs;
       ptrs.reserve(searches.size());
       for (const auto& s : searches) ptrs.push_back(&s);
-      auto scan = pipeline::HmmSearch::run_cpu_fused(
-          ptrs, pipeline::ScanSource(queries), pool);
+      const hmm::FusePlan plan = pipeline::plan_fusion(ptrs);
+      auto scan = pipeline::HmmSearch::run_cpu_coalesced(
+          ptrs, pipeline::ScanSource(queries), pool, &plan);
       double groups = 0, fused = 0, occupancy = 0;
       for (const auto& st : scan.telemetry.stages) {
         if (st.stage != "msv") continue;

@@ -12,8 +12,8 @@
 //   --tblout <file>  also write the machine-readable target table
 //   -E <evalue>      report threshold (default 10.0)
 //   --max-hits <n>   print at most n hits (default 50)
-//   --threads <n>    scan with the barrier-parallel CPU engine on n threads
-//   --overlapped     scan with the overlapped streaming CPU engine
+//   --threads <n>    scan with the multi-threaded CPU engine (the
+//                    overlapped sweep core) on n threads
 //   --telemetry <f>  write the unified ScanTelemetry JSON snapshot
 //                    (docs/observability.md) to f
 //   --trace <f>      write a Chrome trace_event JSON (chrome://tracing,
@@ -28,7 +28,7 @@
 // sends the query to a running finehmmd instead of scanning locally; the
 // daemon's resident database replaces <db.fasta>, and the report/tblout
 // output is rendered from the wire result (bit-identical scores).  The
-// local-engine flags (--gpu, --threads, --overlapped, --ali, --domains,
+// local-engine flags (--gpu, --threads, --ali, --domains,
 // observability outputs) do not apply remotely and are rejected.
 //
 // Exit codes follow examples/tool_exit.hpp: 0 ok, 1 failure, 2 bad
@@ -68,7 +68,7 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: hmmsearch_tool [--gpu] [--global] [-E evalue] "
-               "[--max-hits n] [--threads n] [--overlapped]\n"
+               "[--max-hits n] [--threads n]\n"
                "                      [--telemetry f] [--trace f] "
                "[--stats-json f] <model.hmm> <db.fasta>\n"
                "       hmmsearch_tool --connect HOST:PORT [--db-index n] "
@@ -242,7 +242,6 @@ void write_stats_json(std::ostream& os, const pipeline::SearchResult& r,
 
 int main(int argc, char** argv) {
   bool use_gpu = false, demo = false, show_ali = false, show_domains = false;
-  bool overlapped = false;
   auto placement = gpu::ParamPlacement::kShared;
   double evalue = 10.0;
   std::size_t max_hits = 50;
@@ -268,8 +267,6 @@ int main(int argc, char** argv) {
       show_ali = true;
     } else if (arg == "--domains") {
       show_domains = true;
-    } else if (arg == "--overlapped") {
-      overlapped = true;
     } else if (arg == "--tblout" && i + 1 < argc) {
       tblout_path = argv[++i];
     } else if (arg == "-E" && i + 1 < argc) {
@@ -296,7 +293,7 @@ int main(int argc, char** argv) {
     // Remote mode: the daemon runs the scan — every local-engine and
     // observability flag is meaningless there, and a second positional
     // argument (a database path) contradicts "the daemon's database".
-    const bool incompatible = use_gpu || demo || overlapped || threads > 0 ||
+    const bool incompatible = use_gpu || demo || threads > 0 ||
                               show_ali || show_domains ||
                               !telemetry_path.empty() || !trace_path.empty() ||
                               !stats_json_path.empty() || !fasta_path.empty();
@@ -378,10 +375,8 @@ int main(int argc, char** argv) {
       bio::PackedDatabase packed(db);
       result = search.run_gpu(simt::DeviceSpec::tesla_k40(), db, packed,
                               placement);
-    } else if (overlapped) {
-      result = search.run_cpu_overlapped(src, threads);
     } else if (threads > 0) {
-      result = search.run_cpu_parallel(src, threads);
+      result = search.run_cpu_overlapped(src, threads);
     } else {
       result = search.run_cpu(src);
     }

@@ -69,6 +69,16 @@ echo "== tblout / domains =="
   "$WORK/model.hmm" "$WORK/homologs.fasta" > /dev/null
 [ "$(grep -cv '^#' "$WORK/hits.tbl")" -eq 8 ]
 
+echo "== hmmsearch_tool --threads 2 (tblout identical to serial) =="
+"$BIN_DIR/hmmsearch_tool" --domains --threads 2 --tblout "$WORK/threads.tbl" \
+  "$WORK/model.hmm" "$WORK/homologs.fasta" > /dev/null
+cmp "$WORK/hits.tbl" "$WORK/threads.tbl"
+"$BIN_DIR/hmmsearch_tool" --threads 2 --tblout "$WORK/threads_mapped.tbl" \
+  "$WORK/model.hmm" "$WORK/homologs.fsqdb" > /dev/null
+"$BIN_DIR/hmmsearch_tool" --tblout "$WORK/serial_mapped.tbl" \
+  "$WORK/model.hmm" "$WORK/homologs.fsqdb" > /dev/null
+cmp "$WORK/serial_mapped.tbl" "$WORK/threads_mapped.tbl"
+
 echo "== quickstart / pfam_scan / gpu_speedup_demo =="
 "$BIN_DIR/quickstart" > /dev/null
 "$BIN_DIR/pfam_scan" 3 120 > /dev/null

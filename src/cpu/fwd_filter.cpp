@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "cpu/simd_backend/denormals.hpp"
 #include "cpu/simd_backend/kernels.hpp"
@@ -82,41 +81,6 @@ float FwdFilter::decode(const std::uint8_t* seq, std::size_t L,
   ws.n_blocks = n_blocks_;
   backend::ScopedFlushDenormals ftz;
   return ops_->fwd_bwd(prof_, stripes_->view(), seq, L, ws, mocc.data());
-}
-
-float fwd_striped(const profile::FwdProfile& prof, const std::uint8_t* seq,
-                  std::size_t L) {
-  backend::ScopedFlushDenormals ftz;
-  const backend::TierKernels& ops =
-      backend::tier_kernels(resolve_simd_tier(active_simd_tier()));
-
-  thread_local aligned_vector<float> mmx, imx, dmx;
-  const std::size_t n =
-      static_cast<std::size_t>(
-          profile::fwd_segments_for(prof.length(), ops.f32_lanes)) *
-      ops.f32_lanes;
-  if (mmx.size() < n) {
-    mmx.resize(n);
-    imx.resize(n);
-    dmx.resize(n);
-  }
-
-  // The profile's own arrays already are the 4-lane striping; wider tiers
-  // re-stripe once per (profile, tier) and reuse across calls.
-  if (ops.f32_lanes == profile::FwdProfile::kLanes)
-    return ops.fwd(prof, backend::fwd_native_view(prof), seq, L,
-                   mmx.data(), imx.data(), dmx.data());
-
-  thread_local const profile::FwdProfile* cached_prof = nullptr;
-  thread_local SimdTier cached_tier = SimdTier::kPortable;
-  thread_local std::optional<WideFwdStripes> wide;
-  if (cached_prof != &prof || cached_tier != ops.tier || !wide) {
-    wide.emplace(prof, ops.f32_lanes);
-    cached_prof = &prof;
-    cached_tier = ops.tier;
-  }
-  return ops.fwd(prof, wide->view(), seq, L, mmx.data(), imx.data(),
-                 dmx.data());
 }
 
 }  // namespace finehmm::cpu

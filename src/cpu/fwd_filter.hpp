@@ -79,12 +79,4 @@ class FwdFilter {
   int n_blocks_ = 0;
 };
 
-/// One-shot convenience wrapper honouring the active tier (including env
-/// and programmatic overrides).  Uses thread-local scratch — and, for
-/// tiers wider than the profile's native 4-lane layout, a thread-local
-/// re-striping cached per (profile, tier) — grown or rebuilt only on
-/// change, so steady-state database scans allocate nothing per call.
-float fwd_striped(const profile::FwdProfile& prof, const std::uint8_t* seq,
-                  std::size_t L);
-
 }  // namespace finehmm::cpu

@@ -1,7 +1,6 @@
 #include "cpu/msv_filter.hpp"
 
 #include "cpu/msv_wide.hpp"
-#include "cpu/simd_vec.hpp"
 #include "util/error.hpp"
 
 namespace finehmm::cpu {
@@ -55,20 +54,6 @@ FilterResult MsvFilter::score(const std::uint8_t* seq, std::size_t L) {
 
 FilterResult MsvFilter::score(bio::PackedResidues seq, std::size_t L) {
   return ops_->msv_packed(prof_, wide_.rows, wide_.Q, seq, L, row_.data());
-}
-
-FilterResult msv_striped(const profile::MsvProfile& prof,
-                         const std::uint8_t* seq, std::size_t L) {
-  thread_local aligned_vector<std::uint8_t> row;
-  const std::size_t n = static_cast<std::size_t>(prof.striped_segments()) *
-                        profile::MsvProfile::kLanes;
-  if (row.size() < n) row.resize(n);
-  if (active_simd_tier() != SimdTier::kPortable && backend::have_sse2())
-    return backend::msv_sse2(prof, prof.striped_row(0),
-                             prof.striped_segments(), seq, L, row.data());
-  return simd_kernels::msv_kernel<U8x16>(prof, prof.striped_row(0),
-                                         prof.striped_segments(), seq, L,
-                                         row.data());
 }
 
 }  // namespace finehmm::cpu

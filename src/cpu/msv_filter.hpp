@@ -71,10 +71,4 @@ class MsvFilter {
   aligned_vector<std::uint8_t> row_;
 };
 
-/// One-shot convenience wrapper.  Uses thread-local scratch (grown, never
-/// shrunk) so steady-state database scans allocate nothing per call; runs
-/// the widest tier that needs no per-model re-striping (SSE2 on x86-64).
-FilterResult msv_striped(const profile::MsvProfile& prof,
-                         const std::uint8_t* seq, std::size_t L);
-
 }  // namespace finehmm::cpu

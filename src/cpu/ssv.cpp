@@ -1,12 +1,7 @@
 #include "cpu/ssv.hpp"
 
-#include <cstring>
 #include <vector>
 
-#include "cpu/simd_backend/backend.hpp"
-#include "cpu/simd_backend/kernels.hpp"
-#include "cpu/simd_backend/simd_tier.hpp"
-#include "cpu/simd_vec.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -70,20 +65,6 @@ FilterResult ssv_scalar(const profile::MsvProfile& prof,
       return finish(prof, xEmax, /*overflowed=*/true, L);
   }
   return finish(prof, xEmax, /*overflowed=*/false, L);
-}
-
-FilterResult ssv_striped(const profile::MsvProfile& prof,
-                         const std::uint8_t* seq, std::size_t L) {
-  thread_local std::vector<std::uint8_t> row;
-  const std::size_t n = static_cast<std::size_t>(prof.striped_segments()) *
-                        profile::MsvProfile::kLanes;
-  if (row.size() < n) row.resize(n);
-  if (active_simd_tier() != SimdTier::kPortable && backend::have_sse2())
-    return backend::ssv_sse2(prof, prof.striped_row(0),
-                             prof.striped_segments(), seq, L, row.data());
-  return simd_kernels::ssv_kernel<U8x16>(prof, prof.striped_row(0),
-                                         prof.striped_segments(), seq, L,
-                                         row.data());
 }
 
 }  // namespace finehmm::cpu

@@ -6,8 +6,10 @@
 // the single best ungapped diagonal.  It shares the MSV byte-scoring
 // system, so SSV <= MSV holds cell-wise and the same profile drives both.
 //
-// We provide the scalar reference and the striped SIMD filter; the warp
-// kernel lives in gpu/ssv_kernel.  All three agree bit-for-bit.
+// This is the scalar reference; the striped SIMD filter runs at every
+// tier through the backend table (pipeline::BatchScanner::ssv, fused
+// groups through cpu::FusedMsvFilter) and the warp kernel lives in
+// gpu/ssv_kernel.  All agree bit-for-bit.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +23,5 @@ namespace finehmm::cpu {
 /// Scalar reference SSV.
 FilterResult ssv_scalar(const profile::MsvProfile& prof,
                         const std::uint8_t* seq, std::size_t L);
-
-/// Striped 16-lane SSV filter.
-FilterResult ssv_striped(const profile::MsvProfile& prof,
-                         const std::uint8_t* seq, std::size_t L);
 
 }  // namespace finehmm::cpu

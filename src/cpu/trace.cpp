@@ -35,13 +35,20 @@ char consensus_char(const hmm::SearchProfile& prof, int k) {
                                   : static_cast<char>(std::tolower(c));
 }
 
+// One byte per DP cell packs all three core-state backpointers: the
+// match predecessor (B/M/I/D) in bits 0-1, the insert predecessor (M/I)
+// in bit 2, the delete predecessor (M/D) in bit 3.  A third of the
+// memory of one matrix per state, which is what every concurrent
+// rescoring worker holds.
+constexpr int kInsertBit = 2;
+constexpr int kDeleteBit = 3;
+
 /// Recover the state path from the filled backpointer arrays.  `stride`
-/// is M+1; bm/bi/bd are (L+1)*stride matrices.  Only backpointers along
+/// is M+1; bp is the (L+1)*stride packed matrix.  Only backpointers along
 /// the optimal path are read, and a finite score guarantees every one of
 /// those was written by the DP.
 ViterbiTrace backtrace(float score, std::size_t L, std::size_t stride,
-                       const std::uint8_t* bm, const std::uint8_t* bi,
-                       const std::uint8_t* bd, const int* be,
+                       const std::uint8_t* bp, const int* be,
                        const std::uint8_t* bj, const std::uint8_t* bc,
                        const std::uint8_t* bb) {
   ViterbiTrace trace;
@@ -76,7 +83,7 @@ ViterbiTrace backtrace(float score, std::size_t L, std::size_t stride,
         break;
       case St::kM: {
         rev.push_back({TraceState::kM, k, i});
-        std::uint8_t p = bm[at(i, k)];
+        const int p = bp[at(i, k)] & 3;
         --i;
         if (p == 0) {
           st = St::kB;
@@ -94,14 +101,14 @@ ViterbiTrace backtrace(float score, std::size_t L, std::size_t stride,
       }
       case St::kI: {
         rev.push_back({TraceState::kI, k, i});
-        std::uint8_t p = bi[at(i, k)];
+        const int p = (bp[at(i, k)] >> kInsertBit) & 1;
         --i;
         st = p == 0 ? St::kM : St::kI;
         break;
       }
       case St::kD: {
         rev.push_back({TraceState::kD, k, 0});
-        std::uint8_t p = bd[at(i, k)];
+        const int p = (bp[at(i, k)] >> kDeleteBit) & 1;
         --k;
         st = p == 0 ? St::kM : St::kD;
         break;
@@ -150,9 +157,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
   auto at = [M](std::size_t i, int k) {
     return i * static_cast<std::size_t>(M + 1) + static_cast<std::size_t>(k);
   };
-  std::vector<std::uint8_t> bm((L + 1) * (M + 1), 0);
-  std::vector<std::uint8_t> bi_((L + 1) * (M + 1), 0);
-  std::vector<std::uint8_t> bd((L + 1) * (M + 1), 0);
+  std::vector<std::uint8_t> bp((L + 1) * (M + 1), 0);
   std::vector<int> be(L + 1, 0);
   std::vector<std::uint8_t> bj(L + 1, 0), bc(L + 1, 0), bb(L + 1, 0);
 
@@ -177,7 +182,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
       int best = 0;
       for (int c = 1; c < 4; ++c)
         if (cand[c] > cand[best]) best = c;
-      bm[at(i, k)] = static_cast<std::uint8_t>(best);
+      bp[at(i, k)] = static_cast<std::uint8_t>(best);
       cm[k] = add(cand[best], prof.msc(k, x));
       float exit_score = add(cm[k], prof.esc(k));
       if (exit_score > xE) {
@@ -188,7 +193,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
       if (k < M) {
         float im = add(pm[k], prof.tsc(k, kPTMI));
         float ii = add(pi[k], prof.tsc(k, kPTII));
-        bi_[at(i, k)] = im >= ii ? 0 : 1;
+        bp[at(i, k)] |= (im >= ii ? 0 : 1) << kInsertBit;
         ci[k] = std::max(im, ii);
       } else {
         ci[k] = kNegInf;
@@ -196,7 +201,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
       if (k >= 2) {
         float dm = add(cm[k - 1], prof.tsc(k - 1, kPTMD));
         float dd = add(cd[k - 1], prof.tsc(k - 1, kPTDD));
-        bd[at(i, k)] = dm >= dd ? 0 : 1;
+        bp[at(i, k)] |= (dm >= dd ? 0 : 1) << kDeleteBit;
         cd[k] = std::max(dm, dd);
       } else {
         cd[k] = kNegInf;
@@ -227,19 +232,14 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
   }
 
   return backtrace(add(vC[L], xs.c_move), L, static_cast<std::size_t>(M + 1),
-                   bm.data(), bi_.data(), bd.data(), be.data(), bj.data(),
-                   bc.data(), bb.data());
+                   bp.data(), be.data(), bj.data(), bc.data(), bb.data());
 }
 
 void TraceWorkspace::reserve(int M, std::size_t L) {
   const std::size_t stride = static_cast<std::size_t>(M) + 1;
   const std::size_t cells = (L + 1) * stride;
   if (rows_.size() < 6 * stride) rows_.resize(6 * stride);
-  if (bm_.size() < cells) {
-    bm_.resize(cells);
-    bi_.resize(cells);
-    bd_.resize(cells);
-  }
+  if (bp_.size() < cells) bp_.resize(cells);
   if (be_.size() < L + 1) {
     be_.resize(L + 1);
     bj_.resize(L + 1);
@@ -263,9 +263,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
   float* cm = pd + stride;
   float* ci = cm + stride;
   float* cd = ci + stride;
-  std::uint8_t* bm = ws.bm_.data();
-  std::uint8_t* bi = ws.bi_.data();
-  std::uint8_t* bd = ws.bd_.data();
+  std::uint8_t* bp = ws.bp_.data();
   int* be = ws.be_.data();
   std::uint8_t* bj = ws.bj_.data();
   std::uint8_t* bc = ws.bc_.data();
@@ -285,9 +283,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
 
   for (std::size_t i = 1; i <= L; ++i) {
     const std::uint8_t x = seq[i - 1];
-    std::uint8_t* bm_row = bm + i * stride;
-    std::uint8_t* bi_row = bi + i * stride;
-    std::uint8_t* bd_row = bd + i * stride;
+    std::uint8_t* bp_row = bp + i * stride;
     float xE = kNegInf;
     int xEk = 0;
     cm[0] = ci[0] = cd[0] = kNegInf;
@@ -311,7 +307,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
         bv = c3;
         best = 3;
       }
-      bm_row[k] = static_cast<std::uint8_t>(best);
+      int packed = best;
       cm[k] = bv + prof.msc(k, x);
       const float exit_score = cm[k] + prof.esc(k);
       if (exit_score > xE) {
@@ -322,7 +318,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
       if (k < M) {
         const float im = pm[k] + prof.tsc(k, kPTMI);
         const float ii = pi[k] + prof.tsc(k, kPTII);
-        bi_row[k] = im >= ii ? 0 : 1;
+        packed |= (im >= ii ? 0 : 1) << kInsertBit;
         ci[k] = std::max(im, ii);
       } else {
         ci[k] = kNegInf;
@@ -330,11 +326,12 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
       if (k >= 2) {
         const float dm = cm[k - 1] + prof.tsc(k - 1, kPTMD);
         const float dd = cd[k - 1] + prof.tsc(k - 1, kPTDD);
-        bd_row[k] = dm >= dd ? 0 : 1;
+        packed |= (dm >= dd ? 0 : 1) << kDeleteBit;
         cd[k] = std::max(dm, dd);
       } else {
         cd[k] = kNegInf;
       }
+      bp_row[k] = static_cast<std::uint8_t>(packed);
     }
     be[i] = xEk;
 
@@ -359,7 +356,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
     std::swap(pd, cd);
   }
 
-  return backtrace(vC + xs.c_move, L, stride, bm, bi, bd, be, bj, bc, bb);
+  return backtrace(vC + xs.c_move, L, stride, bp, be, bj, bc, bb);
 }
 
 std::vector<Alignment> trace_alignments(const ViterbiTrace& trace,

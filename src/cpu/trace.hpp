@@ -64,9 +64,7 @@ class TraceWorkspace {
   void reserve(int M, std::size_t L);
 
   std::vector<float> rows_;      // 6 rolling value rows of (M+1) floats
-  std::vector<std::uint8_t> bm_; // (L+1)*(M+1) match backpointers
-  std::vector<std::uint8_t> bi_; // (L+1)*(M+1) insert backpointers
-  std::vector<std::uint8_t> bd_; // (L+1)*(M+1) delete backpointers
+  std::vector<std::uint8_t> bp_; // (L+1)*(M+1) packed M/I/D backpointers
   std::vector<int> be_;          // best exit node per row
   std::vector<std::uint8_t> bj_, bc_, bb_;  // special-state backpointers
 };

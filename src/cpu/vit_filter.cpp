@@ -1,6 +1,5 @@
 #include "cpu/vit_filter.hpp"
 
-#include "cpu/simd_vec.hpp"
 #include "cpu/vit_wide.hpp"
 #include "util/error.hpp"
 
@@ -53,24 +52,6 @@ VitFilter::VitFilter(const profile::VitProfile& prof, SimdTier tier,
 FilterResult VitFilter::score(const std::uint8_t* seq, std::size_t L) {
   return ops_->vit(prof_, wide_.view, seq, L, mmx_.data(), imx_.data(),
                    dmx_.data(), &lazyf_passes_);
-}
-
-FilterResult vit_striped(const profile::VitProfile& prof,
-                         const std::uint8_t* seq, std::size_t L) {
-  thread_local std::vector<std::int16_t> mmx, imx, dmx;
-  const std::size_t n = static_cast<std::size_t>(prof.striped_segments()) *
-                        profile::VitProfile::kLanes;
-  if (mmx.size() < n) {
-    mmx.resize(n);
-    imx.resize(n);
-    dmx.resize(n);
-  }
-  if (active_simd_tier() != SimdTier::kPortable && backend::have_sse2())
-    return backend::vit_sse2(prof, backend::vit_native_view(prof), seq, L,
-                             mmx.data(), imx.data(), dmx.data());
-  return simd_kernels::vit_kernel<I16x8>(prof, backend::vit_native_view(prof),
-                                         seq, L, mmx.data(), imx.data(),
-                                         dmx.data());
 }
 
 }  // namespace finehmm::cpu

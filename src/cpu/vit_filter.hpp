@@ -68,10 +68,4 @@ class VitFilter {
   int lazyf_passes_ = 0;
 };
 
-/// One-shot convenience wrapper.  Uses thread-local scratch (grown, never
-/// shrunk) so steady-state database scans allocate nothing per call; runs
-/// the widest tier that needs no per-model re-striping (SSE2 on x86-64).
-FilterResult vit_striped(const profile::VitProfile& prof,
-                         const std::uint8_t* seq, std::size_t L);
-
 }  // namespace finehmm::cpu

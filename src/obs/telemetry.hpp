@@ -1,8 +1,8 @@
 // ScanTelemetry: the machine-readable performance snapshot every engine
 // emits through one schema.
 //
-// One scan — serial CPU, barrier-parallel, overlapped streaming, or the
-// simulated GPU — fills one ScanTelemetry.  The shape is deliberately
+// One scan — the serial CPU reference, the overlapped sweep core (one
+// query or a batch), or the simulated GPU — fills one ScanTelemetry.  The shape is deliberately
 // flat and self-describing so the perf trajectory documents itself:
 // bench_throughput embeds it into BENCH_throughput.json, hmmsearch_tool
 // dumps it behind --telemetry, and docs/observability.md specifies the
@@ -65,7 +65,7 @@ struct StageTelemetry {
   }
 };
 
-/// The overlapped engine's survivor queue, end-of-scan totals.
+/// The sweep core's survivor queue, end-of-scan totals.
 /// Invariants (tested): dequeued == enqueued (every produced survivor is
 /// drained), enqueue_stalls counts rejected attempts only, and
 /// max_depth <= capacity.
@@ -98,8 +98,8 @@ struct ThreadTelemetry {
 };
 
 struct ScanTelemetry {
-  std::string engine;           // "cpu_serial" | "cpu_parallel" |
-                                // "cpu_overlapped" | "gpu_sim"
+  std::string engine;           // "cpu_serial" | "cpu_overlapped" |
+                                // "cpu_coalesced" | "cpu_fused" | "gpu_sim"
   std::uint64_t threads = 1;
   std::uint64_t sequences = 0;  // database size
   std::uint64_t residues = 0;   // database residues
@@ -114,7 +114,7 @@ struct ScanTelemetry {
   std::uint64_t decoded_bytes = 0;
 
   std::vector<StageTelemetry> stages;
-  std::optional<QueueTelemetry> queue;       // overlapped engine only
+  std::optional<QueueTelemetry> queue;       // sweep core only
   std::vector<BucketTelemetry> buckets;      // bucketed engines only
   std::vector<ThreadTelemetry> per_thread;   // one entry per worker
 

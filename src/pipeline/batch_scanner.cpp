@@ -14,6 +14,7 @@ BatchScanner::BatchScanner(const profile::MsvProfile& msv,
                            const profile::FwdProfile* fwd,
                            std::size_t workers, cpu::SimdTier tier)
     : msv_(msv),
+      fwd_(fwd),
       tier_(cpu::resolve_simd_tier(tier)),
       ops_(&cpu::backend::tier_kernels(tier_)) {
   FH_REQUIRE(workers >= 1, "need at least one worker");
@@ -24,10 +25,6 @@ BatchScanner::BatchScanner(const profile::MsvProfile& msv,
   ssv_rows_ = cpu::make_shared_msv_rows(msv, ops_->u8_lanes);
   cpu::SharedVitStripes vit_wide =
       cpu::make_shared_vit_stripes(vit, ops_->i16_lanes);
-  std::shared_ptr<const cpu::WideFwdStripes> fwd_wide;
-  if (fwd != nullptr)
-    fwd_wide = std::make_shared<const cpu::WideFwdStripes>(
-        *fwd, ops_->f32_lanes);
 
   const std::size_t ssv_row_bytes =
       static_cast<std::size_t>(ssv_rows_.Q) * ssv_rows_.lanes;
@@ -39,7 +36,6 @@ BatchScanner::BatchScanner(const profile::MsvProfile& msv,
                   std::nullopt,
                   std::vector<std::uint8_t>(ssv_row_bytes, 0),
                   WorkerLoad{}};
-    if (fwd != nullptr) worker.fwd.emplace(*fwd, tier_, fwd_wide);
     workers_.push_back(std::move(worker));
   }
 }
@@ -109,29 +105,40 @@ cpu::FilterResult BatchScanner::vit(std::size_t w, const std::uint8_t* seq,
   return workers_[w].vit.score(seq, L);
 }
 
+cpu::FwdFilter& BatchScanner::fwd_filter(std::size_t w) {
+  FINEHMM_CHECK(w < workers_.size(), "worker id out of range");
+  FH_REQUIRE(fwd_ != nullptr, "BatchScanner built without a Forward profile");
+  std::optional<cpu::FwdFilter>& filter = workers_[w].fwd;
+  if (!filter) {
+    // Worker w alone touches its slot; the shared stripes are built once.
+    std::call_once(fwd_once_, [this] {
+      fwd_wide_ =
+          std::make_shared<const cpu::WideFwdStripes>(*fwd_, ops_->f32_lanes);
+    });
+    filter.emplace(*fwd_, tier_, fwd_wide_);
+  }
+  return *filter;
+}
+
 float BatchScanner::fwd(std::size_t w, const std::uint8_t* seq,
                         std::size_t L) {
-  FINEHMM_CHECK(w < workers_.size(), "worker id out of range");
-  FH_REQUIRE(workers_[w].fwd.has_value(),
-             "BatchScanner built without a Forward profile");
+  cpu::FwdFilter& filter = fwd_filter(w);
   if (empty_no_hit(L)) return cpu::FilterResult{}.score_nats;
   ++workers_[w].load.fwd_calls;
   workers_[w].load.residues += L;
-  return workers_[w].fwd->score(seq, L);
+  return filter.score(seq, L);
 }
 
 float BatchScanner::decode(std::size_t w, const std::uint8_t* seq,
                            std::size_t L, std::vector<float>& mocc) {
-  FINEHMM_CHECK(w < workers_.size(), "worker id out of range");
-  FH_REQUIRE(workers_[w].fwd.has_value(),
-             "BatchScanner built without a Forward profile");
+  cpu::FwdFilter& filter = fwd_filter(w);
   if (empty_no_hit(L)) {
     mocc.clear();
     return cpu::FilterResult{}.score_nats;
   }
   ++workers_[w].load.bwd_calls;
   workers_[w].load.residues += L;
-  return workers_[w].fwd->decode(seq, L, mocc);
+  return filter.decode(seq, L, mocc);
 }
 
 }  // namespace finehmm::pipeline

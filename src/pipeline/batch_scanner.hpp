@@ -18,6 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -37,8 +39,11 @@ class BatchScanner {
  public:
   /// State for `workers` concurrent scanners over one model's profiles.
   /// `fwd` may be nullptr when the caller never runs the Forward stage.
-  /// All workers score through the same resolved SIMD tier, so results
-  /// are identical regardless of which worker scored which sequence.
+  /// Forward state (the shared wide re-striping and each worker's rows)
+  /// is built on a worker's first fwd()/decode(), so a many-query sweep
+  /// pays for it only on queries that have a Viterbi survivor.  All
+  /// workers score through the same resolved SIMD tier, so results are
+  /// identical regardless of which worker scored which sequence.
   BatchScanner(const profile::MsvProfile& msv, const profile::VitProfile& vit,
                const profile::FwdProfile* fwd = nullptr,
                std::size_t workers = 1,
@@ -94,6 +99,7 @@ class BatchScanner {
  private:
   template <class Seq>
   cpu::FilterResult ssv_impl(std::size_t w, Seq seq, std::size_t L);
+  cpu::FwdFilter& fwd_filter(std::size_t w);
 
   struct Worker {
     cpu::MsvFilter msv;
@@ -104,9 +110,12 @@ class BatchScanner {
   };
 
   const profile::MsvProfile& msv_;
+  const profile::FwdProfile* fwd_;
   cpu::SimdTier tier_;
   const cpu::backend::TierKernels* ops_;
   cpu::SharedMsvRows ssv_rows_;  // shared emission table the SSV path reads
+  std::once_flag fwd_once_;      // builds fwd_wide_ on first Forward use
+  std::shared_ptr<const cpu::WideFwdStripes> fwd_wide_;
   std::vector<Worker> workers_;
 };
 

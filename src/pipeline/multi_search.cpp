@@ -26,21 +26,6 @@ std::vector<ModelResult> MultiSearch::run_cpu(
   return out;
 }
 
-std::vector<ModelResult> MultiSearch::run_cpu_parallel(
-    const bio::SequenceDatabase& db, std::size_t threads) const {
-  ThreadPool pool(threads);
-  std::vector<ModelResult> out;
-  out.reserve(searches_.size());
-  for (const auto& search : searches_) {
-    ModelResult r;
-    r.model_name = search.profile().name();
-    r.model_length = search.profile().length();
-    r.result = search.run_cpu_parallel(db, pool);
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 std::vector<int> MultiSearch::model_lengths() const {
   std::vector<int> out;
   out.reserve(searches_.size());
@@ -56,7 +41,12 @@ std::vector<ModelResult> MultiSearch::run_cpu_fused(
   std::vector<const HmmSearch*> ptrs;
   ptrs.reserve(searches_.size());
   for (const auto& search : searches_) ptrs.push_back(&search);
-  auto scan = HmmSearch::run_cpu_fused(ptrs, ScanSource(db), pool, plan);
+  hmm::FusePlan local;
+  if (plan == nullptr) {
+    local = plan_fusion(ptrs);
+    plan = &local;
+  }
+  auto scan = HmmSearch::run_cpu_coalesced(ptrs, ScanSource(db), pool, plan);
   std::vector<ModelResult> out;
   out.reserve(searches_.size());
   for (std::size_t i = 0; i < searches_.size(); ++i) {

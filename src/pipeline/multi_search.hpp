@@ -32,21 +32,15 @@ class MultiSearch {
   /// Scan with the CPU engines.
   std::vector<ModelResult> run_cpu(const bio::SequenceDatabase& db) const;
 
-  /// Multithreaded CPU scan.  One ThreadPool (and its worker threads) is
-  /// shared across all models; each model's scan state is a BatchScanner
-  /// sized to the pool, so the sweep performs no per-sequence allocation.
-  /// `threads` = 0 picks hardware concurrency.  Hits match run_cpu.
-  std::vector<ModelResult> run_cpu_parallel(const bio::SequenceDatabase& db,
-                                            std::size_t threads = 0) const;
-
   /// Model lengths in index order — the input to hmm::plan_model_groups.
   std::vector<int> model_lengths() const;
 
-  /// Fused many-model scan: short models lane-packed into shared striped
-  /// group tables so one MSV/SSV sweep scores a whole group per sequence
-  /// (HmmSearch::run_cpu_fused).  Hits are bit-identical to run_cpu per
-  /// model.  `plan` may pass a cached group shape (null auto-tunes from
-  /// the length histogram + FINEHMM_FUSE); `telemetry`, when non-null,
+  /// The multi-threaded many-model scan: short models lane-packed into
+  /// shared striped group tables so one MSV/SSV sweep scores a whole
+  /// group per sequence (HmmSearch::run_cpu_coalesced with a plan).  Hits
+  /// are bit-identical to run_cpu per model.  `threads` = 0 picks
+  /// hardware concurrency.  `plan` may pass a cached group shape (null
+  /// auto-tunes through plan_fusion); `telemetry`, when non-null,
   /// receives the batch snapshot with the fuse.* counters.
   std::vector<ModelResult> run_cpu_fused(
       const bio::SequenceDatabase& db, std::size_t threads = 0,

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
-#include <thread>
+#include <numeric>
 
-#include "cpu/fwd_filter.hpp"
-#include "cpu/generic.hpp"
-#include "cpu/msv_filter.hpp"
 #include "cpu/msv_group.hpp"
-#include "cpu/ssv.hpp"
-#include "cpu/vit_filter.hpp"
 #include "obs/recorder.hpp"
 #include "pipeline/batch_scanner.hpp"
 #include "pipeline/null2.hpp"
@@ -19,7 +15,6 @@
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/mpmc_queue.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace finehmm::pipeline {
@@ -48,10 +43,31 @@ HmmSearch::HmmSearch(const hmm::Plan7Hmm& model,
 
 namespace {
 
-float overflow_bits(const profile::MsvProfile& msv, int L) {
-  // A conservative lower bound on an overflowed byte score.
-  return hmm::nats_to_bits(
-      (255.0f - msv.bias() - msv.base()) / msv.scale(), L);
+constexpr int kSsv = static_cast<int>(obs::Stage::kSsv);
+constexpr int kMsv = static_cast<int>(obs::Stage::kMsv);
+constexpr int kVit = static_cast<int>(obs::Stage::kVit);
+constexpr int kFwd = static_cast<int>(obs::Stage::kFwd);
+constexpr int kBwd = static_cast<int>(obs::Stage::kBwd);
+
+obs::Recorder* enabled(obs::Recorder* rec) {
+  return rec != nullptr && rec->enabled() ? rec : nullptr;
+}
+
+/// Byte lanes of the active SIMD tier: the width fuse plans pack into.
+int active_u8_lanes() {
+  return cpu::backend::tier_kernels(
+             cpu::resolve_simd_tier(cpu::active_simd_tier()))
+      .u8_lanes;
+}
+
+/// The byte-stage gate every engine applies: an overflowed byte score
+/// passes unconditionally (it is provably huge); otherwise its bits
+/// against null1 go through the stage's Gumbel P-value.
+bool byte_gate(const stats::Gumbel& null, double p_max, cpu::FilterResult r,
+               std::size_t L) {
+  return r.overflowed ||
+         null.surv(hmm::nats_to_bits(r.score_nats, static_cast<int>(L))) <=
+             p_max;
 }
 
 // The byte filters consume either representation without a decode: the
@@ -69,14 +85,77 @@ cpu::FilterResult msv_score(BatchScanner& scanner, std::size_t w,
                          : scanner.msv(w, src.codes(s), L);
 }
 
+void sort_hits(std::vector<Hit>& hits) {
+  // (evalue, seq_index) is a total order, so the hit list is a pure
+  // function of the hit set — a cluster coordinator merging shard hits
+  // re-sorts by the same key and reproduces this order byte-for-byte.
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    return a.evalue != b.evalue ? a.evalue < b.evalue
+                                : a.seq_index < b.seq_index;
+  });
+}
+
+/// Per-worker scratch of the word stages, reused across survivors so the
+/// steady state allocates only for reported hits (names, alignments).
+struct WordScratch {
+  std::vector<std::uint8_t> codes;  // packed survivors decode here
+  cpu::TraceWorkspace trace;
+  std::vector<float> mocc;  // checkpointed-decode occupancy track
+};
+
+/// Forward -> null2 -> alignments / posterior decode for one Viterbi
+/// survivor `s` on worker `w` — the one rescore every engine runs (the
+/// sweep core on whichever worker is idle, forward_stage serially).
+/// Fills `h` and returns true when the hit is reported; banks the
+/// Forward and decode busy time into `stage_s`.
+bool rescore_survivor(const HmmSearch& hs, BatchScanner& scanner,
+                      std::size_t w, WordScratch& ws, ScanSource src,
+                      std::size_t s, const std::uint8_t* codes, Hit& h,
+                      double* stage_s) {
+  const Thresholds& thr = hs.thresholds();
+  const hmm::SearchProfile& prof = hs.profile();
+  const std::size_t L = src.length(s);
+  Timer t;
+  const float raw = scanner.fwd(w, codes, L);
+  cpu::ViterbiTrace trace;
+  float bias_nats = 0.0f;
+  if (thr.null2_correction || thr.compute_alignments)
+    trace = cpu::viterbi_trace(prof, codes, L, ws.trace);
+  if (thr.null2_correction) bias_nats = null2_correction(prof, trace, codes);
+  const float bits = hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
+  const double p = hs.model_stats().fwd_pvalue(bits);
+  const double e = stats::evalue(p, src.size(), thr.z_override);
+  const bool reported = e <= thr.report_evalue;
+  if (reported) {
+    h.seq_index = s;
+    h.name = std::string(src.name(s));
+    h.fwd_bits = bits;
+    h.bias_bits = bias_nats / static_cast<float>(M_LN2);
+    h.pvalue = p;
+    h.evalue = e;
+    if (thr.compute_alignments)
+      h.alignments = cpu::trace_alignments(trace, prof, codes);
+  }
+  stage_s[kFwd] += t.seconds();
+  if (reported && thr.define_domains) {
+    // Checkpointed Forward/Backward on the scanner's vectorized tier:
+    // decode fills the occupancy track, envelope definition and
+    // rescoring run on it directly.  Banked as its own stage (kBwd).
+    t.reset();
+    scanner.decode(w, codes, L, ws.mocc);
+    h.domains = cpu::domains_from_occupancy(prof, codes, L, ws.mocc.data());
+    stage_s[kBwd] += t.seconds();
+  }
+  return reported;
+}
+
 // --- Telemetry plumbing -------------------------------------------------
 //
 // Stage busy time is accumulated into per-worker slots (cacheline-sized,
 // written only by the owning worker, merged serially after the crew
-// joins) whether or not a recorder is attached: the overlapped engine's
+// joins) whether or not a recorder is attached: the sweep core's
 // StageStats::seconds are exactly this merge, so they must not depend on
-// observability being switched on.  The recorder only adds trace spans
-// and the ScanTelemetry snapshot on top.
+// observability being switched on.  The recorder only adds trace spans.
 
 struct alignas(64) WorkerClock {
   double stage_s[obs::kStageCount] = {};
@@ -92,27 +171,15 @@ std::uint64_t packed_stream_bytes(const ScanSource& src) {
   return bytes;
 }
 
-void fill_stage(obs::ScanTelemetry& t, const char* name,
-                const StageStats& s, double wall, double busy) {
-  obs::StageTelemetry st;
-  st.stage = name;
-  st.n_in = s.n_in;
-  st.n_passed = s.n_passed;
-  st.cells = s.cells;
-  st.wall_seconds = wall;
-  st.busy_seconds = busy;
-  t.stages.push_back(std::move(st));
-}
-
-/// The shared snapshot skeleton: database shape, byte accounting, and
-/// one StageTelemetry per active stage (wall == busy by default; engines
-/// with other semantics overwrite the fields afterwards).
-obs::ScanTelemetry make_telemetry(const char* engine, const ScanSource& src,
-                                  std::size_t threads,
-                                  const SearchResult& out, double wall_s,
-                                  bool use_ssv, bool use_bwd = false) {
+/// The one snapshot builder every engine finishes with: database shape,
+/// byte accounting, and one row per active stage totalled over the
+/// scan's `k` queries (wall == busy; the sweep core zeroes the walls).
+/// The byte stages are one pass shared by every query, so their row
+/// takes the common per-query time; the word stages sum.
+obs::ScanTelemetry make_telemetry(const ScanSource& src, std::size_t threads,
+                                  const SearchResult* results, std::size_t k,
+                                  double wall_s, bool use_ssv, bool use_bwd) {
   obs::ScanTelemetry t;
-  t.engine = engine;
   t.threads = threads;
   t.sequences = src.size();
   t.residues = src.total_residues();
@@ -122,84 +189,98 @@ obs::ScanTelemetry make_telemetry(const char* engine, const ScanSource& src,
     t.mapped_bytes = packed_stream_bytes(src);
   else
     t.heap_bytes = src.total_residues();
-  if (use_ssv) fill_stage(t, "ssv", out.ssv, out.ssv.seconds, out.ssv.seconds);
-  fill_stage(t, "msv", out.msv, out.msv.seconds, out.msv.seconds);
-  fill_stage(t, "vit", out.vit, out.vit.seconds, out.vit.seconds);
-  fill_stage(t, "fwd", out.fwd, out.fwd.seconds, out.fwd.seconds);
-  if (use_bwd) fill_stage(t, "bwd", out.bwd, out.bwd.seconds, out.bwd.seconds);
+  const auto add = [&](const char* name, StageStats SearchResult::*stage,
+                       bool shared) {
+    obs::StageTelemetry st;
+    st.stage = name;
+    for (std::size_t q = 0; q < k; ++q) {
+      const StageStats& s = results[q].*stage;
+      st.n_in += s.n_in;
+      st.n_passed += s.n_passed;
+      st.cells += s.cells;
+      if (!shared) st.busy_seconds += s.seconds;
+    }
+    if (shared) st.busy_seconds = (results[0].*stage).seconds;
+    st.wall_seconds = st.busy_seconds;
+    t.stages.push_back(std::move(st));
+  };
+  if (use_ssv) add("ssv", &SearchResult::ssv, true);
+  add("msv", &SearchResult::msv, true);
+  add("vit", &SearchResult::vit, false);
+  add("fwd", &SearchResult::fwd, false);
+  if (use_bwd) add("bwd", &SearchResult::bwd, false);
   return t;
 }
 
-void fill_buckets(obs::ScanTelemetry& t, const ScanSchedule& sched) {
-  t.buckets.reserve(sched.bucket_sequences.size());
-  for (std::size_t b = 0; b < sched.bucket_sequences.size(); ++b)
-    t.buckets.push_back(
-        obs::BucketTelemetry{sched.bucket_sequences[b],
-                             sched.bucket_residues[b]});
-}
-
-/// Per-thread rows from the engine clocks, the scanner's per-worker call
+/// Per-thread rows from the engine clocks, the scanners' per-worker call
 /// counts, and (when tracing) the recorder's span tallies.
 void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
-                  const WorkerClock* clocks, const BatchScanner& scanner,
+                  const WorkerClock* clocks,
+                  const std::vector<const BatchScanner*>& scanners,
                   const obs::Recorder* rec) {
   t.per_thread.resize(crew);
   for (std::size_t w = 0; w < crew; ++w) {
     obs::ThreadTelemetry& row = t.per_thread[w];
     row.thread = static_cast<std::uint32_t>(w);
-    if (clocks != nullptr) {
-      for (int s = 0; s < obs::kStageCount; ++s)
-        row.stage_busy_seconds[s] = clocks[w].stage_s[s];
-      row.help_first_rescues = clocks[w].rescues;
-      row.decoded_bytes = clocks[w].decoded_bytes;
-    }
-    if (w < scanner.workers()) {
-      const auto& load = scanner.load(w);
-      row.sequences_scored = load.calls();
-      row.stage_items[static_cast<int>(obs::Stage::kSsv)] = load.ssv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kMsv)] = load.msv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kVit)] = load.vit_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kFwd)] = load.fwd_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kBwd)] = load.bwd_calls;
+    for (int s = 0; s < obs::kStageCount; ++s)
+      row.stage_busy_seconds[s] = clocks[w].stage_s[s];
+    row.help_first_rescues = clocks[w].rescues;
+    row.decoded_bytes = clocks[w].decoded_bytes;
+    for (const BatchScanner* scanner : scanners) {
+      const auto& load = scanner->load(w);
+      row.sequences_scored += load.calls();
+      row.stage_items[kSsv] += load.ssv_calls;
+      row.stage_items[kMsv] += load.msv_calls;
+      row.stage_items[kVit] += load.vit_calls;
+      row.stage_items[kFwd] += load.fwd_calls;
+      row.stage_items[kBwd] += load.bwd_calls;
     }
     if (rec != nullptr && w < rec->threads()) {
       row.spans = rec->log_at(w).events().size();
       row.spans_dropped =
           rec->log_at(w).counter(obs::Counter::kSpansDropped);
     }
+    t.decoded_bytes += row.decoded_bytes;
   }
-  for (const auto& row : t.per_thread) t.decoded_bytes += row.decoded_bytes;
 }
 
-/// Overwrite the snapshot's per-stage busy seconds with the per-worker
-/// merge, so "per-thread merge == global totals" holds by construction.
-void merge_busy_from_clocks(obs::ScanTelemetry& t, std::size_t crew,
-                            const WorkerClock* clocks) {
-  for (auto& st : t.stages) {
-    obs::Stage s;
-    if (st.stage == "ssv") s = obs::Stage::kSsv;
-    else if (st.stage == "msv") s = obs::Stage::kMsv;
-    else if (st.stage == "vit") s = obs::Stage::kVit;
-    else if (st.stage == "fwd") s = obs::Stage::kFwd;
-    else if (st.stage == "bwd") s = obs::Stage::kBwd;
-    else continue;
-    double busy = 0.0;
-    for (std::size_t w = 0; w < crew; ++w)
-      busy += clocks[w].stage_s[static_cast<int>(s)];
-    st.busy_seconds = busy;
-  }
-}
+// --- Sweep core state ----------------------------------------------------
+
+/// One fuse group of the plan: a shared lane-packed table plus one
+/// filter (DP state) per worker.
+struct FuseGroup {
+  const std::vector<std::size_t>* members = nullptr;
+  std::unique_ptr<cpu::FusedMsvGroup> table;
+  std::vector<std::unique_ptr<cpu::FusedMsvFilter>> filters;
+  bool any_ssv = false;
+};
+
+/// One rescored (query, sequence) survivor.  Results are stored per
+/// survivor — per-pair state stays at the two byte-stage keep bytes.
+struct Survivor {
+  std::uint64_t key = 0;  // query << 32 | sequence
+  bool vit_pass = false;
+  bool reported = false;
+  double stage_s[obs::kStageCount] = {};  // this survivor's busy time
+  Hit hit;
+};
+
+struct SweepWorker {
+  WordScratch words;
+  std::vector<cpu::FilterResult> group_scores;  // one fuse group's members
+  std::vector<std::uint32_t> passed;  // queries whose MSV gate s passed
+  std::vector<Survivor> found;        // survivors this worker rescored
+};
 
 }  // namespace
 
 SearchResult HmmSearch::run_cpu(ScanSource src) const {
   SearchResult out;
-  obs::Recorder* rec =
-      (recorder_ != nullptr && recorder_->enabled()) ? recorder_ : nullptr;
+  obs::Recorder* rec = enabled(recorder_);
   if (rec) rec->reserve_threads(1);
   Timer total;
   Timer timer;
-  BatchScanner scanner(msv_, vit_, /*fwd=*/nullptr, /*workers=*/1);
+  BatchScanner scanner(msv_, vit_, &fwd_, /*workers=*/1);
 
   // ---- Stage 0 (optional): SSV pre-filter ----
   // Zero-length sequences cannot match; every engine counts them into the
@@ -211,13 +292,9 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
     for (std::size_t s = 0; s < src.size(); ++s) {
       const std::size_t L = src.length(s);
       if (L == 0) continue;
-      auto r = ssv_score(scanner, 0, src, s, L);
-      float bits = r.overflowed
-                       ? overflow_bits(msv_, static_cast<int>(L))
-                       : hmm::nats_to_bits(r.score_nats,
-                                           static_cast<int>(L));
       out.ssv.cells += static_cast<double>(L) * msv_.length();
-      if (r.overflowed || stats_.ssv_pvalue(bits) <= thr_.ssv_p)
+      if (byte_gate(stats_.ssv, thr_.ssv_p, ssv_score(scanner, 0, src, s, L),
+                    L))
         candidates.push_back(s);
     }
     out.ssv.n_passed = candidates.size();
@@ -225,28 +302,21 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
     timer.reset();
   } else {
     candidates.resize(src.size());
-    for (std::size_t s = 0; s < src.size(); ++s) candidates[s] = s;
+    std::iota(candidates.begin(), candidates.end(), std::size_t{0});
   }
 
   // ---- Stage 1: MSV ----
   std::vector<std::size_t> msv_pass;
-  std::vector<float> msv_bits_pass;
   out.msv.n_in = candidates.size();
   {
     OBS_SPAN(rec, 0, "msv");
     for (std::size_t s : candidates) {
       const std::size_t L = src.length(s);
       if (L == 0) continue;
-      auto r = msv_score(scanner, 0, src, s, L);
-      float bits = r.overflowed
-                       ? overflow_bits(msv_, static_cast<int>(L))
-                       : hmm::nats_to_bits(r.score_nats,
-                                           static_cast<int>(L));
       out.msv.cells += static_cast<double>(L) * msv_.length();
-      if (r.overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p) {
+      if (byte_gate(stats_.msv, thr_.msv_p, msv_score(scanner, 0, src, s, L),
+                    L))
         msv_pass.push_back(s);
-        msv_bits_pass.push_back(bits);
-      }
     }
   }
   out.msv.n_passed = msv_pass.size();
@@ -276,187 +346,21 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
   out.vit.n_passed = vit_pass.size();
   out.vit.seconds = timer.seconds();
 
-  forward_stage(src, vit_pass, vit_bits_pass, out);
+  forward_stage(src, scanner, vit_pass, vit_bits_pass, out);
 
   if (rec) {
-    out.telemetry = make_telemetry("cpu_serial", src, 1, out,
-                                   total.seconds(), thr_.use_ssv_prefilter,
+    out.telemetry = make_telemetry(src, 1, &out, 1, total.seconds(),
+                                   thr_.use_ssv_prefilter,
                                    thr_.define_domains);
-    fill_threads(*out.telemetry, 1, /*clocks=*/nullptr, scanner, rec);
+    out.telemetry->engine = "cpu_serial";
     // Serial engine: one thread, busy == wall per stage.
-    auto& row = out.telemetry->per_thread[0];
-    row.stage_busy_seconds[static_cast<int>(obs::Stage::kSsv)] =
-        out.ssv.seconds;
-    row.stage_busy_seconds[static_cast<int>(obs::Stage::kMsv)] =
-        out.msv.seconds;
-    row.stage_busy_seconds[static_cast<int>(obs::Stage::kVit)] =
-        out.vit.seconds;
-    row.stage_busy_seconds[static_cast<int>(obs::Stage::kFwd)] =
-        out.fwd.seconds;
-    row.stage_busy_seconds[static_cast<int>(obs::Stage::kBwd)] =
-        out.bwd.seconds;
-  }
-  return out;
-}
-
-SearchResult HmmSearch::run_cpu_parallel(ScanSource src,
-                                         std::size_t threads) const {
-  ThreadPool pool(threads);
-  return run_cpu_parallel(src, pool);
-}
-
-SearchResult HmmSearch::run_cpu_parallel(ScanSource src,
-                                         ThreadPool& pool) const {
-  SearchResult out;
-  obs::Recorder* rec =
-      (recorder_ != nullptr && recorder_->enabled()) ? recorder_ : nullptr;
-  const std::size_t crew = pool.workers();
-  if (rec) rec->reserve_threads(crew);
-  // Per-worker stage clocks, merged serially after each barrier: the
-  // busy-time accounting never crosses threads mid-flight.
-  std::vector<WorkerClock> clocks(crew);
-  Timer total;
-  Timer timer;
-  const std::size_t n = src.size();
-
-  // All mutable filter state lives in the scanner, one slot per worker;
-  // the scan loops below allocate nothing per sequence.
-  BatchScanner scanner(msv_, vit_, /*fwd=*/nullptr, pool.workers());
-
-  // Workers grab small index ranges of the length-bucketed order from a
-  // shared cursor: chunks hold similar-length sequences (balanced cost,
-  // warm DP rows) and the longest buckets are issued first, so neither a
-  // run of long sequences nor the scan's tail can strand on one thread.
-  constexpr std::size_t kMsvChunk = 16;
-  constexpr std::size_t kVitChunk = 4;
-  const ScanSchedule sched = make_length_schedule(
-      n, [&src](std::size_t i) { return src.length(i); });
-
-  // ---- Stage 0+1: (optional SSV, then) MSV, fanned out over the pool.
-  // Within a chunk the stages are fused: a sequence failing SSV never
-  // reaches MSV, exactly like the serial engine, so hit lists agree.
-  out.msv.n_in = n;
-  std::vector<std::uint8_t> ssv_keep(n, 1);
-  std::vector<std::uint8_t> msv_keep(n, 0);
-  pool.parallel_for_chunked(
-      n, kMsvChunk,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        OBS_SPAN(rec, worker, "msv.chunk");
-        Timer chunk_t;
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const std::size_t s = sched.order[idx];
-          if (idx + 1 < end) src.prefetch(sched.order[idx + 1]);
-          const std::size_t L = src.length(s);
-          if (L == 0) {
-            if (thr_.use_ssv_prefilter) ssv_keep[s] = 0;
-            continue;  // msv_keep stays 0: fails the first active stage
-          }
-          if (thr_.use_ssv_prefilter) {
-            Timer ssv_t;
-            auto sr = ssv_score(scanner, worker, src, s, L);
-            clocks[worker].stage_s[static_cast<int>(obs::Stage::kSsv)] +=
-                ssv_t.seconds();
-            chunk_t.reset();  // keep the SSV share out of the MSV clock
-            float sbits =
-                sr.overflowed
-                    ? overflow_bits(msv_, static_cast<int>(L))
-                    : hmm::nats_to_bits(sr.score_nats,
-                                        static_cast<int>(L));
-            if (!sr.overflowed && stats_.ssv_pvalue(sbits) > thr_.ssv_p) {
-              ssv_keep[s] = 0;
-              continue;
-            }
-          }
-          auto r = msv_score(scanner, worker, src, s, L);
-          clocks[worker].stage_s[static_cast<int>(obs::Stage::kMsv)] +=
-              chunk_t.seconds();
-          chunk_t.reset();
-          float bits =
-              r.overflowed
-                  ? overflow_bits(msv_, static_cast<int>(L))
-                  : hmm::nats_to_bits(r.score_nats,
-                                      static_cast<int>(L));
-          msv_keep[s] =
-              (r.overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p) ? 1
-                                                                      : 0;
-        }
-      });
-  // Serial stats replay in index order: identical to the serial engine no
-  // matter how the bucketed scan interleaved.
-  std::vector<std::size_t> msv_pass;
-  for (std::size_t s = 0; s < n; ++s) {
-    double cells = static_cast<double>(src.length(s)) * msv_.length();
-    if (thr_.use_ssv_prefilter) {
-      out.ssv.n_in += 1;
-      out.ssv.cells += cells;
-      if (!ssv_keep[s]) continue;
-      out.ssv.n_passed += 1;
-    }
-    out.msv.cells += cells;
-    if (msv_keep[s]) msv_pass.push_back(s);
-  }
-  if (thr_.use_ssv_prefilter) out.msv.n_in = out.ssv.n_passed;
-  out.msv.n_passed = msv_pass.size();
-  out.msv.seconds = timer.seconds();
-
-  // ---- Stage 2: P7Viterbi over survivors ----
-  timer.reset();
-  out.vit.n_in = msv_pass.size();
-  std::vector<float> vit_bits_all(msv_pass.size());
-  std::vector<std::uint8_t> vit_keep(msv_pass.size(), 0);
-  std::vector<std::vector<std::uint8_t>> scratch(pool.workers());
-  if (src.zero_copy())
-    for (auto& sc : scratch) sc.resize(src.max_length());
-  pool.parallel_for_chunked(
-      msv_pass.size(), kVitChunk,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        OBS_SPAN(rec, worker, "vit.chunk");
-        Timer chunk_t;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t s = msv_pass[i];
-          const std::size_t L = src.length(s);
-          const std::uint8_t* codes =
-              src.fetch_codes(s, scratch[worker].data());
-          if (src.zero_copy()) clocks[worker].decoded_bytes += L;
-          auto r = scanner.vit(worker, codes, L);
-          float bits = hmm::nats_to_bits(r.score_nats,
-                                         static_cast<int>(L));
-          vit_bits_all[i] = bits;
-          vit_keep[i] = stats_.vit_pvalue(bits) <= thr_.vit_p ? 1 : 0;
-        }
-        clocks[worker].stage_s[static_cast<int>(obs::Stage::kVit)] +=
-            chunk_t.seconds();
-      });
-  std::vector<std::size_t> vit_pass;
-  std::vector<float> vit_bits_pass;
-  for (std::size_t i = 0; i < msv_pass.size(); ++i) {
-    out.vit.cells +=
-        static_cast<double>(src.length(msv_pass[i])) * vit_.length();
-    if (vit_keep[i]) {
-      vit_pass.push_back(msv_pass[i]);
-      vit_bits_pass.push_back(vit_bits_all[i]);
-    }
-  }
-  out.vit.n_passed = vit_pass.size();
-  out.vit.seconds = timer.seconds();
-
-  forward_stage(src, vit_pass, vit_bits_pass, out);
-
-  if (rec) {
-    out.telemetry =
-        make_telemetry("cpu_parallel", src, crew, out, total.seconds(),
-                       thr_.use_ssv_prefilter, thr_.define_domains);
-    // Stage wall clocks stay authoritative (barrier-separated stages);
-    // the merged per-worker clocks supply the busy view.
-    merge_busy_from_clocks(*out.telemetry, crew, clocks.data());
-    if (auto* fwd_stage_t = const_cast<obs::StageTelemetry*>(
-            out.telemetry->stage("fwd")))
-      fwd_stage_t->busy_seconds = out.fwd.seconds;  // serial stage
-    if (auto* bwd_stage_t = const_cast<obs::StageTelemetry*>(
-            out.telemetry->stage("bwd")))
-      bwd_stage_t->busy_seconds = out.bwd.seconds;  // serial stage
-    fill_buckets(*out.telemetry, sched);
-    fill_threads(*out.telemetry, crew, clocks.data(), scanner, rec);
+    WorkerClock clock;
+    clock.stage_s[kSsv] = out.ssv.seconds;
+    clock.stage_s[kMsv] = out.msv.seconds;
+    clock.stage_s[kVit] = out.vit.seconds;
+    clock.stage_s[kFwd] = out.fwd.seconds;
+    clock.stage_s[kBwd] = out.bwd.seconds;
+    fill_threads(*out.telemetry, 1, &clock, {&scanner}, rec);
   }
   return out;
 }
@@ -469,312 +373,61 @@ SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
 
 SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
                                           ThreadPool& pool) const {
-  SearchResult out;
-  obs::Recorder* rec =
-      (recorder_ != nullptr && recorder_->enabled()) ? recorder_ : nullptr;
-  Timer timer;
-  const std::size_t n = src.size();
-  const std::size_t crew = pool.workers();
-  if (rec) rec->reserve_threads(crew);
-  // Stage busy time banks into per-worker slots during the scan and is
-  // merged serially at drain — StageStats::seconds is never written by
-  // two threads (the overlapped stages have no wall-clock identity, so
-  // the merge IS the stage time).  Always on: one Timer read per filter
-  // call, independent of whether a recorder is attached.
-  std::vector<WorkerClock> clocks(crew);
-  const bool need_trace = thr_.null2_correction || thr_.compute_alignments;
-
-  // Every worker can run any stage, so the scanner carries the Forward
-  // profile too; trace workspaces and decode scratch are per worker,
-  // allocated once here — the scan itself allocates only for reported
-  // hits (names, alignments).
-  BatchScanner scanner(msv_, vit_, &fwd_, crew);
-  std::vector<cpu::TraceWorkspace> workspaces(crew);
-  std::vector<std::vector<std::uint8_t>> scratch(crew);
-  if (src.zero_copy())
-    for (auto& sc : scratch) sc.resize(src.max_length());
-  // Per-worker occupancy tracks for the checkpointed decode; reused
-  // across hits so the steady state allocates nothing.
-  std::vector<std::vector<float>> moccs(crew);
-
-  const ScanSchedule sched = make_length_schedule(
-      n, [&src](std::size_t i) { return src.length(i); });
-
-  // Per-index result slots: which worker rescored a survivor, and when,
-  // never shows in the output.
-  struct Rescore {
-    float vit_bits = 0.0f;
-    float fwd_bits = 0.0f;
-    float bias_bits = 0.0f;
-    double pvalue = 1.0;
-    double evalue = 1e9;
-    std::uint8_t vit_pass = 0;
-    std::uint8_t reported = 0;
-    std::uint8_t scored = 0;  // a rescore consumed this survivor
-    std::vector<cpu::Alignment> alignments;
-    std::vector<cpu::Domain> domains;
-  };
-  std::vector<std::uint8_t> ssv_keep(n, 1);
-  std::vector<std::uint8_t> msv_keep(n, 0);
-  std::vector<Rescore> rescored(n);
-
-  // MSV survivors flow through a bounded queue to whichever worker goes
-  // idle first.  try_push backpressure is "help-first": a producer facing
-  // a full ring rescores one queued survivor itself, so the crew cannot
-  // deadlock and the queue stays a fixed ring.
-  BoundedMpmcQueue<std::uint32_t> queue(std::max<std::size_t>(64, 8 * crew));
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> producers_done{0};
-  constexpr std::size_t kChunk = 16;
-
-  auto rescore = [&](std::size_t w, std::uint32_t item) {
-    OBS_SPAN(rec, w, "rescore");
-    const std::size_t s = item;
-    const std::size_t L = src.length(s);
-    const std::uint8_t* codes = src.fetch_codes(s, scratch[w].data());
-    if (src.zero_copy()) clocks[w].decoded_bytes += L;
-    Rescore& slot = rescored[s];
-    // Each survivor is pushed once and popped once; a second rescore of
-    // the same slot would mean the queue duplicated an item.
-    FINEHMM_CHECK(!slot.scored, "survivor rescored twice");
-    slot.scored = 1;
-
-    Timer stage_t;
-    auto r = scanner.vit(w, codes, L);
-    clocks[w].stage_s[static_cast<int>(obs::Stage::kVit)] +=
-        stage_t.seconds();
-    slot.vit_bits = hmm::nats_to_bits(r.score_nats, static_cast<int>(L));
-    if (!(stats_.vit_pvalue(slot.vit_bits) <= thr_.vit_p)) return;
-    slot.vit_pass = 1;
-
-    stage_t.reset();
-    float raw = scanner.fwd(w, codes, L);
-    cpu::ViterbiTrace trace;
-    float bias_nats = 0.0f;
-    if (need_trace) trace = cpu::viterbi_trace(prof_, codes, L, workspaces[w]);
-    if (thr_.null2_correction)
-      bias_nats = null2_correction(prof_, trace, codes);
-    float bits = hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
-    double p = stats_.fwd_pvalue(bits);
-    double e = stats::evalue(p, n, thr_.z_override);
-    if (e <= thr_.report_evalue) {
-      slot.reported = 1;
-      slot.fwd_bits = bits;
-      slot.bias_bits = bias_nats / static_cast<float>(M_LN2);
-      slot.pvalue = p;
-      slot.evalue = e;
-      if (thr_.compute_alignments)
-        slot.alignments = cpu::trace_alignments(trace, prof_, codes);
-    }
-    clocks[w].stage_s[static_cast<int>(obs::Stage::kFwd)] +=
-        stage_t.seconds();
-    if (slot.reported && thr_.define_domains) {
-      // Checkpointed Forward/Backward on the scanner's vectorized tier:
-      // decode fills the occupancy track, envelope definition and
-      // rescoring run on it directly.  Banked as its own stage (kBwd).
-      OBS_SPAN(rec, w, "bwd");
-      Timer bwd_t;
-      scanner.decode(w, codes, L, moccs[w]);
-      slot.domains =
-          cpu::domains_from_occupancy(prof_, codes, L, moccs[w].data());
-      clocks[w].stage_s[static_cast<int>(obs::Stage::kBwd)] +=
-          bwd_t.seconds();
-    }
-  };
-
-  pool.run_workers(crew, [&](std::size_t w) {
-    // Produce: bucketed SSV/MSV sweep, survivors onto the queue.
-    for (;;) {
-      const std::size_t begin =
-          cursor.fetch_add(kChunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      const std::size_t end = std::min(begin + kChunk, n);
-      OBS_SPAN(rec, w, "produce.chunk");
-      for (std::size_t idx = begin; idx < end; ++idx) {
-        const std::size_t s = sched.order[idx];
-        if (idx + 1 < end) src.prefetch(sched.order[idx + 1]);
-        const std::size_t L = src.length(s);
-        if (L == 0) {
-          if (thr_.use_ssv_prefilter) ssv_keep[s] = 0;
-          continue;
-        }
-        Timer stage_t;
-        if (thr_.use_ssv_prefilter) {
-          auto sr = ssv_score(scanner, w, src, s, L);
-          clocks[w].stage_s[static_cast<int>(obs::Stage::kSsv)] +=
-              stage_t.seconds();
-          stage_t.reset();
-          float sbits = sr.overflowed
-                            ? overflow_bits(msv_, static_cast<int>(L))
-                            : hmm::nats_to_bits(sr.score_nats,
-                                                static_cast<int>(L));
-          if (!sr.overflowed && stats_.ssv_pvalue(sbits) > thr_.ssv_p) {
-            ssv_keep[s] = 0;
-            continue;
-          }
-        }
-        auto r = msv_score(scanner, w, src, s, L);
-        clocks[w].stage_s[static_cast<int>(obs::Stage::kMsv)] +=
-            stage_t.seconds();
-        float bits = r.overflowed
-                         ? overflow_bits(msv_, static_cast<int>(L))
-                         : hmm::nats_to_bits(r.score_nats,
-                                             static_cast<int>(L));
-        if (r.overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p) {
-          msv_keep[s] = 1;
-          const auto item = static_cast<std::uint32_t>(s);
-          while (!queue.try_push(item)) {
-            // Help-first backpressure: the ring is full, so this
-            // producer rescores one queued survivor itself.
-            std::uint32_t other;
-            if (queue.try_pop(other)) {
-              ++clocks[w].rescues;
-              rescore(w, other);
-            }
-          }
-        }
-      }
-    }
-    producers_done.fetch_add(1, std::memory_order_release);
-    // Drain: rescore until the queue is empty AND no producer can still
-    // push (all done).
-    OBS_SPAN(rec, w, "drain");
-    for (;;) {
-      std::uint32_t item;
-      if (queue.try_pop(item)) {
-        rescore(w, item);
-        continue;
-      }
-      if (producers_done.load(std::memory_order_acquire) == crew) break;
-      std::this_thread::yield();
-    }
-  });
-
-  // The crew has joined: the ring must be drained (pops == pushes) and
-  // every MSV survivor must have been rescored by exactly one worker.
-  FINEHMM_CHECK(queue.empty(), "overlapped scan left survivors queued");
-#if FINEHMM_CHECKS_ENABLED
-  {
-    const auto qs = queue.stats();
-    FINEHMM_CHECK(qs.pops == qs.pushes,
-                  "drained queue must have pops == pushes");
-    FINEHMM_CHECK(qs.max_depth <= queue.capacity(),
-                  "queue depth exceeded its capacity");
-    for (std::size_t s = 0; s < n; ++s)
-      FINEHMM_DCHECK(rescored[s].scored == msv_keep[s],
-                     "every MSV survivor is rescored exactly once");
-  }
-#endif
-
-  // Serial stats replay and hit assembly in index order: output identical
-  // to run_cpu regardless of which worker rescored what, when.
-  out.msv.n_in = n;
-  std::vector<std::size_t> msv_pass;
-  for (std::size_t s = 0; s < n; ++s) {
-    double cells = static_cast<double>(src.length(s)) * msv_.length();
-    if (thr_.use_ssv_prefilter) {
-      out.ssv.n_in += 1;
-      out.ssv.cells += cells;
-      if (!ssv_keep[s]) continue;
-      out.ssv.n_passed += 1;
-    }
-    out.msv.cells += cells;
-    if (msv_keep[s]) msv_pass.push_back(s);
-  }
-  if (thr_.use_ssv_prefilter) out.msv.n_in = out.ssv.n_passed;
-  out.msv.n_passed = msv_pass.size();
-
-  out.vit.n_in = msv_pass.size();
-  std::vector<std::size_t> vit_pass;
-  for (std::size_t s : msv_pass) {
-    out.vit.cells += static_cast<double>(src.length(s)) * vit_.length();
-    if (rescored[s].vit_pass) vit_pass.push_back(s);
-  }
-  out.vit.n_passed = vit_pass.size();
-
-  out.fwd.n_in = vit_pass.size();
-  for (std::size_t s : vit_pass) {
-    out.fwd.cells += static_cast<double>(src.length(s)) * prof_.length();
-    Rescore& slot = rescored[s];
-    if (!slot.reported) continue;
-    if (thr_.define_domains) {
-      out.bwd.n_in += 1;
-      out.bwd.n_passed += 1;
-      out.bwd.cells += static_cast<double>(src.length(s)) * prof_.length();
-    }
-    Hit h;
-    h.seq_index = s;
-    h.name = std::string(src.name(s));
-    h.vit_bits = slot.vit_bits;
-    h.fwd_bits = slot.fwd_bits;
-    h.bias_bits = slot.bias_bits;
-    h.pvalue = slot.pvalue;
-    h.evalue = slot.evalue;
-    h.alignments = std::move(slot.alignments);
-    h.domains = std::move(slot.domains);
-    out.hits.push_back(std::move(h));
-    ++out.fwd.n_passed;
-  }
-  // (evalue, seq_index) is a total order, so the hit list is a pure
-  // function of the hit set — a cluster coordinator merging shard hits
-  // re-sorts by the same key and reproduces this order byte-for-byte.
-  std::sort(out.hits.begin(), out.hits.end(), [](const Hit& a, const Hit& b) {
-    return a.evalue != b.evalue ? a.evalue < b.evalue
-                                : a.seq_index < b.seq_index;
-  });
-  // Stages overlap by design, so no per-stage wall clock exists.  Each
-  // worker banked its busy time per stage into its own clock slot; the
-  // serial merge here is the per-stage time (racing threads never touch
-  // StageStats::seconds directly).  End-to-end wall goes to telemetry.
-  const double wall = timer.seconds();
-  for (const WorkerClock& c : clocks) {
-    out.ssv.seconds += c.stage_s[static_cast<int>(obs::Stage::kSsv)];
-    out.msv.seconds += c.stage_s[static_cast<int>(obs::Stage::kMsv)];
-    out.vit.seconds += c.stage_s[static_cast<int>(obs::Stage::kVit)];
-    out.fwd.seconds += c.stage_s[static_cast<int>(obs::Stage::kFwd)];
-    out.bwd.seconds += c.stage_s[static_cast<int>(obs::Stage::kBwd)];
-  }
-
+  obs::Recorder* rec = enabled(recorder_);
+  CoalescedScan scan = sweep({this}, src, pool, nullptr, nullptr, rec);
+  SearchResult out = std::move(scan.per_model[0]);
   if (rec) {
-    out.telemetry = make_telemetry("cpu_overlapped", src, crew, out, wall,
-                                   thr_.use_ssv_prefilter,
-                                   thr_.define_domains);
-    // StageStats::seconds already hold the per-thread merge; the stages
-    // have no individual wall clock, so zero those out.
-    for (auto& st : out.telemetry->stages) st.wall_seconds = 0.0;
-    merge_busy_from_clocks(*out.telemetry, crew, clocks.data());
-
-    const auto qs = queue.stats();
-    obs::QueueTelemetry qt;
-    qt.capacity = queue.capacity();
-    qt.enqueued = qs.pushes;
-    qt.dequeued = qs.pops;
-    qt.enqueue_stalls = qs.push_failures;
-    qt.max_depth = qs.max_depth;
-    for (const WorkerClock& c : clocks) qt.help_first_rescues += c.rescues;
-    out.telemetry->queue = qt;
-
-    fill_buckets(*out.telemetry, sched);
-    fill_threads(*out.telemetry, crew, clocks.data(), scanner, rec);
+    scan.telemetry.engine = "cpu_overlapped";
+    out.telemetry = std::move(scan.telemetry);
   }
   return out;
 }
 
 HmmSearch::CoalescedScan HmmSearch::run_cpu_coalesced(
     const std::vector<const HmmSearch*>& searches, ScanSource src,
-    ThreadPool& pool, const ScanSchedule* schedule, obs::Recorder* rec) {
+    ThreadPool& pool, const hmm::FusePlan* plan,
+    const ScanSchedule* schedule, obs::Recorder* rec) {
   FH_REQUIRE(!searches.empty(), "coalesced scan needs at least one query");
   for (const HmmSearch* hs : searches)
     FH_REQUIRE(hs != nullptr, "coalesced scan given a null query");
-  CoalescedScan out;
-  const std::size_t k = searches.size();
+  CoalescedScan out =
+      sweep(searches, src, pool, plan, schedule, enabled(rec));
+  obs::ScanTelemetry& t = out.telemetry;
+  t.engine = plan != nullptr ? "cpu_fused" : "cpu_coalesced";
+  for (auto& st : t.stages) {
+    if (st.stage != "msv") continue;
+    st.counters.emplace_back("batch.queries",
+                             static_cast<double>(searches.size()));
+    st.counters.emplace_back("batch.sweeps", 1.0);
+    if (plan == nullptr) continue;
+    st.counters.emplace_back("fuse.groups",
+                             static_cast<double>(plan->groups.size()));
+    st.counters.emplace_back("fuse.fused_models",
+                             static_cast<double>(plan->fused_models()));
+    st.counters.emplace_back("fuse.models_per_group",
+                             plan->models_per_group());
+    st.counters.emplace_back("fuse.lane_occupancy", plan->lane_occupancy());
+  }
+  return out;
+}
+
+hmm::FusePlan plan_fusion(const std::vector<const HmmSearch*>& searches) {
+  std::vector<int> lengths;
+  lengths.reserve(searches.size());
+  for (const HmmSearch* hs : searches)
+    lengths.push_back(hs->msv_profile().length());
+  return hmm::plan_model_groups(lengths, active_u8_lanes(),
+                                hmm::fuse_options_from_env());
+}
+
+HmmSearch::CoalescedScan HmmSearch::sweep(
+    const std::vector<const HmmSearch*>& queries, ScanSource src,
+    ThreadPool& pool, const hmm::FusePlan* plan,
+    const ScanSchedule* schedule, obs::Recorder* rec) {
+  const std::size_t k = queries.size();
   const std::size_t n = src.size();
   const std::size_t crew = pool.workers();
-  out.per_model.resize(k);
-  if (rec != nullptr && rec->enabled())
-    rec->reserve_threads(crew);
-  else
-    rec = nullptr;
+  if (rec) rec->reserve_threads(crew);
   Timer total;
 
   ScanSchedule local;
@@ -783,562 +436,304 @@ HmmSearch::CoalescedScan HmmSearch::run_cpu_coalesced(
         n, [&src](std::size_t i) { return src.length(i); });
     schedule = &local;
   }
+  FH_REQUIRE(schedule->order.size() == n,
+             "scan schedule built for a different database");
 
-  // Per-query scanners: model parameters are immutable and shared across
-  // the crew; only DP state is per worker.  The sweep below allocates
-  // nothing per sequence.
+  // Per-query scanners own each query's DP state per worker; model
+  // parameters are immutable and shared across the crew.  Every worker
+  // can run any stage of any query; the Forward state is built on a
+  // worker's first Forward call, so queries without survivors skip it.
   std::vector<std::unique_ptr<BatchScanner>> scanners;
-  scanners.reserve(k);
-  for (const HmmSearch* hs : searches)
+  std::vector<const BatchScanner*> scanner_views;
+  bool any_ssv = false, any_domains = false;
+  for (const HmmSearch* hs : queries) {
     scanners.push_back(
-        std::make_unique<BatchScanner>(hs->msv_, hs->vit_, nullptr, crew));
-
-  constexpr std::size_t kMsvChunk = 16;
-  constexpr std::size_t kVitChunk = 4;
-  std::vector<std::vector<std::uint8_t>> ssv_keep(
-      k, std::vector<std::uint8_t>(n, 1));
-  std::vector<std::vector<std::uint8_t>> msv_keep(
-      k, std::vector<std::uint8_t>(n, 0));
-
-  // ---- The shared sweep: one pass over the residue stream, every query
-  // scored against each sequence while it is hot in cache.  Per query the
-  // fused SSV/MSV decisions are exactly run_cpu's, so the replay below
-  // reproduces its hit lists bit for bit.
-  Timer stage_timer;
-  pool.parallel_for_chunked(
-      n, kMsvChunk,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        OBS_SPAN(rec, worker, "coalesced.msv.chunk");
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const std::size_t s = schedule->order[idx];
-          if (idx + 1 < end) src.prefetch(schedule->order[idx + 1]);
-          const std::size_t L = src.length(s);
-          if (L == 0) {
-            for (std::size_t m = 0; m < k; ++m)
-              if (searches[m]->thr_.use_ssv_prefilter) ssv_keep[m][s] = 0;
-            continue;  // msv_keep stays 0: fails the first active stage
-          }
-          for (std::size_t m = 0; m < k; ++m) {
-            const HmmSearch& hs = *searches[m];
-            BatchScanner& scanner = *scanners[m];
-            if (hs.thr_.use_ssv_prefilter) {
-              auto sr = ssv_score(scanner, worker, src, s, L);
-              float sbits =
-                  sr.overflowed
-                      ? overflow_bits(hs.msv_, static_cast<int>(L))
-                      : hmm::nats_to_bits(sr.score_nats,
-                                          static_cast<int>(L));
-              if (!sr.overflowed &&
-                  hs.stats_.ssv_pvalue(sbits) > hs.thr_.ssv_p) {
-                ssv_keep[m][s] = 0;
-                continue;
-              }
-            }
-            auto r = msv_score(scanner, worker, src, s, L);
-            float bits = r.overflowed
-                             ? overflow_bits(hs.msv_, static_cast<int>(L))
-                             : hmm::nats_to_bits(r.score_nats,
-                                                 static_cast<int>(L));
-            msv_keep[m][s] =
-                (r.overflowed || hs.stats_.msv_pvalue(bits) <= hs.thr_.msv_p)
-                    ? 1
-                    : 0;
-          }
-        }
-      });
-  const double msv_wall = stage_timer.seconds();
-
-  // ---- Per-query tail: serial replay in index order, then the word
-  // stages over the rare survivors (identical to run_cpu_parallel).
-  std::vector<std::vector<std::uint8_t>> scratch(crew);
-  if (src.zero_copy())
-    for (auto& sc : scratch) sc.resize(src.max_length());
-  double vit_wall_sum = 0.0;
-  for (std::size_t m = 0; m < k; ++m) {
-    const HmmSearch& hs = *searches[m];
-    BatchScanner& scanner = *scanners[m];
-    SearchResult& res = out.per_model[m];
-
-    res.msv.n_in = n;
-    std::vector<std::size_t> msv_pass;
-    for (std::size_t s = 0; s < n; ++s) {
-      double cells = static_cast<double>(src.length(s)) * hs.msv_.length();
-      if (hs.thr_.use_ssv_prefilter) {
-        res.ssv.n_in += 1;
-        res.ssv.cells += cells;
-        if (!ssv_keep[m][s]) continue;
-        res.ssv.n_passed += 1;
-      }
-      res.msv.cells += cells;
-      if (msv_keep[m][s]) msv_pass.push_back(s);
-    }
-    if (hs.thr_.use_ssv_prefilter) res.msv.n_in = res.ssv.n_passed;
-    res.msv.n_passed = msv_pass.size();
-    // One pass served every query: the sweep wall clock is shared, not
-    // additive across queries.
-    res.msv.seconds = msv_wall;
-
-    Timer vit_timer;
-    res.vit.n_in = msv_pass.size();
-    std::vector<float> vit_bits_all(msv_pass.size());
-    std::vector<std::uint8_t> vit_keep(msv_pass.size(), 0);
-    pool.parallel_for_chunked(
-        msv_pass.size(), kVitChunk,
-        [&](std::size_t worker, std::size_t begin, std::size_t end) {
-          OBS_SPAN(rec, worker, "coalesced.vit.chunk");
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t s = msv_pass[i];
-            const std::size_t L = src.length(s);
-            const std::uint8_t* codes =
-                src.fetch_codes(s, scratch[worker].data());
-            auto r = scanner.vit(worker, codes, L);
-            float bits = hmm::nats_to_bits(r.score_nats,
-                                           static_cast<int>(L));
-            vit_bits_all[i] = bits;
-            vit_keep[i] =
-                hs.stats_.vit_pvalue(bits) <= hs.thr_.vit_p ? 1 : 0;
-          }
-        });
-    std::vector<std::size_t> vit_pass;
-    std::vector<float> vit_bits_pass;
-    for (std::size_t i = 0; i < msv_pass.size(); ++i) {
-      res.vit.cells +=
-          static_cast<double>(src.length(msv_pass[i])) * hs.vit_.length();
-      if (vit_keep[i]) {
-        vit_pass.push_back(msv_pass[i]);
-        vit_bits_pass.push_back(vit_bits_all[i]);
-      }
-    }
-    res.vit.n_passed = vit_pass.size();
-    res.vit.seconds = vit_timer.seconds();
-    vit_wall_sum += res.vit.seconds;
-
-    hs.forward_stage(src, vit_pass, vit_bits_pass, res);
-  }
-
-  // ---- Batch-level telemetry: aggregated stage totals plus the
-  // coalescing counters the daemon's STATS verb surfaces.
-  obs::ScanTelemetry& t = out.telemetry;
-  t.engine = "cpu_coalesced";
-  t.threads = crew;
-  t.sequences = n;
-  t.residues = src.total_residues();
-  t.wall_seconds = total.seconds();
-  t.zero_copy = src.zero_copy();
-  if (src.zero_copy())
-    t.mapped_bytes = packed_stream_bytes(src);
-  else
-    t.heap_bytes = src.total_residues();
-  bool any_ssv = false;
-  for (const HmmSearch* hs : searches)
+        std::make_unique<BatchScanner>(hs->msv_, hs->vit_, &hs->fwd_, crew));
+    scanner_views.push_back(scanners.back().get());
     any_ssv = any_ssv || hs->thr_.use_ssv_prefilter;
-  auto aggregate = [&](const char* name, auto pick, double wall) {
-    obs::StageTelemetry st;
-    st.stage = name;
-    for (const SearchResult& r : out.per_model) {
-      const StageStats& s = pick(r);
-      st.n_in += s.n_in;
-      st.n_passed += s.n_passed;
-      st.cells += s.cells;
-    }
-    st.wall_seconds = wall;
-    st.busy_seconds = wall;
-    t.stages.push_back(std::move(st));
-  };
-  if (any_ssv)
-    aggregate("ssv", [](const SearchResult& r) -> const StageStats& {
-      return r.ssv;
-    }, msv_wall);
-  aggregate("msv", [](const SearchResult& r) -> const StageStats& {
-    return r.msv;
-  }, msv_wall);
-  aggregate("vit", [](const SearchResult& r) -> const StageStats& {
-    return r.vit;
-  }, vit_wall_sum);
-  double fwd_wall = 0.0;
-  for (const SearchResult& r : out.per_model) fwd_wall += r.fwd.seconds;
-  aggregate("fwd", [](const SearchResult& r) -> const StageStats& {
-    return r.fwd;
-  }, fwd_wall);
-  bool any_domains = false;
-  for (const HmmSearch* hs : searches)
     any_domains = any_domains || hs->thr_.define_domains;
-  if (any_domains) {
-    double bwd_wall = 0.0;
-    for (const SearchResult& r : out.per_model) bwd_wall += r.bwd.seconds;
-    aggregate("bwd", [](const SearchResult& r) -> const StageStats& {
-      return r.bwd;
-    }, bwd_wall);
   }
-  for (auto& st : t.stages)
-    if (st.stage == "msv") {
-      st.counters.emplace_back("batch.queries", static_cast<double>(k));
-      st.counters.emplace_back("batch.sweeps", 1.0);
-    }
-  fill_buckets(t, *schedule);
-  t.per_thread.resize(crew);
-  for (std::size_t w = 0; w < crew; ++w) {
-    obs::ThreadTelemetry& row = t.per_thread[w];
-    row.thread = static_cast<std::uint32_t>(w);
-    for (const auto& scanner : scanners) {
-      const auto& load = scanner->load(w);
-      row.sequences_scored += load.calls();
-      row.stage_items[static_cast<int>(obs::Stage::kSsv)] += load.ssv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kMsv)] += load.msv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kVit)] += load.vit_calls;
-    }
-  }
-  return out;
-}
 
-HmmSearch::CoalescedScan HmmSearch::run_cpu_fused(
-    const std::vector<const HmmSearch*>& searches, ScanSource src,
-    ThreadPool& pool, const hmm::FusePlan* plan, obs::Recorder* rec) {
-  FH_REQUIRE(!searches.empty(), "fused scan needs at least one model");
-  for (const HmmSearch* hs : searches)
-    FH_REQUIRE(hs != nullptr, "fused scan given a null model");
-  CoalescedScan out;
-  const std::size_t k = searches.size();
-  const std::size_t n = src.size();
-  const std::size_t crew = pool.workers();
-  out.per_model.resize(k);
-  if (rec != nullptr && rec->enabled())
-    rec->reserve_threads(crew);
-  else
-    rec = nullptr;
-  Timer total;
-
-  // Resolve the group plan at the tier the byte filters will actually run.
-  const cpu::SimdTier tier = cpu::resolve_simd_tier(cpu::active_simd_tier());
-  const int lane_width = cpu::backend::tier_kernels(tier).u8_lanes;
-  hmm::FusePlan local_plan;
-  if (plan == nullptr) {
-    std::vector<int> lengths(k);
-    for (std::size_t m = 0; m < k; ++m)
-      lengths[m] = searches[m]->msv_.length();
-    local_plan = hmm::plan_model_groups(lengths, lane_width,
-                                        hmm::fuse_options_from_env());
-    plan = &local_plan;
-  }
-  FH_REQUIRE(plan->lane_width == lane_width,
-             "fuse plan built for a different lane width");
-  {
-    // Every model index must appear exactly once across groups + unfused.
+  // Byte-stage routing: each fuse group scores its members through one
+  // shared lane-packed table; every other query through its own scanner.
+  std::vector<FuseGroup> groups;
+  std::vector<std::size_t> solo;
+  std::vector<SweepWorker> workers(crew);
+  if (plan != nullptr) {
+    FH_REQUIRE(plan->lane_width == active_u8_lanes(),
+               "fuse plan built for a different lane width");
     std::vector<std::uint8_t> seen(k, 0);
-    auto mark = [&](std::size_t idx) {
-      FH_REQUIRE(idx < k && !seen[idx],
+    const auto mark = [&](std::size_t q) {
+      FH_REQUIRE(q < k && !seen[q],
                  "fuse plan does not cover the model list exactly once");
-      seen[idx] = 1;
+      seen[q] = 1;
     };
-    for (const hmm::GroupShape& g : plan->groups)
-      for (std::size_t idx : g.members) mark(idx);
-    for (std::size_t idx : plan->unfused) mark(idx);
-    for (std::size_t m = 0; m < k; ++m)
-      FH_REQUIRE(seen[m], "fuse plan misses a model");
-  }
-
-  ScanSchedule local = make_length_schedule(
-      n, [&src](std::size_t i) { return src.length(i); });
-  const ScanSchedule* schedule = &local;
-
-  // Per-model scanners still exist for every model: the word stages and
-  // the unfused byte filters run through them exactly as in the
-  // coalesced engine; only grouped models' SSV/MSV route through the
-  // shared fused tables below.
-  std::vector<std::unique_ptr<BatchScanner>> scanners;
-  scanners.reserve(k);
-  for (const HmmSearch* hs : searches)
-    scanners.push_back(
-        std::make_unique<BatchScanner>(hs->msv_, hs->vit_, nullptr, crew));
-
-  // Shared group tables (read-only across the crew) + per-worker filters.
-  std::vector<std::unique_ptr<cpu::FusedMsvGroup>> groups;
-  std::vector<std::vector<std::unique_ptr<cpu::FusedMsvFilter>>> gworkers;
-  std::vector<std::uint8_t> group_has_ssv;
-  std::size_t max_group = 0;
-  groups.reserve(plan->groups.size());
-  gworkers.reserve(plan->groups.size());
-  for (const hmm::GroupShape& shape : plan->groups) {
-    std::vector<const profile::MsvProfile*> members;
-    members.reserve(shape.members.size());
-    bool has_ssv = false;
-    for (std::size_t idx : shape.members) {
-      members.push_back(&searches[idx]->msv_);
-      has_ssv = has_ssv || searches[idx]->thr_.use_ssv_prefilter;
+    for (const hmm::GroupShape& shape : plan->groups) {
+      FuseGroup g;
+      g.members = &shape.members;
+      std::vector<const profile::MsvProfile*> profs;
+      for (std::size_t q : shape.members) {
+        mark(q);
+        profs.push_back(&queries[q]->msv_);
+        g.any_ssv = g.any_ssv || queries[q]->thr_.use_ssv_prefilter;
+      }
+      g.table = std::make_unique<cpu::FusedMsvGroup>(
+          std::move(profs), plan->lane_width, shape.Q);
+      for (std::size_t w = 0; w < crew; ++w)
+        g.filters.push_back(std::make_unique<cpu::FusedMsvFilter>(*g.table));
+      for (SweepWorker& me : workers)
+        if (me.group_scores.size() < shape.members.size())
+          me.group_scores.resize(shape.members.size());
+      groups.push_back(std::move(g));
     }
-    max_group = std::max(max_group, shape.members.size());
-    groups.push_back(std::make_unique<cpu::FusedMsvGroup>(
-        std::move(members), lane_width, shape.Q));
-    group_has_ssv.push_back(has_ssv ? 1 : 0);
-    std::vector<std::unique_ptr<cpu::FusedMsvFilter>> ws;
-    ws.reserve(crew);
-    for (std::size_t w = 0; w < crew; ++w)
-      ws.push_back(std::make_unique<cpu::FusedMsvFilter>(*groups.back(),
-                                                         tier));
-    gworkers.push_back(std::move(ws));
+    for (std::size_t q : plan->unfused) mark(q);
+    FH_REQUIRE(std::find(seen.begin(), seen.end(), 0) == seen.end(),
+               "fuse plan misses a model");
+    solo = plan->unfused;
+  } else {
+    solo.resize(k);
+    std::iota(solo.begin(), solo.end(), std::size_t{0});
   }
-  std::vector<std::vector<cpu::FilterResult>> ssv_buf(crew);
-  std::vector<std::vector<cpu::FilterResult>> msv_buf(crew);
-  for (std::size_t w = 0; w < crew; ++w) {
-    ssv_buf[w].resize(max_group);
-    msv_buf[w].resize(max_group);
+  for (SweepWorker& me : workers) {
+    me.passed.reserve(k);
+    if (src.zero_copy()) me.words.codes.resize(src.max_length());
   }
 
-  constexpr std::size_t kMsvChunk = 16;
-  constexpr std::size_t kVitChunk = 4;
-  std::vector<std::vector<std::uint8_t>> ssv_keep(
-      k, std::vector<std::uint8_t>(n, 1));
-  std::vector<std::vector<std::uint8_t>> msv_keep(
-      k, std::vector<std::uint8_t>(n, 0));
+  // Per-pair state: two keep bytes per (query, sequence), row q = query q.
+  // ssv_keep stays 1 for queries without the SSV stage.
+  std::vector<std::uint8_t> ssv_keep(k * n, 1);
+  std::vector<std::uint8_t> msv_keep(k * n, 0);
+  const auto ssv_on = [&](std::size_t q) {
+    return queries[q]->thr_.use_ssv_prefilter;
+  };
 
-  // ---- The fused sweep: one pass over the residue stream; each group's
-  // members are scored together by one sweep per sequence, unfused models
-  // fall back to their own scanners.  The gate formulas are exactly
-  // run_cpu's, so the replay below reproduces its hit lists bit for bit.
-  Timer stage_timer;
-  pool.parallel_for_chunked(
-      n, kMsvChunk,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        OBS_SPAN(rec, worker, "fused.msv.chunk");
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const std::size_t s = schedule->order[idx];
-          if (idx + 1 < end) src.prefetch(schedule->order[idx + 1]);
-          const std::size_t L = src.length(s);
-          if (L == 0) {
-            for (std::size_t m = 0; m < k; ++m)
-              if (searches[m]->thr_.use_ssv_prefilter) ssv_keep[m][s] = 0;
-            continue;  // msv_keep stays 0: fails the first active stage
-          }
-          for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-            const hmm::GroupShape& shape = plan->groups[gi];
-            cpu::FusedMsvFilter& gf = *gworkers[gi][worker];
-            bool need_msv = !group_has_ssv[gi];
-            if (group_has_ssv[gi]) {
-              cpu::FilterResult* sres = ssv_buf[worker].data();
-              if (src.zero_copy())
-                gf.ssv(src.packed(s), L, sres);
-              else
-                gf.ssv(src.codes(s), L, sres);
-              for (std::size_t mi = 0; mi < shape.members.size(); ++mi) {
-                const std::size_t m = shape.members[mi];
-                const HmmSearch& hs = *searches[m];
-                if (!hs.thr_.use_ssv_prefilter) {
-                  need_msv = true;
-                  continue;
-                }
-                const cpu::FilterResult sr = sres[mi];
-                float sbits =
-                    sr.overflowed
-                        ? overflow_bits(hs.msv_, static_cast<int>(L))
-                        : hmm::nats_to_bits(sr.score_nats,
-                                            static_cast<int>(L));
-                if (!sr.overflowed &&
-                    hs.stats_.ssv_pvalue(sbits) > hs.thr_.ssv_p) {
-                  ssv_keep[m][s] = 0;
-                } else {
-                  need_msv = true;
-                }
-              }
-            }
-            if (!need_msv) continue;  // every member shed by SSV
-            cpu::FilterResult* mres = msv_buf[worker].data();
-            if (src.zero_copy())
-              gf.msv(src.packed(s), L, mres);
-            else
-              gf.msv(src.codes(s), L, mres);
-            for (std::size_t mi = 0; mi < shape.members.size(); ++mi) {
-              const std::size_t m = shape.members[mi];
-              const HmmSearch& hs = *searches[m];
-              if (hs.thr_.use_ssv_prefilter && !ssv_keep[m][s]) continue;
-              const cpu::FilterResult r = mres[mi];
-              float bits = r.overflowed
-                               ? overflow_bits(hs.msv_, static_cast<int>(L))
-                               : hmm::nats_to_bits(r.score_nats,
-                                                   static_cast<int>(L));
-              msv_keep[m][s] = (r.overflowed ||
-                                hs.stats_.msv_pvalue(bits) <= hs.thr_.msv_p)
-                                   ? 1
-                                   : 0;
-            }
-          }
-          for (std::size_t m : plan->unfused) {
-            const HmmSearch& hs = *searches[m];
-            BatchScanner& scanner = *scanners[m];
-            if (hs.thr_.use_ssv_prefilter) {
-              auto sr = ssv_score(scanner, worker, src, s, L);
-              float sbits =
-                  sr.overflowed
-                      ? overflow_bits(hs.msv_, static_cast<int>(L))
-                      : hmm::nats_to_bits(sr.score_nats,
-                                          static_cast<int>(L));
-              if (!sr.overflowed &&
-                  hs.stats_.ssv_pvalue(sbits) > hs.thr_.ssv_p) {
-                ssv_keep[m][s] = 0;
-                continue;
-              }
-            }
-            auto r = msv_score(scanner, worker, src, s, L);
-            float bits = r.overflowed
-                             ? overflow_bits(hs.msv_, static_cast<int>(L))
-                             : hmm::nats_to_bits(r.score_nats,
-                                                 static_cast<int>(L));
-            msv_keep[m][s] =
-                (r.overflowed || hs.stats_.msv_pvalue(bits) <= hs.thr_.msv_p)
-                    ? 1
-                    : 0;
-          }
+  // Stage busy time banks into per-worker clocks; each survivor also
+  // carries its own word-stage times so the replay can attribute them
+  // per query.  Neither is written by two threads.
+  std::vector<WorkerClock> clocks(crew);
+
+  // Every (query, sequence) survivor flows through one bounded queue to
+  // whichever worker goes idle first.  try_push backpressure is
+  // "help-first": a producer facing a full ring rescores one queued
+  // survivor itself, so the crew cannot deadlock and the queue stays a
+  // fixed ring.
+  BoundedMpmcQueue<std::uint64_t> queue(std::max<std::size_t>(64, 8 * crew));
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<std::size_t> producing{crew};
+  constexpr std::size_t kChunk = 16;
+
+  const auto rescore = [&](std::size_t w, std::uint64_t key) {
+    OBS_SPAN(rec, w, "rescore");
+    const std::size_t q = key >> 32;
+    const std::size_t s = key & 0xffffffffu;
+    const HmmSearch& hs = *queries[q];
+    BatchScanner& scanner = *scanners[q];
+    SweepWorker& me = workers[w];
+    const std::size_t L = src.length(s);
+    const std::uint8_t* codes = src.fetch_codes(s, me.words.codes.data());
+    if (src.zero_copy()) clocks[w].decoded_bytes += L;
+    Survivor& sv = me.found.emplace_back();
+    sv.key = key;
+    Timer t;
+    const cpu::FilterResult r = scanner.vit(w, codes, L);
+    sv.stage_s[kVit] = t.seconds();
+    const float bits = hmm::nats_to_bits(r.score_nats, static_cast<int>(L));
+    if (hs.stats_.vit_pvalue(bits) <= hs.thr_.vit_p) {
+      sv.vit_pass = true;
+      sv.hit.vit_bits = bits;
+      sv.reported = rescore_survivor(hs, scanner, w, me.words, src, s, codes,
+                                     sv.hit, sv.stage_s);
+    }
+    for (int st = 0; st < obs::kStageCount; ++st)
+      clocks[w].stage_s[st] += sv.stage_s[st];
+  };
+
+  // The byte stage of sequence s for every query: SSV for all queries
+  // that use it, then MSV for every query SSV kept.  Per query the gate
+  // decisions are exactly run_cpu's, so the replay reproduces its hits.
+  const auto byte_stage = [&](std::size_t w, std::size_t s) {
+    SweepWorker& me = workers[w];
+    const std::size_t L = src.length(s);
+    if (L == 0) {
+      // Zero-length sequences fail the first active stage unscored.
+      for (std::size_t q = 0; q < k; ++q)
+        if (ssv_on(q)) ssv_keep[q * n + s] = 0;
+      return;
+    }
+    const auto fused = [&](cpu::FusedMsvFilter& f, bool ssv) {
+      cpu::FilterResult* out = me.group_scores.data();
+      if (src.zero_copy())
+        ssv ? f.ssv(src.packed(s), L, out) : f.msv(src.packed(s), L, out);
+      else
+        ssv ? f.ssv(src.codes(s), L, out) : f.msv(src.codes(s), L, out);
+      return out;
+    };
+    Timer t;
+    if (any_ssv) {
+      const auto gate = [&](std::size_t q, cpu::FilterResult r) {
+        const HmmSearch& hs = *queries[q];
+        if (!byte_gate(hs.stats_.ssv, hs.thr_.ssv_p, r, L))
+          ssv_keep[q * n + s] = 0;
+      };
+      for (FuseGroup& g : groups) {
+        if (!g.any_ssv) continue;
+        const cpu::FilterResult* r = fused(*g.filters[w], true);
+        for (std::size_t i = 0; i < g.members->size(); ++i)
+          if (ssv_on((*g.members)[i])) gate((*g.members)[i], r[i]);
+      }
+      for (std::size_t q : solo)
+        if (ssv_on(q)) gate(q, ssv_score(*scanners[q], w, src, s, L));
+      clocks[w].stage_s[kSsv] += t.seconds();
+      t.reset();
+    }
+    me.passed.clear();
+    const auto live = [&](std::size_t q) { return ssv_keep[q * n + s] != 0; };
+    const auto gate = [&](std::size_t q, cpu::FilterResult r) {
+      const HmmSearch& hs = *queries[q];
+      if (!byte_gate(hs.stats_.msv, hs.thr_.msv_p, r, L)) return;
+      msv_keep[q * n + s] = 1;
+      me.passed.push_back(static_cast<std::uint32_t>(q));
+    };
+    for (FuseGroup& g : groups) {
+      if (std::none_of(g.members->begin(), g.members->end(), live))
+        continue;  // every member shed by SSV
+      const cpu::FilterResult* r = fused(*g.filters[w], false);
+      for (std::size_t i = 0; i < g.members->size(); ++i)
+        if (live((*g.members)[i])) gate((*g.members)[i], r[i]);
+    }
+    for (std::size_t q : solo)
+      if (live(q)) gate(q, msv_score(*scanners[q], w, src, s, L));
+    clocks[w].stage_s[kMsv] += t.seconds();
+
+    for (std::uint32_t q : me.passed) {
+      const std::uint64_t key = std::uint64_t{q} << 32 | s;
+      while (!queue.try_push(key)) {
+        std::uint64_t other;
+        if (queue.try_pop(other)) {
+          ++clocks[w].rescues;
+          rescore(w, other);
         }
-      });
-  const double msv_wall = stage_timer.seconds();
+      }
+    }
+  };
 
-  // ---- Per-model tail: serial replay in index order, then the word
-  // stages over the rare survivors (identical to run_cpu_coalesced).
-  std::vector<std::vector<std::uint8_t>> scratch(crew);
-  if (src.zero_copy())
-    for (auto& sc : scratch) sc.resize(src.max_length());
-  double vit_wall_sum = 0.0;
-  for (std::size_t m = 0; m < k; ++m) {
-    const HmmSearch& hs = *searches[m];
-    BatchScanner& scanner = *scanners[m];
-    SearchResult& res = out.per_model[m];
+  pool.run_workers(crew, [&](std::size_t w) {
+    {
+      // The last producer out closes the queue, which wakes every
+      // drainer for the final pops — also when a sweep throws, so the
+      // crew still joins and run_workers can rethrow.
+      struct Leave {
+        std::atomic<std::size_t>& producing;
+        BoundedMpmcQueue<std::uint64_t>& queue;
+        ~Leave() {
+          if (producing.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            queue.close();
+        }
+      } leave{producing, queue};
+      for (;;) {
+        const std::size_t begin =
+            cursor.fetch_add(kChunk, std::memory_order_relaxed);
+        if (begin >= n) break;
+        const std::size_t end = std::min(begin + kChunk, n);
+        OBS_SPAN(rec, w, "produce.chunk");
+        for (std::size_t idx = begin; idx < end; ++idx) {
+          if (idx + 1 < end) src.prefetch(schedule->order[idx + 1]);
+          byte_stage(w, schedule->order[idx]);
+        }
+      }
+    }
+    // Drain: sleep (not spin — co-located shard daemons keep the cores)
+    // until a survivor arrives or the closed queue runs dry.
+    OBS_SPAN(rec, w, "drain");
+    std::uint64_t key;
+    for (;;) {
+      const PopStatus st = queue.pop_wait(key, std::chrono::milliseconds(50));
+      if (st == PopStatus::kClosed) break;
+      if (st == PopStatus::kItem) rescore(w, key);
+    }
+  });
+  FINEHMM_CHECK(queue.empty(), "sweep left survivors queued");
 
+  // ---- Serial replay in (query, sequence) order: output identical to
+  // run_cpu regardless of which worker rescored what, when.
+  std::vector<Survivor*> found;
+  for (SweepWorker& me : workers)
+    for (Survivor& sv : me.found) found.push_back(&sv);
+  std::sort(found.begin(), found.end(),
+            [](const Survivor* a, const Survivor* b) { return a->key < b->key; });
+  double byte_s[2] = {0.0, 0.0};
+  for (const WorkerClock& c : clocks) {
+    byte_s[0] += c.stage_s[kSsv];
+    byte_s[1] += c.stage_s[kMsv];
+  }
+  CoalescedScan out;
+  out.per_model.resize(k);
+  std::size_t next = 0;
+  for (std::size_t q = 0; q < k; ++q) {
+    const HmmSearch& hs = *queries[q];
+    SearchResult& res = out.per_model[q];
     res.msv.n_in = n;
-    std::vector<std::size_t> msv_pass;
     for (std::size_t s = 0; s < n; ++s) {
-      double cells = static_cast<double>(src.length(s)) * hs.msv_.length();
-      if (hs.thr_.use_ssv_prefilter) {
+      const double L = static_cast<double>(src.length(s));
+      if (ssv_on(q)) {
         res.ssv.n_in += 1;
-        res.ssv.cells += cells;
-        if (!ssv_keep[m][s]) continue;
+        res.ssv.cells += L * hs.msv_.length();
+        if (!ssv_keep[q * n + s]) continue;
         res.ssv.n_passed += 1;
       }
-      res.msv.cells += cells;
-      if (msv_keep[m][s]) msv_pass.push_back(s);
-    }
-    if (hs.thr_.use_ssv_prefilter) res.msv.n_in = res.ssv.n_passed;
-    res.msv.n_passed = msv_pass.size();
-    // One sweep served every model: the wall clock is shared, not
-    // additive across models.
-    res.msv.seconds = msv_wall;
-
-    Timer vit_timer;
-    res.vit.n_in = msv_pass.size();
-    std::vector<float> vit_bits_all(msv_pass.size());
-    std::vector<std::uint8_t> vit_keep(msv_pass.size(), 0);
-    pool.parallel_for_chunked(
-        msv_pass.size(), kVitChunk,
-        [&](std::size_t worker, std::size_t begin, std::size_t end) {
-          OBS_SPAN(rec, worker, "fused.vit.chunk");
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t s = msv_pass[i];
-            const std::size_t L = src.length(s);
-            const std::uint8_t* codes =
-                src.fetch_codes(s, scratch[worker].data());
-            auto r = scanner.vit(worker, codes, L);
-            float bits = hmm::nats_to_bits(r.score_nats,
-                                           static_cast<int>(L));
-            vit_bits_all[i] = bits;
-            vit_keep[i] =
-                hs.stats_.vit_pvalue(bits) <= hs.thr_.vit_p ? 1 : 0;
-          }
-        });
-    std::vector<std::size_t> vit_pass;
-    std::vector<float> vit_bits_pass;
-    for (std::size_t i = 0; i < msv_pass.size(); ++i) {
-      res.vit.cells +=
-          static_cast<double>(src.length(msv_pass[i])) * hs.vit_.length();
-      if (vit_keep[i]) {
-        vit_pass.push_back(msv_pass[i]);
-        vit_bits_pass.push_back(vit_bits_all[i]);
+      res.msv.cells += L * hs.msv_.length();
+      if (!msv_keep[q * n + s]) continue;
+      FH_REQUIRE(next < found.size() &&
+                     found[next]->key == (std::uint64_t{q} << 32 | s),
+                 "every MSV survivor is rescored exactly once");
+      Survivor& sv = *found[next++];
+      res.vit.n_in += 1;
+      res.vit.cells += L * hs.vit_.length();
+      res.vit.seconds += sv.stage_s[kVit];
+      if (!sv.vit_pass) continue;
+      res.vit.n_passed += 1;
+      res.fwd.cells += L * hs.prof_.length();
+      res.fwd.seconds += sv.stage_s[kFwd];
+      if (!sv.reported) continue;
+      if (hs.thr_.define_domains) {
+        res.bwd.n_in += 1;
+        res.bwd.n_passed += 1;
+        res.bwd.cells += L * hs.prof_.length();
+        res.bwd.seconds += sv.stage_s[kBwd];
       }
+      res.hits.push_back(std::move(sv.hit));
     }
-    res.vit.n_passed = vit_pass.size();
-    res.vit.seconds = vit_timer.seconds();
-    vit_wall_sum += res.vit.seconds;
-
-    hs.forward_stage(src, vit_pass, vit_bits_pass, res);
+    if (ssv_on(q)) {
+      res.msv.n_in = res.ssv.n_passed;
+      res.ssv.seconds = byte_s[0];
+    }
+    res.msv.n_passed = res.vit.n_in;
+    res.msv.seconds = byte_s[1];
+    res.fwd.n_in = res.vit.n_passed;
+    res.fwd.n_passed = res.hits.size();
+    sort_hits(res.hits);
   }
+  FH_REQUIRE(next == found.size(), "a survivor was rescored twice");
 
-  // ---- Batch-level telemetry: aggregated stage totals plus the lane
-  // occupancy counters the daemon's STATS verb surfaces.
   obs::ScanTelemetry& t = out.telemetry;
-  t.engine = "cpu_fused";
-  t.threads = crew;
-  t.sequences = n;
-  t.residues = src.total_residues();
-  t.wall_seconds = total.seconds();
-  t.zero_copy = src.zero_copy();
-  if (src.zero_copy())
-    t.mapped_bytes = packed_stream_bytes(src);
-  else
-    t.heap_bytes = src.total_residues();
-  bool any_ssv = false;
-  for (const HmmSearch* hs : searches)
-    any_ssv = any_ssv || hs->thr_.use_ssv_prefilter;
-  auto aggregate = [&](const char* name, auto pick, double wall) {
-    obs::StageTelemetry st;
-    st.stage = name;
-    for (const SearchResult& r : out.per_model) {
-      const StageStats& s = pick(r);
-      st.n_in += s.n_in;
-      st.n_passed += s.n_passed;
-      st.cells += s.cells;
-    }
-    st.wall_seconds = wall;
-    st.busy_seconds = wall;
-    t.stages.push_back(std::move(st));
-  };
-  if (any_ssv)
-    aggregate("ssv", [](const SearchResult& r) -> const StageStats& {
-      return r.ssv;
-    }, msv_wall);
-  aggregate("msv", [](const SearchResult& r) -> const StageStats& {
-    return r.msv;
-  }, msv_wall);
-  aggregate("vit", [](const SearchResult& r) -> const StageStats& {
-    return r.vit;
-  }, vit_wall_sum);
-  double fwd_wall = 0.0;
-  for (const SearchResult& r : out.per_model) fwd_wall += r.fwd.seconds;
-  aggregate("fwd", [](const SearchResult& r) -> const StageStats& {
-    return r.fwd;
-  }, fwd_wall);
-  bool any_domains = false;
-  for (const HmmSearch* hs : searches)
-    any_domains = any_domains || hs->thr_.define_domains;
-  if (any_domains) {
-    double bwd_wall = 0.0;
-    for (const SearchResult& r : out.per_model) bwd_wall += r.bwd.seconds;
-    aggregate("bwd", [](const SearchResult& r) -> const StageStats& {
-      return r.bwd;
-    }, bwd_wall);
-  }
-  for (auto& st : t.stages)
-    if (st.stage == "msv") {
-      st.counters.emplace_back("batch.queries", static_cast<double>(k));
-      st.counters.emplace_back("batch.sweeps", 1.0);
-      st.counters.emplace_back("fuse.groups",
-                               static_cast<double>(plan->groups.size()));
-      st.counters.emplace_back("fuse.fused_models",
-                               static_cast<double>(plan->fused_models()));
-      st.counters.emplace_back("fuse.models_per_group",
-                               plan->models_per_group());
-      st.counters.emplace_back("fuse.lane_occupancy",
-                               plan->lane_occupancy());
-    }
-  fill_buckets(t, *schedule);
-  t.per_thread.resize(crew);
-  for (std::size_t w = 0; w < crew; ++w) {
-    obs::ThreadTelemetry& row = t.per_thread[w];
-    row.thread = static_cast<std::uint32_t>(w);
-    for (const auto& scanner : scanners) {
-      const auto& load = scanner->load(w);
-      row.sequences_scored += load.calls();
-      row.stage_items[static_cast<int>(obs::Stage::kSsv)] += load.ssv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kMsv)] += load.msv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kVit)] += load.vit_calls;
-    }
-  }
+  t = make_telemetry(src, crew, out.per_model.data(), k, total.seconds(),
+                     any_ssv, any_domains);
+  // Stages overlap by design, so no per-stage wall clock exists.
+  for (auto& st : t.stages) st.wall_seconds = 0.0;
+  const auto qs = queue.stats();
+  obs::QueueTelemetry qt;
+  qt.capacity = queue.capacity();
+  qt.enqueued = qs.pushes;
+  qt.dequeued = qs.pops;
+  qt.enqueue_stalls = qs.push_failures;
+  qt.max_depth = qs.max_depth;
+  for (const WorkerClock& c : clocks) qt.help_first_rescues += c.rescues;
+  t.queue = qt;
+  t.buckets.reserve(schedule->bucket_sequences.size());
+  for (std::size_t b = 0; b < schedule->bucket_sequences.size(); ++b)
+    t.buckets.push_back(obs::BucketTelemetry{schedule->bucket_sequences[b],
+                                             schedule->bucket_residues[b]});
+  fill_threads(t, crew, clocks.data(), scanner_views, rec);
   return out;
 }
 
@@ -1367,8 +762,7 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
                                      gpu::ParamPlacement vit_placement) const {
   FH_REQUIRE(packed.size() == db.size(), "packed database mismatch");
   SearchResult out;
-  obs::Recorder* rec =
-      (recorder_ != nullptr && recorder_->enabled()) ? recorder_ : nullptr;
+  obs::Recorder* rec = enabled(recorder_);
   if (rec) rec->reserve_threads(1);
   obs::ScanTelemetry gpu_t;  // per-stage SIMT counters, collected as we go
   Timer total;
@@ -1388,14 +782,11 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
       st.counters = obs::counters_kv(ssv_run.counters);
       gpu_t.stages.push_back(std::move(st));
     }
-    for (std::size_t s = 0; s < db.size(); ++s) {
-      int L = static_cast<int>(db[s].length());
-      bool overflowed = ssv_run.overflow[s] != 0;
-      float bits = overflowed ? overflow_bits(msv_, L)
-                              : hmm::nats_to_bits(ssv_run.scores[s], L);
-      if (overflowed || stats_.ssv_pvalue(bits) <= thr_.ssv_p)
+    for (std::size_t s = 0; s < db.size(); ++s)
+      if (byte_gate(stats_.ssv, thr_.ssv_p,
+                    {ssv_run.scores[s], ssv_run.overflow[s] != 0},
+                    db[s].length()))
         candidates.push_back(s);
-    }
     out.ssv.n_passed = candidates.size();
     out.ssv.cells = static_cast<double>(ssv_run.counters.cells);
     out.ssv.seconds = timer.seconds();
@@ -1418,11 +809,9 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
   std::vector<std::size_t> msv_pass;
   for (std::size_t i = 0; i < msv_run.scores.size(); ++i) {
     std::size_t s = msv_items ? candidates[i] : i;
-    int L = static_cast<int>(db[s].length());
-    bool overflowed = msv_run.overflow[i] != 0;
-    float bits = overflowed ? overflow_bits(msv_, L)
-                            : hmm::nats_to_bits(msv_run.scores[i], L);
-    if (overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p)
+    if (byte_gate(stats_.msv, thr_.msv_p,
+                  {msv_run.scores[i], msv_run.overflow[i] != 0},
+                  db[s].length()))
       msv_pass.push_back(s);
   }
   out.msv.n_passed = msv_pass.size();
@@ -1461,11 +850,14 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
   out.vit.n_passed = vit_pass.size();
   out.vit.seconds = timer.seconds();
 
-  forward_stage(db, vit_pass, vit_bits_pass, out);
+  BatchScanner scanner(msv_, vit_, &fwd_, /*workers=*/1);
+  forward_stage(db, scanner, vit_pass, vit_bits_pass, out);
 
   if (rec) {
-    out.telemetry = make_telemetry("gpu_sim", db, 1, out, total.seconds(),
-                                   thr_.use_ssv_prefilter);
+    out.telemetry = make_telemetry(db, 1, &out, 1, total.seconds(),
+                                   thr_.use_ssv_prefilter,
+                                   thr_.define_domains);
+    out.telemetry->engine = "gpu_sim";
     // Graft the per-stage SIMT counters collected above onto the shared
     // stage rows, so device runs read through the same schema.
     for (auto& st : out.telemetry->stages)
@@ -1490,14 +882,11 @@ HmmSearch::MultiGpuResult HmmSearch::run_gpu_multi(
   combined.msv.n_in = db.size();
   auto msv_multi = gpu::run_msv_multi(devs, msv_, packed, placement);
   std::vector<std::size_t> msv_pass;
-  for (std::size_t s = 0; s < db.size(); ++s) {
-    int L = static_cast<int>(db[s].length());
-    bool overflowed = msv_multi.overflow[s] != 0;
-    float bits = overflowed ? overflow_bits(msv_, L)
-                            : hmm::nats_to_bits(msv_multi.scores[s], L);
-    if (overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p)
+  for (std::size_t s = 0; s < db.size(); ++s)
+    if (byte_gate(stats_.msv, thr_.msv_p,
+                  {msv_multi.scores[s], msv_multi.overflow[s] != 0},
+                  db[s].length()))
       msv_pass.push_back(s);
-  }
   combined.msv.n_passed = msv_pass.size();
   for (auto& r : msv_multi.per_device) {
     combined.msv.cells += static_cast<double>(r.counters.cells);
@@ -1548,79 +937,43 @@ HmmSearch::MultiGpuResult HmmSearch::run_gpu_multi(
   combined.vit.n_passed = vit_pass.size();
   combined.vit.seconds = timer.seconds();
 
-  forward_stage(db, vit_pass, vit_bits_pass, combined);
+  BatchScanner scanner(msv_, vit_, &fwd_, /*workers=*/1);
+  forward_stage(db, scanner, vit_pass, vit_bits_pass, combined);
   return out;
 }
 
-void HmmSearch::forward_stage(ScanSource src,
+void HmmSearch::forward_stage(ScanSource src, BatchScanner& scanner,
                               const std::vector<std::size_t>& survivors,
                               const std::vector<float>& vit_bits,
                               SearchResult& out) const {
-  obs::Recorder* rec =
-      (recorder_ != nullptr && recorder_->enabled()) ? recorder_ : nullptr;
+  obs::Recorder* rec = enabled(recorder_);
   if (rec) rec->reserve_threads(1);  // run_gpu_multi skips engine setup
   OBS_SPAN(rec, 0, "fwd");
-  Timer timer;
   out.fwd.n_in = survivors.size();
-  const bool need_trace = thr_.null2_correction || thr_.compute_alignments;
-  cpu::FwdFilter fwd_filter(fwd_);
-  cpu::TraceWorkspace ws;
-  std::vector<std::uint8_t> scratch;
-  std::vector<float> mocc;  // decode occupancy track, reused across hits
-  double bwd_seconds = 0.0;
-  if (src.zero_copy()) scratch.resize(src.max_length());
+  WordScratch ws;
+  if (src.zero_copy()) ws.codes.resize(src.max_length());
+  double stage_s[obs::kStageCount] = {};
   for (std::size_t i = 0; i < survivors.size(); ++i) {
     const std::size_t s = survivors[i];
     const std::size_t L = src.length(s);
-    const std::uint8_t* codes = src.fetch_codes(s, scratch.data());
-    float raw = fwd_filter.score(codes, L);
+    const std::uint8_t* codes = src.fetch_codes(s, ws.codes.data());
     out.fwd.cells += static_cast<double>(L) * prof_.length();
-
-    cpu::ViterbiTrace trace;
-    float bias_nats = 0.0f;
-    if (need_trace) trace = cpu::viterbi_trace(prof_, codes, L, ws);
-    if (thr_.null2_correction)
-      bias_nats = null2_correction(prof_, trace, codes);
-
-    float bits = hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
-    double p = stats_.fwd_pvalue(bits);
-    double e = stats::evalue(p, src.size(), thr_.z_override);
-    if (e <= thr_.report_evalue) {
-      Hit h;
-      h.seq_index = s;
-      h.name = std::string(src.name(s));
-      h.vit_bits = vit_bits[i];
-      h.fwd_bits = bits;
-      h.bias_bits = bias_nats / static_cast<float>(M_LN2);
-      h.pvalue = p;
-      h.evalue = e;
-      if (thr_.compute_alignments)
-        h.alignments = cpu::trace_alignments(trace, prof_, codes);
-      if (thr_.define_domains) {
-        // Checkpointed Forward/Backward on the active vector tier fills
-        // mocc; envelope definition and rescoring run on it directly.
-        Timer bwd_t;
-        fwd_filter.decode(codes, L, mocc);
-        h.domains = cpu::domains_from_occupancy(prof_, codes, L, mocc.data());
-        out.bwd.n_in += 1;
-        out.bwd.n_passed += 1;
-        out.bwd.cells += static_cast<double>(L) * prof_.length();
-        bwd_seconds += bwd_t.seconds();
-      }
-      out.hits.push_back(std::move(h));
-      ++out.fwd.n_passed;
+    Hit h;
+    h.vit_bits = vit_bits[i];
+    if (!rescore_survivor(*this, scanner, 0, ws, src, s, codes, h, stage_s))
+      continue;
+    if (thr_.define_domains) {
+      out.bwd.n_in += 1;
+      out.bwd.n_passed += 1;
+      out.bwd.cells += static_cast<double>(L) * prof_.length();
     }
+    out.hits.push_back(std::move(h));
+    ++out.fwd.n_passed;
   }
-  // The decode share of the loop belongs to the bwd stage, not fwd.
-  out.bwd.seconds = bwd_seconds;
-  out.fwd.seconds = timer.seconds() - bwd_seconds;
-  // (evalue, seq_index) is a total order, so the hit list is a pure
-  // function of the hit set — a cluster coordinator merging shard hits
-  // re-sorts by the same key and reproduces this order byte-for-byte.
-  std::sort(out.hits.begin(), out.hits.end(), [](const Hit& a, const Hit& b) {
-    return a.evalue != b.evalue ? a.evalue < b.evalue
-                                : a.seq_index < b.seq_index;
-  });
+  // The decode share of the rescore belongs to the bwd stage, not fwd.
+  out.fwd.seconds = stage_s[kFwd];
+  out.bwd.seconds = stage_s[kBwd];
+  sort_hits(out.hits);
 }
 
 }  // namespace finehmm::pipeline

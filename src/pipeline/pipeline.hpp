@@ -8,9 +8,14 @@
 // exponential-tail (Forward) statistics.  Sequences whose byte MSV
 // overflowed pass unconditionally (their score is provably huge).
 //
-// Two engines share identical semantics and thresholds:
-//   * CpuEngine — striped SSE-style filters (the paper's baseline)
-//   * GpuEngine — the warp-synchronous SIMT kernels for MSV and P7Viterbi
+// Three engines share identical semantics and thresholds:
+//   * run_cpu — the serial striped-filter reference (the paper's
+//     baseline) every other engine is tested against bit for bit;
+//   * one overlapped sweep core behind every multi-threaded CPU entry
+//     (run_cpu_overlapped for one query, run_cpu_coalesced for many):
+//     a length-scheduled byte-filter sweep whose survivors any idle
+//     worker rescores from a shared queue;
+//   * run_gpu* — the warp-synchronous SIMT kernels for MSV and P7Viterbi
 //     (the Forward stage stays on the CPU, as in the paper).
 #pragma once
 
@@ -85,11 +90,11 @@ struct StageStats {
   std::size_t n_in = 0;       // sequences entering the stage
   std::size_t n_passed = 0;   // sequences surviving
   double cells = 0.0;         // DP cells evaluated
-  /// Measured host time of this stage.  For the serial and
-  /// barrier-parallel engines this is the stage's wall clock; for the
-  /// overlapped engine (where stages have no wall-clock identity) it is
-  /// the per-worker busy time, accumulated into per-thread slots during
-  /// the scan and merged serially at drain — never written concurrently.
+  /// Measured host time of this stage.  For the serial engine this is
+  /// the stage's wall clock; for the sweep core (where stages have no
+  /// wall-clock identity) it is busy time, accumulated per worker or per
+  /// survivor during the scan and merged serially at drain — never
+  /// written concurrently.
   double seconds = 0.0;
   double pass_rate() const {
     return n_in ? static_cast<double>(n_passed) / n_in : 0.0;
@@ -116,9 +121,10 @@ struct SearchResult {
 };
 
 struct ScanSchedule;  // pipeline/workload.hpp
+class BatchScanner;   // pipeline/batch_scanner.hpp
 
 /// A configured, calibrated search: one query model, ready to scan
-/// databases with either engine.
+/// databases with any engine.
 class HmmSearch {
  public:
   HmmSearch(const hmm::Plan7Hmm& model, Thresholds thresholds = {},
@@ -143,84 +149,61 @@ class HmmSearch {
   const stats::ModelStats& model_stats() const noexcept { return stats_; }
   const Thresholds& thresholds() const noexcept { return thr_; }
 
-  /// Scan with the striped CPU filters (single thread).  All CPU engines
-  /// take a ScanSource, so they accept a heap SequenceDatabase or a
-  /// zero-copy MappedSeqDb interchangeably and report identical hits.
+  /// Scan with the striped CPU filters (single thread): the reference
+  /// every other engine reproduces bit for bit.  All CPU engines take a
+  /// ScanSource, so they accept a heap SequenceDatabase or a zero-copy
+  /// MappedSeqDb interchangeably and report identical hits.
   SearchResult run_cpu(ScanSource src) const;
 
-  /// Multithreaded CPU scan — the shape of HMMER 3.0's worker-thread
-  /// parallelism on the paper's quad-core baseline.  `threads` = 0 picks
-  /// hardware concurrency.  The database is scanned in length-bucketed
-  /// order (pipeline/workload.hpp) with per-index result slots, so hits
-  /// and stage stats are bit-identical to run_cpu.
-  SearchResult run_cpu_parallel(ScanSource src, std::size_t threads = 0) const;
-
-  /// As above but on a caller-owned pool, so repeated scans (hmmscan-style
-  /// model sweeps) reuse the worker threads instead of spawning per scan.
-  SearchResult run_cpu_parallel(ScanSource src, ThreadPool& pool) const;
-
-  /// Overlapped streaming scan: workers fan the length-bucketed MSV/SSV
-  /// sweep out over the pool and push survivors onto a bounded queue that
-  /// any worker drains when idle, rescoring Viterbi -> Forward -> null2 /
-  /// posterior immediately instead of in barrier-separated stages — the
-  /// paper's third parallelism tier (global work queue) on the host.
-  /// Results land in per-index slots and the stage stats are replayed
-  /// serially, so hits and stage counts/cells stay bit-identical to
-  /// run_cpu.  Stage `seconds` are each worker's busy time per stage,
-  /// banked into per-thread slots and merged at drain (stages overlap,
-  /// so no per-stage wall clock exists; the end-to-end wall clock lands
-  /// in SearchResult::telemetry when a recorder is attached).
+  /// Multi-threaded scan through the overlapped sweep core: workers fan
+  /// the length-bucketed SSV/MSV sweep out over the pool and push
+  /// survivors onto a bounded queue that any worker drains when idle,
+  /// rescoring Viterbi -> Forward -> null2 / posterior immediately
+  /// instead of in barrier-separated stages — the paper's third
+  /// parallelism tier (global work queue) on the host.  Results are
+  /// stored per survivor and the stage stats replayed serially, so hits
+  /// and stage counts/cells are bit-identical to run_cpu.  Stage
+  /// `seconds` are busy time merged at drain (stages overlap, so no
+  /// per-stage wall clock exists; the end-to-end wall clock lands in
+  /// SearchResult::telemetry when a recorder is attached).  `threads` = 0
+  /// picks hardware concurrency; the pool overload reuses a caller-owned
+  /// crew across scans.
   SearchResult run_cpu_overlapped(ScanSource src,
                                   std::size_t threads = 0) const;
   SearchResult run_cpu_overlapped(ScanSource src, ThreadPool& pool) const;
 
-  /// One coalesced sweep: several queries scanned in a SINGLE pass over
-  /// the database.  The byte-filter stage walks the residue stream once,
-  /// scoring every query against each sequence while it is hot in cache;
-  /// the rare word-stage survivors then rescore per query.  Hits and
-  /// stage counts for query i are bit-identical to
-  /// `searches[i]->run_cpu(src)` — the same kernels score through
-  /// per-query BatchScanner state, and results replay serially in index
-  /// order.  This is the search daemon's batching primitive: N queued
-  /// client requests against the same database cost one database pass
-  /// instead of N (docs/server.md).
+  /// Many queries (or library models) through the same sweep core in a
+  /// SINGLE pass over the database.
   struct CoalescedScan {
-    /// Index-aligned with `searches`.  Stage `seconds` of the fused
-    /// SSV/MSV sweep are the shared sweep wall clock (one pass serves
-    /// every query), not additive per-query times.
+    /// Index-aligned with `searches`.  SSV/MSV `seconds` are the shared
+    /// sweep's busy time (one pass serves every query, so they are not
+    /// additive across queries); vit/fwd/bwd `seconds` are the busy time
+    /// of this query's own survivors.
     std::vector<SearchResult> per_model;
-    /// One batch-level snapshot (engine "cpu_coalesced"): aggregated
-    /// stage totals plus `batch.queries` / `batch.sweeps` counters on
-    /// the msv stage, so coalescing is observable downstream.
+    /// One batch-level snapshot (engine "cpu_coalesced", or "cpu_fused"
+    /// with a plan): aggregated stage totals plus `batch.queries` /
+    /// `batch.sweeps` counters on the msv stage, and with a plan
+    /// `fuse.groups` / `fuse.fused_models` / `fuse.models_per_group` /
+    /// `fuse.lane_occupancy` (docs/multi_model.md).
     obs::ScanTelemetry telemetry;
   };
 
-  /// `schedule` may pass a precomputed length-bucketed order for `src`
-  /// (the daemon caches one per resident database); null builds it on
-  /// the fly.  `rec` attaches span tracing; the telemetry snapshot is
-  /// filled either way.
+  /// The byte-filter stage walks the residue stream once, scoring every
+  /// query against each sequence while it is hot in cache; every
+  /// (query, sequence) survivor then rescores on whichever worker is
+  /// idle.  Hits and stage counts for query i are bit-identical to
+  /// `searches[i]->run_cpu(src)`.  This is the search daemon's batching
+  /// primitive — N queued requests cost one database pass, not N
+  /// (docs/server.md) — and, with a `plan`, the hmmscan dual: short
+  /// models lane-packed into shared group tables (cpu::FusedMsvGroup) so
+  /// one SSV/MSV sweep scores a whole group per sequence (see
+  /// plan_fusion).  `schedule` may pass a cached length-bucketed order
+  /// for `src`; null builds it.  `rec` attaches span tracing; the
+  /// telemetry snapshot is filled either way.
   static CoalescedScan run_cpu_coalesced(
       const std::vector<const HmmSearch*>& searches, ScanSource src,
-      ThreadPool& pool, const ScanSchedule* schedule = nullptr,
-      obs::Recorder* rec = nullptr);
-
-  /// The hmmscan dual of run_cpu_coalesced: many *models* against one
-  /// database, with short models lane-packed into shared group tables
-  /// (cpu::FusedMsvGroup) so one MSV/SSV sweep scores a whole group per
-  /// sequence block instead of one model.  Hits and stage counts for
-  /// model i are bit-identical to `searches[i]->run_cpu(src)`; survivors
-  /// demux into the unchanged per-model Viterbi/Forward rescoring.
-  /// `plan` may pass a pregrouped shape (the daemon caches one per
-  /// resident library); null plans on the fly from the model-length
-  /// histogram, the resolved tier's lane width, and FINEHMM_FUSE
-  /// (hmm::plan_model_groups).  The telemetry snapshot (engine
-  /// "cpu_fused") adds `fuse.groups` / `fuse.fused_models` /
-  /// `fuse.models_per_group` / `fuse.lane_occupancy` counters on the msv
-  /// stage (docs/multi_model.md).
-  static CoalescedScan run_cpu_fused(
-      const std::vector<const HmmSearch*>& searches, ScanSource src,
       ThreadPool& pool, const hmm::FusePlan* plan = nullptr,
-      obs::Recorder* rec = nullptr);
+      const ScanSchedule* schedule = nullptr, obs::Recorder* rec = nullptr);
 
   /// Scan with the SIMT kernels for MSV and P7Viterbi on `dev`; the
   /// Forward stage runs on the CPU.  `placement` applies to both kernels.
@@ -257,8 +240,16 @@ class HmmSearch {
                             gpu::ParamPlacement msv_placement,
                             gpu::ParamPlacement vit_placement) const;
 
-  /// Shared post-filter logic: P7Viterbi survivors -> Forward -> hits.
-  void forward_stage(ScanSource src,
+  /// The sweep core behind run_cpu_overlapped and run_cpu_coalesced.
+  static CoalescedScan sweep(const std::vector<const HmmSearch*>& queries,
+                             ScanSource src, ThreadPool& pool,
+                             const hmm::FusePlan* plan,
+                             const ScanSchedule* schedule,
+                             obs::Recorder* rec);
+
+  /// Serial post-filter logic (run_cpu, GPU engines): P7Viterbi
+  /// survivors -> Forward -> hits, on worker 0 of `scanner`.
+  void forward_stage(ScanSource src, BatchScanner& scanner,
                      const std::vector<std::size_t>& survivors,
                      const std::vector<float>& vit_bits,
                      SearchResult& out) const;
@@ -272,5 +263,11 @@ class HmmSearch {
   stats::ModelStats stats_;
   Thresholds thr_;
 };
+
+/// The fuse plan for `searches` (index order) at the active SIMD tier's
+/// byte lane width under FINEHMM_FUSE (hmm::plan_model_groups): the one
+/// place the daemon, MultiSearch and the tools derive a plan for
+/// HmmSearch::run_cpu_coalesced.
+hmm::FusePlan plan_fusion(const std::vector<const HmmSearch*>& searches);
 
 }  // namespace finehmm::pipeline

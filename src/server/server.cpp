@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "cpu/simd_backend/backend.hpp"
-#include "cpu/simd_backend/simd_tier.hpp"
 #include "obs/log.hpp"
 #include "stats/distributions.hpp"
 
@@ -505,11 +503,11 @@ void SearchServer::scheduler_loop() {
 }
 
 void SearchServer::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
-  // Group by database: one coalesced sweep per distinct resident db for
-  // SEARCHes, plus one fused library sweep per db with queued SCANs —
-  // concurrent SCANs of the same database share that single sweep.
-  std::map<std::uint32_t, std::vector<std::shared_ptr<Pending>>> by_db;
-  std::map<std::uint32_t, std::vector<std::shared_ptr<Pending>>> scans_by_db;
+  // One sweep per (database, verb): the SEARCHes queued for a resident db
+  // coalesce into one sweep, and its SCANs share one fused library sweep.
+  std::map<std::pair<std::uint32_t, bool>,
+           std::vector<std::shared_ptr<Pending>>>
+      groups;
   const auto now = std::chrono::steady_clock::now();
   for (std::shared_ptr<Pending>& p : batch) {
     if (p->has_deadline && now > p->deadline) {
@@ -521,106 +519,34 @@ void SearchServer::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
                  "request expired while queued");
       continue;
     }
-    auto& dest = p->is_scan ? scans_by_db : by_db;
-    dest[p->db_id].push_back(std::move(p));
+    groups[{p->db_id, p->is_scan}].push_back(std::move(p));
   }
-
-  for (auto& [db_id, group] : scans_by_db) run_scans(db_id, group);
-
-  for (auto& [db_id, group] : by_db) {
-    const Db& db = dbs_[db_id];
-    std::vector<const pipeline::HmmSearch*> searches;
-    searches.reserve(group.size());
-    for (const auto& p : group) searches.push_back(p->search.get());
-
-    pipeline::HmmSearch::CoalescedScan scan;
-    const auto sweep_start = SteadyClock::now();
-    try {
-      scan = pipeline::HmmSearch::run_cpu_coalesced(
-          searches, db.view(), pool_, &db.schedule, &recorder_);
-    } catch (const Error& e) {
-      {
-        MutexLock lock(stats_mu_);
-        stats_.requests_failed += group.size();
-      }
-      for (const auto& p : group)
-        send_error(*p->session, p->request_id, ErrorCode::kInternal,
-                   std::string("scan failed: ") + e.what());
-      continue;
-    }
-
-    const auto sweep_end = SteadyClock::now();
-
-    // Sweep-level accounting lands BEFORE any reply goes out, so a
-    // client that reads STATS right after its result already sees the
-    // sweep it rode in (test_server leans on this ordering too).
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.db_sweeps;
-    }
-    merge_batch_telemetry(scan.telemetry);
-
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const pipeline::SearchResult& r = scan.per_model[i];
-      SearchResultWire wire;
-      wire.trace_id = group[i]->trace_id;
-      wire.db_sequences = db.sequences;
-      wire.db_residues = db.residues;
-      wire.ssv = r.ssv;
-      wire.msv = r.msv;
-      wire.vit = r.vit;
-      wire.fwd = r.fwd;
-      wire.bwd = r.bwd;
-      wire.hits = r.hits;
-      // Completion is accounted before the reply leaves, for the same
-      // reason; only responses_dropped (needs the send outcome) lags.
-      {
-        MutexLock lock(stats_mu_);
-        ++stats_.requests_completed;
-      }
-      const auto serialize_start = SteadyClock::now();
-      const bool sent =
-          send_reply(*group[i]->session, MsgType::kResult,
-                     group[i]->request_id, encode_search_result(wire));
-      if (!sent) {
-        MutexLock lock(stats_mu_);
-        ++stats_.responses_dropped;
-      }
-      finish_request_trace(*group[i], "SEARCH", sweep_start, sweep_end,
-                           seconds_between(serialize_start,
-                                           SteadyClock::now()),
-                           scan.telemetry, group.size());
-    }
-  }
+  for (auto& [key, group] : groups) run_sweep(key.first, key.second, group);
 }
 
-void SearchServer::run_scans(
-    std::uint32_t db_id,
+void SearchServer::run_sweep(
+    std::uint32_t db_id, bool scan,
     const std::vector<std::shared_ptr<Pending>>& group) {
   const Db& db = dbs_[db_id];
+  // A SEARCH sweep scores each request's own query; a SCAN sweep scores
+  // the resident library once for every SCAN in the group.
   std::vector<const pipeline::HmmSearch*> searches;
-  searches.reserve(scan_searches_.size());
-  for (const auto& s : scan_searches_) searches.push_back(s.get());
-
-  if (!scan_plan_) {
+  const hmm::FusePlan* plan = nullptr;
+  if (scan) {
+    for (const auto& s : scan_searches_) searches.push_back(s.get());
     // Tune once per library: the plan depends only on the model lengths
     // and the lane width of the active SIMD tier, both fixed from here.
-    std::vector<int> lengths;
-    lengths.reserve(searches.size());
-    for (const auto* s : searches) lengths.push_back(s->profile().length());
-    const int lane_width =
-        cpu::backend::tier_kernels(
-            cpu::resolve_simd_tier(cpu::active_simd_tier()))
-            .u8_lanes;
-    scan_plan_ = hmm::plan_model_groups(lengths, lane_width,
-                                        hmm::fuse_options_from_env());
+    if (!scan_plan_) scan_plan_ = pipeline::plan_fusion(searches);
+    plan = &*scan_plan_;
+  } else {
+    for (const auto& p : group) searches.push_back(p->search.get());
   }
 
-  pipeline::HmmSearch::CoalescedScan scan;
+  pipeline::HmmSearch::CoalescedScan sweep;
   const auto sweep_start = SteadyClock::now();
   try {
-    scan = pipeline::HmmSearch::run_cpu_fused(searches, db.view(), pool_,
-                                              &*scan_plan_, &recorder_);
+    sweep = pipeline::HmmSearch::run_cpu_coalesced(
+        searches, db.view(), pool_, plan, &db.schedule, &recorder_);
   } catch (const Error& e) {
     {
       MutexLock lock(stats_mu_);
@@ -631,69 +557,102 @@ void SearchServer::run_scans(
                  std::string("scan failed: ") + e.what());
     return;
   }
-
   const auto sweep_end = SteadyClock::now();
 
+  // Sweep-level accounting lands BEFORE any reply goes out, so a client
+  // that reads STATS right after its result already sees the sweep it
+  // rode in (test_server leans on this ordering too).
   {
     MutexLock lock(stats_mu_);
-    ++stats_.scan_sweeps;
-    stats_.scan_models_scored += searches.size();
-    // Mirror the (scheduler-owned) plan into stats so /statusz and
-    // /metrics can read fuse shape without racing the lazy tuner.
-    stats_.scan_fuse_groups = scan_plan_->groups.size();
-    stats_.scan_lane_occupancy = scan_plan_->lane_occupancy();
-  }
-  merge_batch_telemetry(scan.telemetry);
-
-  for (const auto& p : group) {
-    ScanResultWire wire;
-    wire.trace_id = p->trace_id;
-    wire.db_sequences = db.sequences;
-    wire.db_residues = db.residues;
-    wire.fuse_groups = scan_plan_->groups.size();
-    wire.fused_models = scan_plan_->fused_models();
-    wire.lane_occupancy = scan_plan_->lane_occupancy();
-    wire.models.reserve(searches.size());
-    for (std::size_t m = 0; m < searches.size(); ++m) {
-      ScanModelHits mh;
-      mh.model_name = scan_names_[m];
-      // The resident library reports at E <= 10; a request's threshold
-      // can only tighten.  Hits are E-value sorted, so this is a prefix.
-      //
-      // z_override (cluster shards): the resident sweep scored at the
-      // shard-local Z, but E = p * Z is one multiply, so recomputing
-      // from the carried P-value against the caller's Z is bit-identical
-      // to having scored with it.  The recomputed E is monotone in p,
-      // exactly like the resident E, so the prefix property holds.  The
-      // override Z >= local Z (a cluster is a superset of its shard), so
-      // the resident E <= 10 cut never hides a hit the caller wants.
-      for (const pipeline::Hit& h : scan.per_model[m].hits) {
-        const double e =
-            p->scan_z_override != 0
-                ? stats::evalue(h.pvalue, 0, p->scan_z_override)
-                : h.evalue;
-        if (e > p->scan_evalue) break;
-        pipeline::Hit adjusted = h;
-        adjusted.evalue = e;
-        mh.hits.push_back(std::move(adjusted));
-      }
-      wire.models.push_back(std::move(mh));
+    if (scan) {
+      ++stats_.scan_sweeps;
+      stats_.scan_models_scored += searches.size();
+      // Mirror the (scheduler-owned) plan into stats so /statusz and
+      // /metrics can read fuse shape without racing the lazy tuner.
+      stats_.scan_fuse_groups = plan->groups.size();
+      stats_.scan_lane_occupancy = plan->lane_occupancy();
+    } else {
+      ++stats_.db_sweeps;
     }
+  }
+  merge_batch_telemetry(sweep.telemetry);
+
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const Pending& p = *group[i];
+    // Completion is accounted before the reply leaves, for the same
+    // reason; only responses_dropped (needs the send outcome) lags.
     {
       MutexLock lock(stats_mu_);
       ++stats_.requests_completed;
     }
     const auto serialize_start = SteadyClock::now();
-    const bool sent = send_reply(*p->session, MsgType::kScanResult,
-                                 p->request_id, encode_scan_result(wire));
+    const bool sent =
+        scan ? send_reply(*p.session, MsgType::kScanResult, p.request_id,
+                          encode_scan_result(scan_reply(p, db, sweep)))
+             : send_reply(*p.session, MsgType::kResult, p.request_id,
+                          encode_search_result(
+                              search_reply(p, db, sweep.per_model[i])));
     if (!sent) {
       MutexLock lock(stats_mu_);
       ++stats_.responses_dropped;
     }
-    finish_request_trace(*p, "SCAN", sweep_start, sweep_end,
+    finish_request_trace(p, scan ? "SCAN" : "SEARCH", sweep_start, sweep_end,
                          seconds_between(serialize_start, SteadyClock::now()),
-                         scan.telemetry, group.size());
+                         sweep.telemetry, group.size());
   }
+}
+
+SearchResultWire SearchServer::search_reply(
+    const Pending& p, const Db& db, const pipeline::SearchResult& r) {
+  SearchResultWire wire;
+  wire.trace_id = p.trace_id;
+  wire.db_sequences = db.sequences;
+  wire.db_residues = db.residues;
+  wire.ssv = r.ssv;
+  wire.msv = r.msv;
+  wire.vit = r.vit;
+  wire.fwd = r.fwd;
+  wire.bwd = r.bwd;
+  wire.hits = r.hits;
+  return wire;
+}
+
+ScanResultWire SearchServer::scan_reply(
+    const Pending& p, const Db& db,
+    const pipeline::HmmSearch::CoalescedScan& sweep) const {
+  ScanResultWire wire;
+  wire.trace_id = p.trace_id;
+  wire.db_sequences = db.sequences;
+  wire.db_residues = db.residues;
+  wire.fuse_groups = scan_plan_->groups.size();
+  wire.fused_models = scan_plan_->fused_models();
+  wire.lane_occupancy = scan_plan_->lane_occupancy();
+  wire.models.reserve(sweep.per_model.size());
+  for (std::size_t m = 0; m < sweep.per_model.size(); ++m) {
+    ScanModelHits mh;
+    mh.model_name = scan_names_[m];
+    // The resident library reports at E <= 10; a request's threshold can
+    // only tighten.  Hits are E-value sorted, so this is a prefix.
+    //
+    // z_override (cluster shards): the resident sweep scored at the
+    // shard-local Z, but E = p * Z is one multiply, so recomputing from
+    // the carried P-value against the caller's Z is bit-identical to
+    // having scored with it.  The recomputed E is monotone in p, exactly
+    // like the resident E, so the prefix property holds.  The override
+    // Z >= local Z (a cluster is a superset of its shard), so the
+    // resident E <= 10 cut never hides a hit the caller wants.
+    for (const pipeline::Hit& h : sweep.per_model[m].hits) {
+      const double e = p.scan_z_override != 0
+                           ? stats::evalue(h.pvalue, 0, p.scan_z_override)
+                           : h.evalue;
+      if (e > p.scan_evalue) break;
+      pipeline::Hit adjusted = h;
+      adjusted.evalue = e;
+      mh.hits.push_back(std::move(adjusted));
+    }
+    wire.models.push_back(std::move(mh));
+  }
+  return wire;
 }
 
 // --- Observability -----------------------------------------------------

@@ -7,7 +7,8 @@
 // the repo's hmmpgmd analog: it holds .fsqdb databases open (zero-copy,
 // page-cache warm), accepts requests over any Transport, and batches the
 // requests queued at any instant into ONE HmmSearch::run_cpu_coalesced
-// pass per database — N clients cost one sweep, not N (docs/server.md).
+// pass per database and verb — N clients cost one sweep, not N
+// (docs/server.md).
 //
 // Threading model (three tiers):
 //   * accept loop     — serve()'s calling thread; exits when the
@@ -249,9 +250,16 @@ class SearchServer {
   /// drain and every observability read.
   void run_batch(std::vector<std::shared_ptr<Pending>>& batch)
       FINEHMM_EXCLUDES(state_mu_, stats_mu_);
-  void run_scans(std::uint32_t db_id,
+  /// The one batch path: sweep -> account -> reply.  SEARCH and SCAN
+  /// groups differ only in what the sweep scores and the reply encoder.
+  void run_sweep(std::uint32_t db_id, bool scan,
                  const std::vector<std::shared_ptr<Pending>>& group)
       FINEHMM_EXCLUDES(state_mu_, stats_mu_);
+  static SearchResultWire search_reply(const Pending& p, const Db& db,
+                                       const pipeline::SearchResult& r);
+  ScanResultWire scan_reply(
+      const Pending& p, const Db& db,
+      const pipeline::HmmSearch::CoalescedScan& sweep) const;
   bool send_reply(Session& session, MsgType type, std::uint32_t request_id,
                   const std::vector<std::uint8_t>& payload)
       FINEHMM_EXCLUDES(session.write_mu);

@@ -2,9 +2,7 @@
 
 #include "bio/synthetic.hpp"
 #include "cpu/generic.hpp"
-#include "cpu/msv_filter.hpp"
-#include "cpu/ssv.hpp"
-#include "cpu/vit_filter.hpp"
+#include "pipeline/batch_scanner.hpp"
 #include "util/error.hpp"
 
 namespace finehmm::stats {
@@ -24,12 +22,14 @@ ModelStats calibrate(const hmm::SearchProfile& prof,
   vit_bits.reserve(opts.n_samples);
   if (opts.with_forward) fwd_bits.reserve(opts.n_samples);
 
-  cpu::MsvFilter msv_filter(msv);
-  cpu::VitFilter vit_filter(vit);
+  // One 1-worker scanner at the active tier scores all three byte/word
+  // filters; SSV/MSV/Viterbi are bit-exact at every tier, so the fitted
+  // statistics do not depend on which tier ran.
+  pipeline::BatchScanner scanner(msv, vit);
 
   for (int i = 0; i < opts.n_samples; ++i) {
     auto seq = bio::random_sequence(L, rng);
-    auto m = msv_filter.score(seq.codes.data(), L);
+    auto m = scanner.msv(0, seq.codes.data(), L);
     // Random sequences should never overflow the byte filter; if one does,
     // cap at the overflow ceiling rather than +inf to keep the fit finite.
     double mb = m.overflowed
@@ -38,14 +38,14 @@ ModelStats calibrate(const hmm::SearchProfile& prof,
                     : hmm::nats_to_bits(m.score_nats, L);
     msv_bits.push_back(mb);
 
-    auto sv = cpu::ssv_striped(msv, seq.codes.data(), L);
+    auto sv = scanner.ssv(0, seq.codes.data(), L);
     double sb = sv.overflowed
                     ? hmm::nats_to_bits(
                           (255.0f - msv.bias() - msv.base()) / msv.scale(), L)
                     : hmm::nats_to_bits(sv.score_nats, L);
     ssv_bits.push_back(sb);
 
-    auto v = vit_filter.score(seq.codes.data(), L);
+    auto v = scanner.vit(0, seq.codes.data(), L);
     vit_bits.push_back(hmm::nats_to_bits(v.score_nats, L));
 
     if (opts.with_forward) {

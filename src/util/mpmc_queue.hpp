@@ -1,7 +1,7 @@
 // Bounded multi-producer/multi-consumer queue.
 //
-// The overlapped-rescoring engine hands MSV survivors from filter workers
-// to whichever worker goes idle first (the paper's third parallelism tier:
+// The pipeline's sweep core hands MSV survivors from filter workers to
+// whichever worker goes idle first (the paper's third parallelism tier:
 // a global work queue drained opportunistically).  The queue is a fixed
 // ring under one mutex — at pipeline survivor rates (a few percent of the
 // database) contention is negligible, and a bounded ring gives natural
@@ -9,12 +9,12 @@
 // item itself instead of blocking ("help-first"), so the crew can never
 // deadlock.
 //
-// The search daemon reuses the same ring as its admission queue, which
-// needs two extra capabilities the overlapped engine does not: close()
-// (producers are gone for good, not merely idle) and a timed blocking pop
-// (consumers sleep on a condition variable instead of spinning).  A
-// closed queue rejects pushes but keeps handing out the items already
-// accepted, so "drain then stop" is one natural loop:
+// Both the sweep core and the search daemon's admission queue also need
+// close() (producers are gone for good, not merely idle) and a timed
+// blocking pop (consumers sleep on a condition variable instead of
+// spinning, leaving the cores to co-located processes).  A closed queue
+// rejects pushes but keeps handing out the items already accepted, so
+// "drain then stop" is one natural loop:
 //
 //   while (q.pop_wait(item, 50ms) != PopStatus::kClosed) { ... }
 //

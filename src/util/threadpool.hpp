@@ -65,7 +65,7 @@ class ThreadPool {
   /// Run body(worker) exactly once on each of `n` participants (the caller
   /// plus up to n-1 pool threads), with dense worker ids in [0, n).  The
   /// bodies coordinate among themselves (shared cursors, queues); this is
-  /// the primitive the overlapped-rescoring engine builds its
+  /// the primitive the pipeline's sweep core builds its
   /// producer/consumer crew on.  n is clamped to [1, workers()].  Blocks
   /// until every body returned; exceptions propagate (first one wins).
   void run_workers(std::size_t n,

@@ -321,7 +321,7 @@ TEST(PipelineTiers, HitsIdenticalAcrossTiersAndEngines) {
   for (cpu::SimdTier tier : cpu::supported_simd_tiers()) {
     cpu::set_simd_tier(tier);
     auto serial = search.run_cpu(db);
-    auto pooled = search.run_cpu_parallel(db, 3);
+    auto pooled = search.run_cpu_overlapped(db, 3);
     for (const auto* got : {&serial, &pooled}) {
       ASSERT_EQ(got->hits.size(), ref.hits.size())
           << "tier=" << cpu::simd_tier_name(tier);
@@ -356,7 +356,7 @@ TEST(PipelineTiers, MultiSearchParallelMatchesSerial) {
   auto db = small_db(30, 5);
 
   auto serial = multi.run_cpu(db);
-  auto pooled = multi.run_cpu_parallel(db, 3);
+  auto pooled = multi.run_cpu_fused(db, 3);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t m = 0; m < serial.size(); ++m) {
     ASSERT_EQ(serial[m].result.hits.size(), pooled[m].result.hits.size());

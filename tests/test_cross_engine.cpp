@@ -19,6 +19,7 @@
 #include "gpu/search.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/sampler.hpp"
+#include "pipeline/batch_scanner.hpp"
 
 namespace {
 
@@ -70,6 +71,7 @@ TEST_P(CrossEngine, EveryEngineAgrees) {
   cpu::MsvFilter msv_striped_f(fx.msv);
   cpu::VitFilter vit_striped_f(fx.vit);
   cpu::FwdFilter fwd_f(fx.fwd);
+  pipeline::BatchScanner scanner(fx.msv, fx.vit);
   for (std::size_t s = 0; s < fx.db.size(); ++s) {
     const auto& seq = fx.db[s];
     auto m = cpu::msv_scalar(fx.msv, seq.codes.data(), seq.length());
@@ -89,7 +91,7 @@ TEST_P(CrossEngine, EveryEngineAgrees) {
     if (!ss.overflowed && !m.overflowed) {
       EXPECT_LE(ss.score_nats, ref_msv[s] + 1e-4f);
     }
-    auto ssp = cpu::ssv_striped(fx.msv, seq.codes.data(), seq.length());
+    auto ssp = scanner.ssv(0, seq.codes.data(), seq.length());
     EXPECT_FLOAT_EQ(ssp.score_nats, ss.score_nats);
 
     // Forward filter tracks the exact log-space Forward.

@@ -9,11 +9,16 @@
 // leak across lane spans.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "bio/seq_db_io.hpp"
 #include "bio/synthetic.hpp"
 #include "cpu/msv_filter.hpp"
 #include "cpu/msv_group.hpp"
@@ -23,6 +28,7 @@
 #include "hmm/generator.hpp"
 #include "hmm/model_group.hpp"
 #include "hmm/profile.hpp"
+#include "hmm/sampler.hpp"
 #include "pipeline/multi_search.hpp"
 #include "pipeline/report.hpp"
 #include "profile/msv_profile.hpp"
@@ -453,5 +459,188 @@ TEST(FusedPipeline, EnvOffFallsBackToUnfusedAndStillMatches) {
     }
   }
 }
+
+// ---------------------------------------------------------------------
+// Differential: HmmSearch::run_cpu_coalesced vs. one run_cpu per query.
+// Per-query thresholds differ — SSV on for some members of one fuse
+// group and off for others, domains, alignments, null2 off, a Z override
+// — over a database with zero-length sequences; heap and mapped sources,
+// 1 and 3 pool threads, no plan / the auto plan / a forced plan.  Every
+// per-query result (hits with alignments and domains, stage counts and
+// cells) must be bit-identical.
+// ---------------------------------------------------------------------
+
+enum class PlanKind { kNone, kAuto, kForce };
+
+struct DifferentialFx {
+  std::vector<std::unique_ptr<pipeline::HmmSearch>> searches;
+  bio::SequenceDatabase db;
+
+  DifferentialFx() : db(scan_db(60, 31)) {  // scan_db adds an empty seq
+    stats::CalibrateOptions calib;
+    calib.n_samples = 40;
+    Pcg32 rng(4321);
+    for (int i = 0; i < 6; ++i) {
+      hmm::RandomHmmSpec spec;
+      spec.length = 40 + 13 * i;
+      spec.seed = 500 + static_cast<std::uint64_t>(i);
+      const hmm::Plan7Hmm model = hmm::generate_hmm(spec);
+      pipeline::Thresholds thr;
+      thr.report_evalue = 1e6;
+      thr.use_ssv_prefilter = i % 2 == 0;
+      thr.define_domains = i % 3 == 0;
+      thr.compute_alignments = i % 3 == 1;
+      thr.null2_correction = i != 2;
+      if (i == 4) thr.z_override = 12345;
+      if (i >= 3) {  // looser gates: more survivors reach the word stages
+        thr.msv_p = 0.3;
+        thr.vit_p = 0.1;
+      }
+      searches.push_back(
+          std::make_unique<pipeline::HmmSearch>(model, thr, calib));
+      if (i % 2 == 0)
+        for (int h = 0; h < 2; ++h) db.add(hmm::sample_homolog(model, rng));
+    }
+    bio::Sequence empty;
+    empty.name = "empty_tail";
+    db.add(std::move(empty));
+  }
+};
+
+void expect_alignments_identical(const std::vector<cpu::Alignment>& a,
+                                 const std::vector<cpu::Alignment>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].k_start, b[i].k_start);
+    EXPECT_EQ(a[i].k_end, b[i].k_end);
+    EXPECT_EQ(a[i].i_start, b[i].i_start);
+    EXPECT_EQ(a[i].i_end, b[i].i_end);
+    EXPECT_EQ(a[i].model_line, b[i].model_line);
+    EXPECT_EQ(a[i].match_line, b[i].match_line);
+    EXPECT_EQ(a[i].seq_line, b[i].seq_line);
+  }
+}
+
+void expect_stage_identical(const pipeline::StageStats& a,
+                            const pipeline::StageStats& b, const char* name) {
+  EXPECT_EQ(a.n_in, b.n_in) << name;
+  EXPECT_EQ(a.n_passed, b.n_passed) << name;
+  EXPECT_EQ(a.cells, b.cells) << name;
+}
+
+class CoalescedDifferential
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool, PlanKind>> {
+};
+
+TEST_P(CoalescedDifferential, EveryQueryMatchesRunCpu) {
+  const auto [threads, mapped, plan_kind] = GetParam();
+  static const DifferentialFx fx;
+
+  std::string path;
+  std::optional<bio::MappedSeqDb> mdb;
+  if (mapped) {
+    path = ::testing::TempDir() + "finehmm_coalesced_diff_" +
+           std::to_string(threads) + "_" +
+           std::to_string(static_cast<int>(plan_kind)) + ".fsqdb";
+    bio::write_seq_db_file(path, fx.db);
+    mdb.emplace(path);
+  }
+  const pipeline::ScanSource src =
+      mdb ? pipeline::ScanSource(*mdb) : pipeline::ScanSource(fx.db);
+
+  std::vector<const pipeline::HmmSearch*> ptrs;
+  std::vector<int> lengths;
+  for (const auto& s : fx.searches) {
+    ptrs.push_back(s.get());
+    lengths.push_back(s->profile().length());
+  }
+  hmm::FusePlan plan;
+  const hmm::FusePlan* plan_ptr = nullptr;
+  if (plan_kind == PlanKind::kAuto) {
+    plan = pipeline::plan_fusion(ptrs);
+    plan_ptr = &plan;
+  } else if (plan_kind == PlanKind::kForce) {
+    hmm::FuseOptions opts;
+    opts.forced = true;
+    const int lane_width =
+        cpu::backend::tier_kernels(cpu::resolve_simd_tier(
+                                       cpu::active_simd_tier()))
+            .u8_lanes;
+    plan = hmm::plan_model_groups(lengths, lane_width, opts);
+    plan_ptr = &plan;
+  }
+  if (plan_ptr != nullptr) {
+    bool mixed = false;
+    for (const auto& g : plan.groups) {
+      std::size_t on = 0;
+      for (std::size_t m : g.members)
+        on += ptrs[m]->thresholds().use_ssv_prefilter ? 1 : 0;
+      mixed = mixed || (on > 0 && on < g.members.size());
+    }
+    ASSERT_TRUE(mixed) << "no fuse group mixes SSV-on and SSV-off members";
+  }
+
+  ThreadPool pool(threads);
+  const auto scan =
+      pipeline::HmmSearch::run_cpu_coalesced(ptrs, src, pool, plan_ptr);
+  ASSERT_EQ(scan.per_model.size(), ptrs.size());
+  std::size_t reported = 0, domains = 0, alignments = 0;
+  for (std::size_t q = 0; q < ptrs.size(); ++q) {
+    SCOPED_TRACE(q);
+    const pipeline::SearchResult ref = ptrs[q]->run_cpu(src);
+    const pipeline::SearchResult& got = scan.per_model[q];
+    expect_stage_identical(ref.ssv, got.ssv, "ssv");
+    expect_stage_identical(ref.msv, got.msv, "msv");
+    expect_stage_identical(ref.vit, got.vit, "vit");
+    expect_stage_identical(ref.fwd, got.fwd, "fwd");
+    expect_stage_identical(ref.bwd, got.bwd, "bwd");
+    ASSERT_EQ(ref.hits.size(), got.hits.size());
+    for (std::size_t i = 0; i < ref.hits.size(); ++i) {
+      const pipeline::Hit& a = ref.hits[i];
+      const pipeline::Hit& b = got.hits[i];
+      EXPECT_EQ(a.seq_index, b.seq_index);
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.msv_bits, b.msv_bits);
+      EXPECT_EQ(a.vit_bits, b.vit_bits);
+      EXPECT_EQ(a.fwd_bits, b.fwd_bits);
+      EXPECT_EQ(a.bias_bits, b.bias_bits);
+      EXPECT_EQ(a.pvalue, b.pvalue);
+      EXPECT_EQ(a.evalue, b.evalue);
+      expect_alignments_identical(a.alignments, b.alignments);
+      ASSERT_EQ(a.domains.size(), b.domains.size());
+      for (std::size_t d = 0; d < a.domains.size(); ++d) {
+        EXPECT_EQ(a.domains[d].i_start, b.domains[d].i_start);
+        EXPECT_EQ(a.domains[d].i_end, b.domains[d].i_end);
+        EXPECT_EQ(a.domains[d].bits, b.domains[d].bits);
+        expect_alignments_identical(a.domains[d].alignments,
+                                    b.domains[d].alignments);
+      }
+      alignments += a.alignments.size();
+      domains += a.domains.size();
+    }
+    reported += ref.hits.size();
+  }
+  // Non-vacuous: the word stages, alignments and decode all ran.
+  EXPECT_GT(reported, 0u);
+  EXPECT_GT(alignments, 0u);
+  EXPECT_GT(domains, 0u);
+  if (mapped) std::remove(path.c_str());
+}
+
+std::string differential_case_name(
+    const ::testing::TestParamInfo<CoalescedDifferential::ParamType>& info) {
+  static const char* const kPlans[] = {"NoPlan", "AutoPlan", "ForcedPlan"};
+  return "Threads" + std::to_string(std::get<0>(info.param)) +
+         (std::get<1>(info.param) ? "Mapped" : "Heap") +
+         kPlans[static_cast<int>(std::get<2>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, CoalescedDifferential,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{3}),
+                       ::testing::Bool(),
+                       ::testing::Values(PlanKind::kNone, PlanKind::kAuto,
+                                         PlanKind::kForce)),
+    differential_case_name);
 
 }  // namespace

@@ -107,7 +107,7 @@ TEST(PipelineExtended, ParallelCpuMatchesSerial) {
   pipeline::HmmSearch search(fx.model);
   auto serial = search.run_cpu(fx.db);
   for (std::size_t threads : {1u, 2u, 4u}) {
-    auto parallel = search.run_cpu_parallel(fx.db, threads);
+    auto parallel = search.run_cpu_overlapped(fx.db, threads);
     ASSERT_EQ(parallel.hits.size(), serial.hits.size()) << threads;
     for (std::size_t i = 0; i < serial.hits.size(); ++i) {
       EXPECT_EQ(parallel.hits[i].seq_index, serial.hits[i].seq_index);
@@ -124,7 +124,7 @@ TEST(PipelineExtended, ParallelEngineHonoursSsvPrefilter) {
   thr.use_ssv_prefilter = true;
   pipeline::HmmSearch search(fx.model, thr);
   auto serial = search.run_cpu(fx.db);
-  auto parallel = search.run_cpu_parallel(fx.db, 3);
+  auto parallel = search.run_cpu_overlapped(fx.db, 3);
   EXPECT_EQ(serial.ssv.n_passed, parallel.ssv.n_passed);
   EXPECT_EQ(serial.msv.n_passed, parallel.msv.n_passed);
   ASSERT_EQ(serial.hits.size(), parallel.hits.size());

@@ -105,10 +105,13 @@ void check_all_engines(const StreamingFixture& fx,
   ASSERT_FALSE(ref.msv.n_in == 0);
 
   expect_bit_identical(ref, search.run_cpu(mapped), "serial/mapped");
-  expect_bit_identical(ref, search.run_cpu_parallel(fx.db, 3),
-                       "parallel/heap");
-  expect_bit_identical(ref, search.run_cpu_parallel(mapped, 3),
-                       "parallel/mapped");
+  ThreadPool pool(3);
+  expect_bit_identical(
+      ref, HmmSearch::run_cpu_coalesced({&search}, fx.db, pool).per_model[0],
+      "coalesced/heap");
+  expect_bit_identical(
+      ref, HmmSearch::run_cpu_coalesced({&search}, mapped, pool).per_model[0],
+      "coalesced/mapped");
   expect_bit_identical(ref, search.run_cpu_overlapped(fx.db, 3),
                        "overlapped/heap");
   expect_bit_identical(ref, search.run_cpu_overlapped(mapped, 3),

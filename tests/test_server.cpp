@@ -423,6 +423,28 @@ TEST(SearchServer, SixteenConcurrentRequestsShareOneSweep) {
   EXPECT_EQ(queries, static_cast<double>(kClients));
 }
 
+TEST(SearchServer, MappedSweepCountsDecodedSurvivorBytes) {
+  ServerFixture fx;
+  const std::string path = "/tmp/finehmm_test_server_mapped.fsqdb";
+  bio::write_seq_db_file(path, fx.db);
+  EXPECT_EQ(fx.srv->add_database(path), 1u);
+  std::remove(path.c_str());  // the mapping outlives the directory entry
+  fx.start();
+  const pipeline::SearchResult ref = fx.local_reference();
+  const stats::ModelStats cal = fx.calibration();
+
+  BlockingClient client = fx.connect();
+  const RemoteResult rr = client.search(1, fx.model, &cal);
+  expect_remote_matches_local(rr, ref, fx.db);
+  ASSERT_GT(rr.result.vit.n_in, 0u) << "no survivors reached the word stages";
+
+  // Survivors of a mapped sweep are unpacked for the word stages, and the
+  // daemon's telemetry must account for those bytes.
+  const obs::ScanTelemetry tel = fx.srv->telemetry();
+  EXPECT_TRUE(tel.zero_copy);
+  EXPECT_GT(tel.decoded_bytes, 0u);
+}
+
 // ------------------------------------------------- (c) overload shedding
 
 TEST(SearchServer, AdmissionBoundShedsWithOverloadReplyNotBlocking) {

@@ -25,6 +25,7 @@
 #include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "cpu/ssv.hpp"
+#include "pipeline/batch_scanner.hpp"
 #include "cpu/vit_filter.hpp"
 #include "cpu/vit_scalar.hpp"
 #include "cpu/vit_wide.hpp"
@@ -117,9 +118,11 @@ TEST_P(TierEquivalence, SsvMatchesScalarAtEverySupportedTier) {
   auto seqs = test_sequences(fx);
   for (SimdTier tier : cpu::supported_simd_tiers()) {
     cpu::set_simd_tier(tier);
+    pipeline::BatchScanner scanner(fx.msv, fx.vit);
+    ASSERT_EQ(scanner.tier(), tier);
     for (const auto& seq : seqs) {
       auto ref = cpu::ssv_scalar(fx.msv, seq.codes.data(), seq.length());
-      auto got = cpu::ssv_striped(fx.msv, seq.codes.data(), seq.length());
+      auto got = scanner.ssv(0, seq.codes.data(), seq.length());
       EXPECT_EQ(ref.overflowed, got.overflowed)
           << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
       EXPECT_FLOAT_EQ(ref.score_nats, got.score_nats)
@@ -174,18 +177,20 @@ TEST_P(TierEquivalence, ForwardRunsNativelyAtEveryTierWidth) {
   }
 }
 
-// fwd_striped() honors the active-tier override (the AVX2->SSE2 clamp is
-// gone): forcing each supported tier must reproduce that tier's
-// FwdFilter score exactly — same table entry, same re-striping.
+// A default-tier Forward filter honors the active-tier override (the
+// AVX2->SSE2 clamp is gone): forcing each supported tier must reproduce
+// that tier's FwdFilter score exactly — same table entry, same
+// re-striping.
 TEST_P(TierEquivalence, FwdStripedHonorsActiveTierOverride) {
   Fixture fx(GetParam());
   auto seqs = test_sequences(fx);
   for (SimdTier tier : cpu::supported_simd_tiers()) {
     cpu::set_simd_tier(tier);
     cpu::FwdFilter filter(fx.fwd, tier);
+    pipeline::BatchScanner active(fx.msv, fx.vit, &fx.fwd);
     for (const auto& seq : seqs) {
       float want = filter.score(seq.codes.data(), seq.length());
-      float got = cpu::fwd_striped(fx.fwd, seq.codes.data(), seq.length());
+      float got = active.fwd(0, seq.codes.data(), seq.length());
       EXPECT_EQ(want, got) << "tier=" << cpu::simd_tier_name(tier)
                            << " L=" << seq.length();
     }

@@ -1,5 +1,6 @@
-// SSV filter (extension): scalar == striped == warp kernel, and the
-// structural property SSV <= MSV (removing the J state can only lose).
+// SSV filter (extension): scalar == striped (BatchScanner) == warp kernel,
+// and the structural property SSV <= MSV (removing the J state can only
+// lose).
 #include <gtest/gtest.h>
 
 #include "bio/synthetic.hpp"
@@ -8,6 +9,7 @@
 #include "gpu/search.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/sampler.hpp"
+#include "pipeline/batch_scanner.hpp"
 
 namespace {
 
@@ -33,12 +35,14 @@ class SsvEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(SsvEquivalence, StripedMatchesScalar) {
   SsvFixture fx(GetParam());
+  const profile::VitProfile vit(fx.prof);
+  pipeline::BatchScanner scanner(fx.msv, vit);
   Pcg32 rng(7);
   for (int rep = 0; rep < 15; ++rep) {
     std::size_t L = 1 + rng.below(500);
     auto seq = bio::random_sequence(L, rng);
     auto a = cpu::ssv_scalar(fx.msv, seq.codes.data(), L);
-    auto b = cpu::ssv_striped(fx.msv, seq.codes.data(), L);
+    auto b = scanner.ssv(0, seq.codes.data(), L);
     EXPECT_EQ(a.overflowed, b.overflowed);
     EXPECT_FLOAT_EQ(a.score_nats, b.score_nats)
         << "M=" << GetParam() << " L=" << L;

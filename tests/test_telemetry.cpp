@@ -1,6 +1,6 @@
 // The obs telemetry subsystem: span recording and nesting, disabled-mode
 // zero-allocation, Chrome trace schema, rate guards, the structured JSON
-// logger, Prometheus exposition hygiene, and the overlapped engine's
+// logger, Prometheus exposition hygiene, and the sweep core's
 // telemetry invariants (queue accounting, per-thread merge).
 //
 // This file lives in its own test binary (finehmm_obs_tests): it replaces
@@ -533,12 +533,12 @@ TEST(EngineTelemetry, SerialAndParallelEnginesReportTheSameSchema) {
   EXPECT_FALSE(serial.telemetry->queue.has_value());
 
   rec.clear();
-  auto parallel = search.run_cpu_parallel(fx.db, 2);
+  auto parallel = search.run_cpu_overlapped(fx.db, 2);
   ASSERT_TRUE(parallel.telemetry.has_value());
-  EXPECT_EQ(parallel.telemetry->engine, "cpu_parallel");
+  EXPECT_EQ(parallel.telemetry->engine, "cpu_overlapped");
   EXPECT_FALSE(parallel.telemetry->buckets.empty());
-  // Parallel stages are barrier-separated: wall clocks are meaningful
-  // and each stage's busy time cannot exceed crew * wall.
+  // Overlapped stages have no wall clock of their own, and each stage's
+  // busy time cannot exceed crew * end-to-end wall.
   for (const auto& st : parallel.telemetry->stages) {
     EXPECT_GE(st.wall_seconds, 0.0);
     EXPECT_LE(st.busy_seconds,

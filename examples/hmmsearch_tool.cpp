@@ -106,29 +106,15 @@ hmm::Plan7Hmm load_query_model(const std::string& path,
   return std::move(entry.model);
 }
 
-/// Split "HOST:PORT"; false when the port part is missing or not a
-/// number in [1, 65535].
-bool parse_hostport(const std::string& arg, std::string& host,
-                    std::uint16_t& port) {
-  const std::size_t colon = arg.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= arg.size())
-    return false;
-  host = arg.substr(0, colon);
-  const long p = std::atol(arg.c_str() + colon + 1);
-  if (p < 1 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 /// Remote search against a running finehmmd.  The report renders from
 /// the wire result (db summary + stage stats + hits) through the same
 /// formatter the local path uses.
 int run_remote(const std::string& hostport, std::uint32_t db_index,
                const std::string& hmm_path, double evalue,
                std::size_t max_hits, const std::string& tblout_path) {
-  std::string host;
-  std::uint16_t port = 0;
-  if (!parse_hostport(hostport, host, port)) {
+  const std::optional<tools::HostPort> target =
+      tools::parse_host_port(hostport);
+  if (!target) {
     std::fprintf(stderr, "error: --connect wants HOST:PORT, got '%s'\n",
                  hostport.c_str());
     usage();
@@ -138,7 +124,8 @@ int run_remote(const std::string& hostport, std::uint32_t db_index,
   std::optional<stats::ModelStats> file_stats;
   hmm::Plan7Hmm model = load_query_model(hmm_path, file_stats);
 
-  server::BlockingClient client(server::tcp_connect(host, port));
+  server::BlockingClient client(
+      server::tcp_connect(target->host, target->port));
   std::printf("# engine:   remote (finehmmd at %s)\n", hostport.c_str());
   const server::RemoteResult rr = client.search(
       db_index, model, file_stats ? &*file_stats : nullptr, evalue);

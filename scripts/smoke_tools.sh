@@ -4,7 +4,8 @@
 # hmmalign round trip through real files.
 set -euo pipefail
 
-BIN_DIR=${1:?usage: smoke_tools.sh <examples-bin-dir>}
+BIN_DIR=${1:?usage: smoke_tools.sh <examples-bin-dir> [tools-bin-dir]}
+TOOLS_DIR=${2:-$BIN_DIR/../tools}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -108,5 +109,31 @@ expect_rc 3 "$BIN_DIR/hmmalign_tool" "$WORK/model.hmm" \
   "$WORK/absent.fasta" "$WORK/out.afa"                      # missing input
 expect_rc 3 "$BIN_DIR/seqconvert_tool" "$WORK/absent.fasta" \
   "$WORK/out.fsqdb"                                         # missing input
+
+echo "== port arguments: strict parse, 2 before any bind or dial =="
+# A mistyped port must be a usage error, not a bind or dial on some other
+# port (70000 would wrap to 4464, 12abc would read as 12).  Each command
+# is otherwise complete, so only the port can fail it; the timeout turns
+# a daemon that wrongly started serving into a failure, not a hang.
+expect_rc_unbound() {
+  local rc=0
+  timeout 30 "$@" > "$WORK/port.out" 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || {
+    echo "FAIL: '$*' exited $rc, want 2"; cat "$WORK/port.out"; exit 1; }
+  ! grep -q "listening on\|metrics on" "$WORK/port.out" || {
+    echo "FAIL: '$*' bound a port"; cat "$WORK/port.out"; exit 1; }
+}
+mkdir -p "$WORK/shards"
+"$TOOLS_DIR/fsqdb_shard" --shards 1 --out "$WORK/shards" \
+  "$WORK/homologs.fsqdb" > /dev/null
+expect_rc_unbound "$TOOLS_DIR/finehmmd" --port 70000 "$WORK/homologs.fsqdb"
+expect_rc_unbound "$TOOLS_DIR/finehmmd" --port 12abc "$WORK/homologs.fsqdb"
+expect_rc_unbound "$TOOLS_DIR/finehmmd" --metrics-port 99999 \
+  "$WORK/homologs.fsqdb"
+expect_rc_unbound "$TOOLS_DIR/finehmm_clusterd" \
+  --manifest "$WORK/shards/shard.manifest.json" --shard 127.0.0.1:12abc
+expect_rc_unbound "$TOOLS_DIR/finehmm_client" --ping 127.0.0.1:12abc
+expect_rc_unbound "$BIN_DIR/hmmsearch_tool" --connect 127.0.0.1:12abc \
+  "$WORK/model.hmm"
 
 echo "ALL TOOL SMOKE TESTS PASSED"

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "obs/log.hpp"
 #include "obs/request_trace.hpp"
@@ -9,16 +11,9 @@
 
 namespace finehmm::cluster {
 
-using server::decode_ping;
-using server::decode_scan_request;
-using server::decode_search_request;
 using server::ErrorCode;
 using server::ErrorInfo;
-using server::Frame;
 using server::MsgType;
-using server::PingInfo;
-using server::ProtocolError;
-using server::RecvStatus;
 
 namespace {
 
@@ -29,266 +24,66 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-/// One latency surface as JSON, seconds — the same quantile math as
-/// /metrics so the two surfaces agree on p99 (pattern from server.cpp).
-void write_hist_json(std::ostream& os, const obs::Histogram& h) {
-  const obs::LatencyQuantiles q = obs::latency_quantiles(h);
-  os << "{\"count\": " << q.count
-     << ", \"sum_seconds\": " << static_cast<double>(q.sum) * 1e-9
-     << ", \"p50_seconds\": " << static_cast<double>(q.p50) * 1e-9
-     << ", \"p90_seconds\": " << static_cast<double>(q.p90) * 1e-9
-     << ", \"p99_seconds\": " << static_cast<double>(q.p99) * 1e-9
-     << ", \"p999_seconds\": " << static_cast<double>(q.p999) * 1e-9
-     << ", \"max_seconds\": " << static_cast<double>(h.max()) * 1e-9 << "}";
-}
-
-/// One latency surface as a Prometheus summary family; `labels` is the
-/// pre-rendered label set ("" or "shard=\"3\"").
-void write_hist_prometheus(std::ostream& os, const char* name,
-                           const std::string& labels,
-                           const obs::Histogram& h) {
-  const obs::LatencyQuantiles q = obs::latency_quantiles(h);
-  const std::string sep = labels.empty() ? "" : ",";
-  const std::pair<const char*, std::uint64_t> quantiles[] = {
-      {"0.5", q.p50}, {"0.9", q.p90}, {"0.99", q.p99}, {"0.999", q.p999}};
-  for (const auto& [quantile, value] : quantiles)
-    os << name << "{" << labels << sep << "quantile=\"" << quantile << "\"} "
-       << static_cast<double>(value) * 1e-9 << "\n";
-  os << name << "_sum" << (labels.empty() ? "" : "{" + labels + "}") << " "
-     << static_cast<double>(q.sum) * 1e-9 << "\n";
-  os << name << "_count" << (labels.empty() ? "" : "{" + labels + "}") << " "
-     << q.count << "\n";
+/// The one scatter -> reply mapping: a ClusterClient outcome as the type
+/// and payload of its reply frame.  SEARCH and SCAN differ only in the
+/// success type and encoder.
+template <typename Result, typename Encode>
+std::pair<MsgType, std::vector<std::uint8_t>> reply_frame(Result& res,
+                                                         MsgType ok_type,
+                                                         Encode encode) {
+  switch (res.status) {
+    case server::ClientStatus::kOk:
+      res.result.trace_id = obs::next_trace_id();
+      return {ok_type, encode(res.result)};
+    case server::ClientStatus::kOverloaded:
+      return {MsgType::kOverload, encode_overload(res.overload)};
+    case server::ClientStatus::kError:
+      return {MsgType::kError, encode_error(res.error)};
+    case server::ClientStatus::kDisconnected:
+      break;
+  }
+  return {MsgType::kError,
+          encode_error(ErrorInfo{ErrorCode::kInternal,
+                                 "no shard answered the scatter"})};
 }
 
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(ClusterConfig cfg, ConnectFn connect)
-    : client_(std::move(cfg), std::move(connect)) {}
+    : Frontend(server::PingInfo{server::kWireRevision,
+                                server::NodeRole::kCoordinator, 0}),
+      client_(std::move(cfg), std::move(connect)) {}
 
 ClusterCoordinator::~ClusterCoordinator() { begin_drain(); }
 
-void ClusterCoordinator::serve(server::Listener& listener) {
-  {
-    MutexLock lock(state_mu_);
-    FH_REQUIRE(listener_ == nullptr, "serve() is already running");
-    listener_ = &listener;
-    if (draining_) listener.close();  // drained before we even started
-  }
-
-  for (;;) {
-    std::unique_ptr<server::Connection> conn = listener.accept();
-    if (!conn) break;  // listener closed: drain has begun
-    auto session = std::make_shared<Session>();
-    session->conn = std::move(conn);
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.connections_accepted;
-    }
-    MutexLock lock(state_mu_);
-    sessions_.push_back(session);
-    conn_threads_.emplace_back(
-        [this, session] { handle_connection(session); });
-  }
-
-  // Unblock idle connections and join.  In-flight scatters finish on
-  // their own (shard legs carry deadlines); shutdown() only fails the
-  // next recv/send on this side.
-  std::vector<std::thread> threads;
-  {
-    MutexLock lock(state_mu_);
-    for (const std::weak_ptr<Session>& weak : sessions_)
-      if (std::shared_ptr<Session> s = weak.lock()) s->conn->shutdown();
-    threads.swap(conn_threads_);
-    sessions_.clear();
-  }
-  for (std::thread& t : threads) t.join();
-
-  MutexLock lock(state_mu_);
-  listener_ = nullptr;
-}
-
-void ClusterCoordinator::begin_drain() {
-  MutexLock lock(state_mu_);
-  if (!draining_)
-    obs::log(obs::LogLevel::kInfo, "cluster.drain_begin",
-             {{"shards", static_cast<std::uint64_t>(client_.shard_count())}});
-  draining_ = true;
-  if (listener_ != nullptr) listener_->close();
-}
-
-bool ClusterCoordinator::draining() const {
-  MutexLock lock(state_mu_);
-  return draining_;
-}
-
-double ClusterCoordinator::uptime_seconds() const {
-  return static_cast<double>(elapsed_ns(start_time_)) * 1e-9;
+void ClusterCoordinator::on_drain() {
+  obs::log(obs::LogLevel::kInfo, "cluster.drain_begin",
+           {{"shards", static_cast<std::uint64_t>(client_.shard_count())}});
 }
 
 CoordinatorStats ClusterCoordinator::stats() const {
   MutexLock lock(stats_mu_);
-  return stats_;
+  return counters_;
 }
 
-void ClusterCoordinator::send_error(Session& session,
-                                    std::uint32_t request_id, ErrorCode code,
-                                    const std::string& message) {
-  send_frame(*session.conn, MsgType::kError, request_id,
-             encode_error(ErrorInfo{code, message}));
-}
-
-void ClusterCoordinator::handle_connection(
-    const std::shared_ptr<Session>& session) {
-  Frame frame;
-  for (;;) {
-    const RecvStatus st = recv_frame(*session->conn, frame);
-    if (st == RecvStatus::kEof) break;
-    if (st == RecvStatus::kMalformed) {
-      MutexLock lock(stats_mu_);
-      ++stats_.frames_malformed;
-      break;
-    }
-    switch (frame.type()) {
-      case MsgType::kPing: {
-        PingInfo peer;
-        try {
-          peer = decode_ping(frame.payload);
-        } catch (const ProtocolError& e) {
-          send_error(*session, frame.header.request_id,
-                     ErrorCode::kBadRequest, e.what());
-          break;
-        }
-        if (peer.wire_revision != server::kWireRevision) {
-          send_error(*session, frame.header.request_id,
-                     ErrorCode::kVersionMismatch,
-                     "peer wire revision " +
-                         std::to_string(peer.wire_revision) +
-                         " incompatible with " +
-                         std::to_string(server::kWireRevision));
-          break;
-        }
-        PingInfo self;
-        self.role = server::NodeRole::kCoordinator;
-        send_frame(*session->conn, MsgType::kPong, frame.header.request_id,
-                   encode_ping(self));
-        break;
-      }
-      case MsgType::kStats: {
-        const std::string json = stats_json();
-        send_frame(*session->conn, MsgType::kStatsResult,
-                   frame.header.request_id,
-                   std::vector<std::uint8_t>(json.begin(), json.end()));
-        break;
-      }
-      case MsgType::kSearch:
-        handle_search(*session, frame);
-        break;
-      case MsgType::kScan:
-        handle_scan(*session, frame);
-        break;
-      default:
-        send_error(*session, frame.header.request_id, ErrorCode::kBadRequest,
-                   "unexpected message type " +
-                       std::to_string(frame.header.type));
-        break;
-    }
-  }
-  session->conn->shutdown();
-}
-
-void ClusterCoordinator::handle_search(Session& session, const Frame& frame) {
-  const std::uint32_t id = frame.header.request_id;
+void ClusterCoordinator::on_search(const std::shared_ptr<Session>& session,
+                                   std::uint32_t id,
+                                   server::SearchRequest req) {
   const auto started = std::chrono::steady_clock::now();
-
-  server::SearchRequest req;
-  try {
-    req = decode_search_request(frame.payload);
-  } catch (const ProtocolError& e) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(session, id, ErrorCode::kBadRequest, e.what());
-    return;
-  }
-
-  if (draining()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_rejected_draining;
-    }
-    send_error(session, id, ErrorCode::kShuttingDown,
-               "coordinator is draining; no new searches accepted");
-    return;
-  }
-
   ClusterSearchResult res = client_.search(req);
-  switch (res.status) {
-    case server::ClientStatus::kOk:
-      res.result.trace_id = obs::next_trace_id();
-      send_frame(*session.conn, MsgType::kResult, id,
-                 encode_search_result(res.result));
-      break;
-    case server::ClientStatus::kOverloaded:
-      send_frame(*session.conn, MsgType::kOverload, id,
-                 encode_overload(res.overload));
-      break;
-    case server::ClientStatus::kError:
-      send_error(session, id, res.error.code, res.error.message);
-      break;
-    case server::ClientStatus::kDisconnected:
-      send_error(session, id, ErrorCode::kInternal,
-                 "no shard answered the scatter");
-      break;
-  }
+  const auto [type, payload] =
+      reply_frame(res, MsgType::kResult, server::encode_search_result);
+  send_reply(*session, type, id, payload);
   e2e_hist_.record(elapsed_ns(started));
 }
 
-void ClusterCoordinator::handle_scan(Session& session, const Frame& frame) {
-  const std::uint32_t id = frame.header.request_id;
+void ClusterCoordinator::on_scan(const std::shared_ptr<Session>& session,
+                                 std::uint32_t id, server::ScanRequest req) {
   const auto started = std::chrono::steady_clock::now();
-
-  server::ScanRequest req;
-  try {
-    req = decode_scan_request(frame.payload);
-  } catch (const ProtocolError& e) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(session, id, ErrorCode::kBadRequest, e.what());
-    return;
-  }
-
-  if (draining()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_rejected_draining;
-    }
-    send_error(session, id, ErrorCode::kShuttingDown,
-               "coordinator is draining; no new scans accepted");
-    return;
-  }
-
   ClusterScanResult res = client_.scan(req);
-  switch (res.status) {
-    case server::ClientStatus::kOk:
-      res.result.trace_id = obs::next_trace_id();
-      send_frame(*session.conn, MsgType::kScanResult, id,
-                 encode_scan_result(res.result));
-      break;
-    case server::ClientStatus::kOverloaded:
-      send_frame(*session.conn, MsgType::kOverload, id,
-                 encode_overload(res.overload));
-      break;
-    case server::ClientStatus::kError:
-      send_error(session, id, res.error.code, res.error.message);
-      break;
-    case server::ClientStatus::kDisconnected:
-      send_error(session, id, ErrorCode::kInternal,
-                 "no shard answered the scatter");
-      break;
-  }
+  const auto [type, payload] =
+      reply_frame(res, MsgType::kScanResult, server::encode_scan_result);
+  send_reply(*session, type, id, payload);
   e2e_hist_.record(elapsed_ns(started));
 }
 
@@ -319,9 +114,9 @@ std::string ClusterCoordinator::stats_json() const {
   os << "  \"deadline_expired\": " << s.deadline_expired << ",\n";
   os << "  \"failures\": " << s.failures << ",\n";
   os << "  \"latency\": {\n    \"e2e\": ";
-  write_hist_json(os, e2e_hist_.snapshot());
+  obs::write_latency_json(os, e2e_hist_.snapshot());
   os << ",\n    \"straggler\": ";
-  write_hist_json(os, client_.straggler_histogram());
+  obs::write_latency_json(os, client_.straggler_histogram());
   os << "\n  },\n";
   os << "  \"shards\": [";
   for (std::size_t i = 0; i < s.shards.size(); ++i) {
@@ -335,7 +130,7 @@ std::string ClusterCoordinator::stats_json() const {
        << ", \"overloaded\": " << sc.overloaded
        << ", \"errors\": " << sc.errors << ", \"deaths\": " << sc.deaths
        << ", \"deadline\": " << sc.deadline << ", \"latency\": ";
-    write_hist_json(os, client_.shard_histogram(i));
+    obs::write_latency_json(os, client_.shard_histogram(i));
     os << "}";
   }
   os << (s.shards.empty() ? "" : "\n  ") << "]\n";
@@ -412,20 +207,20 @@ std::string ClusterCoordinator::metrics_text() const {
   os << "# HELP finehmm_cluster_request_latency_seconds End-to-end "
         "coordinator latency (decode to reply written).\n";
   os << "# TYPE finehmm_cluster_request_latency_seconds summary\n";
-  write_hist_prometheus(os, "finehmm_cluster_request_latency_seconds", "",
-                        e2e_hist_.snapshot());
+  obs::write_latency_prometheus(os, "finehmm_cluster_request_latency_seconds",
+                                e2e_hist_.snapshot());
   os << "# HELP finehmm_cluster_shard_latency_seconds Per-shard scatter "
         "leg roundtrip.\n";
   os << "# TYPE finehmm_cluster_shard_latency_seconds summary\n";
   for (std::size_t i = 0; i < s.shards.size(); ++i)
-    write_hist_prometheus(os, "finehmm_cluster_shard_latency_seconds",
-                          "shard=\"" + std::to_string(i) + "\"",
-                          client_.shard_histogram(i));
+    obs::write_latency_prometheus(os, "finehmm_cluster_shard_latency_seconds",
+                                  client_.shard_histogram(i),
+                                  "shard=\"" + std::to_string(i) + "\"");
   os << "# HELP finehmm_cluster_straggler_seconds Max minus min shard "
         "time per fully-answered request.\n";
   os << "# TYPE finehmm_cluster_straggler_seconds summary\n";
-  write_hist_prometheus(os, "finehmm_cluster_straggler_seconds", "",
-                        client_.straggler_histogram());
+  obs::write_latency_prometheus(os, "finehmm_cluster_straggler_seconds",
+                                client_.straggler_histogram());
   return os.str();
 }
 
@@ -456,28 +251,6 @@ std::string ClusterCoordinator::statusz_text() const {
        << " p99=" << static_cast<double>(q.p99) * 1e-9 << "s\n";
   }
   return os.str();
-}
-
-server::HttpResponse ClusterCoordinator::handle_http(
-    const std::string& path) const {
-  server::HttpResponse res;
-  if (path == "/metrics") {
-    res.body = metrics_text();
-    res.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  } else if (path == "/healthz") {
-    if (draining()) {
-      res.status = 503;
-      res.body = "draining\n";
-    } else {
-      res.body = "ok\n";
-    }
-  } else if (path == "/statusz") {
-    res.body = statusz_text();
-  } else {
-    res.status = 404;
-    res.body = "not found\n";
-  }
-  return res;
 }
 
 }  // namespace finehmm::cluster

@@ -9,108 +9,59 @@
 // single-daemon server stats.  Because the merge is bit-identical to an
 // unsharded scan, a client cannot tell the difference from the results.
 //
-// Threading mirrors SearchServer's connection tier: serve() runs the
-// accept loop, one thread per connection handles its frames.  There is
-// no admission queue and no coalescer here — a request's whole life is
-// the scatter-gather inside its connection thread, and the shard daemons
-// do the coalescing where the DP work actually runs.  Replies therefore
-// come only from the connection's own thread, so sessions need no write
-// lock; drain just closes the listener and shuts the sockets down.
+// The connection tier is the shared daemon frontend (server::Frontend).
+// There is no admission queue and no coalescer here — a request's whole
+// life is the scatter-gather inside its connection thread, and the shard
+// daemons do the coalescing where the DP work actually runs.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cluster/cluster_client.hpp"
 #include "obs/histogram.hpp"
-#include "server/http.hpp"
-#include "server/transport.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
+#include "server/frontend.hpp"
 
 namespace finehmm::cluster {
 
-/// Coordinator-side accounting, on top of ClusterClient's ClusterStats.
-struct CoordinatorStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t requests_bad = 0;                // payload failed to decode
-  std::uint64_t requests_rejected_draining = 0;  // arrived after drain began
-  std::uint64_t frames_malformed = 0;
-};
+/// Coordinator-side accounting, on top of ClusterClient's ClusterStats:
+/// exactly the counters the shared frontend keeps.
+using CoordinatorStats = server::FrontendCounters;
 
-class ClusterCoordinator {
+class ClusterCoordinator final : public server::Frontend {
  public:
   ClusterCoordinator(ClusterConfig cfg, ConnectFn connect);
-  ~ClusterCoordinator();
-
-  ClusterCoordinator(const ClusterCoordinator&) = delete;
-  ClusterCoordinator& operator=(const ClusterCoordinator&) = delete;
+  ~ClusterCoordinator() override;
 
   /// The scatter-gather engine (exposed for startup probes and tests).
   ClusterClient& client() { return client_; }
 
-  /// Run the accept loop on the calling thread; returns after
-  /// begin_drain() once every connection thread joined.
-  void serve(server::Listener& listener);
-
-  /// Graceful shutdown: stop accepting, answer new requests with
-  /// kShuttingDown, unblock idle connections.  In-flight scatters finish
-  /// (their shard legs already carry deadlines).  Idempotent; safe from
-  /// any thread.
-  void begin_drain() FINEHMM_EXCLUDES(state_mu_);
-  bool draining() const FINEHMM_EXCLUDES(state_mu_);
+  // serve / begin_drain / draining / uptime_seconds / handle_http:
+  // server::Frontend.  In-flight scatters finish on drain (their shard
+  // legs already carry deadlines).
 
   // --- Observability --------------------------------------------------
   CoordinatorStats stats() const FINEHMM_EXCLUDES(stats_mu_);
   /// The STATS verb's payload: "finehmm.cluster_stats.v1" — coordinator
   /// counters, ClusterClient counters, per-shard latency quantiles and
   /// the straggler (max − min shard time) histogram.
-  std::string stats_json() const FINEHMM_EXCLUDES(stats_mu_);
+  std::string stats_json() const override FINEHMM_EXCLUDES(stats_mu_);
 
-  /// End-to-end coordinator latency (decode -> reply written), ns.
+  /// End-to-end coordinator latency (decoded request -> reply written),
+  /// ns.
   obs::Histogram latency_histogram() const { return e2e_hist_.snapshot(); }
 
-  double uptime_seconds() const;
-
-  /// /metrics (Prometheus), /healthz (drain-aware), /statusz — same
-  /// routes as finehmmd, served by the shared HttpEndpoint.
-  server::HttpResponse handle_http(const std::string& path) const;
-  std::string metrics_text() const;
-  std::string statusz_text() const;
+  /// /metrics and /statusz bodies (routed by Frontend::handle_http).
+  std::string metrics_text() const override;
+  std::string statusz_text() const override;
 
  private:
-  /// One client connection.  Only its own thread ever writes to conn
-  /// (all request handling is synchronous), so no write lock exists;
-  /// drain calls conn->shutdown(), which is safe from any thread.
-  struct Session {
-    std::unique_ptr<server::Connection> conn;
-  };
-
-  void handle_connection(const std::shared_ptr<Session>& session)
-      FINEHMM_EXCLUDES(stats_mu_);
-  void handle_search(Session& session, const server::Frame& frame)
-      FINEHMM_EXCLUDES(state_mu_, stats_mu_);
-  void handle_scan(Session& session, const server::Frame& frame)
-      FINEHMM_EXCLUDES(state_mu_, stats_mu_);
-  void send_error(Session& session, std::uint32_t request_id,
-                  server::ErrorCode code, const std::string& message);
+  void on_search(const std::shared_ptr<Session>& session,
+                 std::uint32_t request_id, server::SearchRequest req) override;
+  void on_scan(const std::shared_ptr<Session>& session,
+               std::uint32_t request_id, server::ScanRequest req) override;
+  void on_drain() override FINEHMM_REQUIRES(state_mu_);
 
   ClusterClient client_;
-
-  /// Lifecycle lock (registry order 1, docs/static_analysis.md).
-  mutable Mutex state_mu_;
-  bool draining_ FINEHMM_GUARDED_BY(state_mu_) = false;
-  server::Listener* listener_ FINEHMM_GUARDED_BY(state_mu_) = nullptr;
-  std::vector<std::weak_ptr<Session>> sessions_ FINEHMM_GUARDED_BY(state_mu_);
-  std::vector<std::thread> conn_threads_ FINEHMM_GUARDED_BY(state_mu_);
-
-  mutable Mutex stats_mu_;
-  CoordinatorStats stats_ FINEHMM_GUARDED_BY(stats_mu_);
-
-  const std::chrono::steady_clock::time_point start_time_ =
-      std::chrono::steady_clock::now();
   obs::ConcurrentHistogram e2e_hist_;
 };
 

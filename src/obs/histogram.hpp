@@ -34,6 +34,8 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <iosfwd>
+#include <string>
 
 namespace finehmm::obs {
 
@@ -155,5 +157,18 @@ struct LatencyQuantiles {
 };
 
 LatencyQuantiles latency_quantiles(const Histogram& h);
+
+/// One latency surface as a JSON object in seconds: count, sum, the
+/// quantile set and max.  The STATS payloads and /metrics both go
+/// through latency_quantiles with the same formatting, so they agree on
+/// p99.
+void write_latency_json(std::ostream& os, const Histogram& h);
+
+/// One latency surface as the samples of a Prometheus summary family,
+/// in seconds; the caller writes the family's `# HELP` / `# TYPE` once.
+/// `labels` is a pre-rendered label set ("" or "shard=\"3\"").
+void write_latency_prometheus(std::ostream& os, const char* name,
+                              const Histogram& h,
+                              const std::string& labels = "");
 
 }  // namespace finehmm::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "obs/log.hpp"
@@ -43,9 +44,11 @@ std::shared_ptr<pipeline::HmmSearch> search_from_blob(
 }  // namespace
 
 SearchServer::SearchServer(ServerConfig cfg)
-    : cfg_(cfg),
+    : Frontend(PingInfo{kWireRevision, cfg.role, cfg.shard_id}),
+      cfg_(cfg),
       pool_(cfg.scan_threads),
-      recorder_(obs::RecorderConfig{/*tracing=*/cfg.tracing,
+      // Stage clocks and telemetry only: nothing reads a span log here.
+      recorder_(obs::RecorderConfig{/*tracing=*/false,
                                     /*max_events_per_thread=*/1 << 15,
                                     /*enabled=*/true}),
       queue_(cfg.admission_capacity == 0 ? 1 : cfg.admission_capacity),
@@ -53,12 +56,14 @@ SearchServer::SearchServer(ServerConfig cfg)
   paused_ = cfg.start_paused;
   telemetry_.engine = "server";
   telemetry_.threads = pool_.workers();
+  scheduler_ = std::thread([this] { scheduler_loop(); });
 }
 
 SearchServer::~SearchServer() {
-  // serve() joins everything before returning; nothing to reap here
-  // unless it was never called.
-  queue_.close();
+  // serve() joins the scheduler before returning; this reaps it when
+  // serve() never ran (a paused scheduler must wake to see the close).
+  set_paused(false);
+  on_listener_closed();
 }
 
 std::uint32_t SearchServer::add_database(const std::string& fsqdb_path) {
@@ -106,67 +111,16 @@ std::size_t SearchServer::add_model_library(const std::string& fhpdb_path) {
   return n;
 }
 
-void SearchServer::serve(Listener& listener) {
-  {
-    MutexLock lock(state_mu_);
-    FH_REQUIRE(listener_ == nullptr, "serve() is already running");
-    listener_ = &listener;
-    if (draining_) listener.close();  // drained before we even started
-  }
-
-  std::thread scheduler([this] { scheduler_loop(); });
-
-  for (;;) {
-    std::unique_ptr<Connection> conn = listener.accept();
-    if (!conn) break;  // listener closed: drain has begun
-    auto session = std::make_shared<Session>();
-    session->conn = std::move(conn);
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.connections_accepted;
-    }
-    MutexLock lock(state_mu_);
-    sessions_.push_back(session);
-    conn_threads_.emplace_back(
-        [this, session] { handle_connection(session); });
-  }
-
-  // No new clients.  Close the admission queue: items already accepted
-  // keep flowing to the scheduler, which exits once the ring is empty —
-  // that IS "finish in-flight".
-  queue_.close();
-  scheduler.join();
-
-  // Unblock every connection reader (clients may be idle, not sending)
-  // and join the per-connection threads.
-  std::vector<std::thread> threads;
-  {
-    MutexLock lock(state_mu_);
-    for (const std::weak_ptr<Session>& weak : sessions_)
-      if (std::shared_ptr<Session> s = weak.lock()) s->conn->shutdown();
-    threads.swap(conn_threads_);
-    sessions_.clear();
-  }
-  for (std::thread& t : threads) t.join();
-
-  MutexLock lock(state_mu_);
-  listener_ = nullptr;
-}
-
-void SearchServer::begin_drain() {
-  MutexLock lock(state_mu_);
-  if (!draining_)
-    obs::log(obs::LogLevel::kInfo, "server.drain_begin",
-             {{"queue_depth", static_cast<std::uint64_t>(queue_.size())}});
-  draining_ = true;
+void SearchServer::on_drain() {
+  obs::log(obs::LogLevel::kInfo, "server.drain_begin",
+           {{"queue_depth", static_cast<std::uint64_t>(queue_.size())}});
   paused_ = false;  // a paused scheduler must wake to drain
   pause_cv_.notify_all();
-  if (listener_ != nullptr) listener_->close();
 }
 
-bool SearchServer::draining() const {
-  MutexLock lock(state_mu_);
-  return draining_;
+void SearchServer::on_listener_closed() {
+  queue_.close();
+  if (scheduler_.joinable()) scheduler_.join();
 }
 
 void SearchServer::set_paused(bool paused) {
@@ -176,170 +130,84 @@ void SearchServer::set_paused(bool paused) {
   pause_cv_.notify_all();
 }
 
-// --- Connection tier ---------------------------------------------------
+// --- Admission ---------------------------------------------------------
 
-bool SearchServer::send_reply(Session& session, MsgType type,
-                              std::uint32_t request_id,
-                              const std::vector<std::uint8_t>& payload) {
-  MutexLock lock(session.write_mu);
-  return send_frame(*session.conn, type, request_id, payload);
+void SearchServer::on_search(const std::shared_ptr<Session>& session,
+                             std::uint32_t id, SearchRequest req) {
+  admit(session, id, req.db_id, req.deadline_ms,
+        [&](Pending& p) -> std::optional<ErrorInfo> {
+          pipeline::Thresholds thr;
+          thr.report_evalue = req.evalue;
+          thr.z_override = req.z_override;
+          if (req.model_kind != ModelRefKind::kPressed) {
+            p.search = search_from_blob(req.model_blob, thr);
+            return std::nullopt;
+          }
+          auto it = models_.find(req.model_name);
+          if (it == models_.end())
+            return ErrorInfo{ErrorCode::kUnknownModel,
+                             "no pressed model named '" + req.model_name +
+                                 "'"};
+          // add_model_library guaranteed stats are present.
+          p.search = std::make_shared<pipeline::HmmSearch>(
+              it->second.model, *it->second.model_stats, thr);
+          return std::nullopt;
+        });
 }
 
-void SearchServer::send_error(Session& session, std::uint32_t request_id,
-                              ErrorCode code, const std::string& message) {
-  send_reply(session, MsgType::kError, request_id,
-             encode_error(ErrorInfo{code, message}));
+void SearchServer::on_scan(const std::shared_ptr<Session>& session,
+                           std::uint32_t id, ScanRequest req) {
+  admit(session, id, req.db_id, req.deadline_ms,
+        [&](Pending& p) -> std::optional<ErrorInfo> {
+          if (scan_searches_.empty())
+            return ErrorInfo{
+                ErrorCode::kUnknownModel,
+                "no model libraries loaded; SCAN has nothing to score"};
+          p.is_scan = true;
+          p.scan_evalue = req.evalue;
+          p.scan_z_override = req.z_override;
+          return std::nullopt;
+        });
 }
 
-void SearchServer::handle_connection(const std::shared_ptr<Session>& session) {
-  Frame frame;
-  for (;;) {
-    const RecvStatus st = recv_frame(*session->conn, frame);
-    if (st == RecvStatus::kEof) break;
-    if (st == RecvStatus::kMalformed) {
-      // Unframeable bytes: this connection cannot be re-synchronized, so
-      // it closes — the server itself keeps running (tested).
-      MutexLock lock(stats_mu_);
-      ++stats_.frames_malformed;
-      break;
-    }
-    switch (frame.type()) {
-      case MsgType::kPing: {
-        // Revision handshake (docs/cluster.md): the PING payload carries
-        // the peer's wire revision; an incompatible peer would misparse
-        // the optional cluster fields, so reject it here with a
-        // structured error instead of failing on a later frame.
-        PingInfo peer;
-        try {
-          peer = decode_ping(frame.payload);
-        } catch (const ProtocolError& e) {
-          send_error(*session, frame.header.request_id, ErrorCode::kBadRequest,
-                     e.what());
-          break;
-        }
-        if (peer.wire_revision != kWireRevision) {
-          send_error(*session, frame.header.request_id,
-                     ErrorCode::kVersionMismatch,
-                     "peer wire revision " +
-                         std::to_string(peer.wire_revision) +
-                         " incompatible with " +
-                         std::to_string(kWireRevision));
-          break;
-        }
-        PingInfo self;
-        self.role = cfg_.role;
-        self.shard_id = cfg_.shard_id;
-        send_reply(*session, MsgType::kPong, frame.header.request_id,
-                   encode_ping(self));
-        break;
-      }
-      case MsgType::kStats: {
-        const std::string json = stats_json();
-        send_reply(*session, MsgType::kStatsResult, frame.header.request_id,
-                   std::vector<std::uint8_t>(json.begin(), json.end()));
-        break;
-      }
-      case MsgType::kSearch:
-        handle_search(session, frame);
-        break;
-      case MsgType::kScan:
-        handle_scan(session, frame);
-        break;
-      default:
-        send_error(*session, frame.header.request_id, ErrorCode::kBadRequest,
-                   "unexpected message type " +
-                       std::to_string(frame.header.type));
-        break;
-    }
-  }
-  session->conn->shutdown();
-}
-
-void SearchServer::handle_search(const std::shared_ptr<Session>& session,
-                                 const Frame& frame) {
-  const std::uint32_t id = frame.header.request_id;
-
-  SearchRequest req;
-  try {
-    req = decode_search_request(frame.payload);
-  } catch (const ProtocolError& e) {
-    // The framing layer consumed the whole payload, so the connection is
-    // still in sync — answer with an error and keep serving it.
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kBadRequest, e.what());
+void SearchServer::admit(
+    const std::shared_ptr<Session>& session, std::uint32_t id,
+    std::uint32_t db_id, std::uint32_t deadline_ms,
+    const std::function<std::optional<ErrorInfo>(Pending&)>& resolve) {
+  auto reject = [&](ErrorCode code, const std::string& message) {
+    count(&FrontendCounters::requests_bad);
+    send_error(*session, id, code, message);
+  };
+  if (db_id >= dbs_.size()) {
+    reject(ErrorCode::kUnknownDatabase,
+           "no resident database with id " + std::to_string(db_id));
     return;
   }
-
-  if (draining()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_rejected_draining;
-    }
-    send_error(*session, id, ErrorCode::kShuttingDown,
-               "daemon is draining; no new searches accepted");
-    return;
-  }
-
-  if (req.db_id >= dbs_.size()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kUnknownDatabase,
-               "no resident database with id " + std::to_string(req.db_id));
-    return;
-  }
-
-  pipeline::Thresholds thr;
-  thr.report_evalue = req.evalue;
-  thr.z_override = req.z_override;
 
   auto pending = std::make_shared<Pending>();
   pending->request_id = id;
-  pending->db_id = req.db_id;
+  pending->db_id = db_id;
   pending->session = session;
-  if (req.deadline_ms > 0) {
-    pending->has_deadline = true;
-    pending->deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(req.deadline_ms);
-  }
-
   try {
-    if (req.model_kind == ModelRefKind::kPressed) {
-      auto it = models_.find(req.model_name);
-      if (it == models_.end()) {
-        {
-          MutexLock lock(stats_mu_);
-          ++stats_.requests_bad;
-        }
-        send_error(*session, id, ErrorCode::kUnknownModel,
-                   "no pressed model named '" + req.model_name + "'");
-        return;
-      }
-      // add_model_library guaranteed stats are present.
-      pending->search = std::make_shared<pipeline::HmmSearch>(
-          it->second.model, *it->second.model_stats, thr);
-    } else {
-      pending->search = search_from_blob(req.model_blob, thr);
+    if (const std::optional<ErrorInfo> err = resolve(*pending)) {
+      reject(err->code, err->message);
+      return;
     }
   } catch (const Error& e) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kBadRequest,
-               std::string("model rejected: ") + e.what());
+    reject(ErrorCode::kBadRequest, std::string("model rejected: ") + e.what());
     return;
+  }
+  if (deadline_ms > 0) {
+    pending->has_deadline = true;
+    pending->deadline =
+        SteadyClock::now() + std::chrono::milliseconds(deadline_ms);
   }
 
   pending->trace_id = obs::next_trace_id();
   pending->admitted_at = SteadyClock::now();
   if (!queue_.try_push(pending)) {
-    // Admission bound hit (or drain closed the queue between the check
-    // above and here): shed explicitly, never block the client.
+    // Admission bound hit (or drain closed the queue after the frontend's
+    // drain check): shed explicitly, never block the client.
     {
       MutexLock lock(stats_mu_);
       ++stats_.requests_overloaded;
@@ -349,7 +217,7 @@ void SearchServer::handle_search(const std::shared_ptr<Session>& session,
     std::uint64_t suppressed = 0;
     if (overload_limit.allow(&suppressed))
       obs::log(obs::LogLevel::kWarn, "server.overload",
-               {{"verb", "SEARCH"},
+               {{"verb", pending->is_scan ? "SCAN" : "SEARCH"},
                 {"queue_capacity", static_cast<std::uint64_t>(
                                        queue_.capacity())},
                 {"suppressed", suppressed}});
@@ -360,90 +228,7 @@ void SearchServer::handle_search(const std::shared_ptr<Session>& session,
   }
   MutexLock lock(stats_mu_);
   ++stats_.requests_admitted;
-}
-
-void SearchServer::handle_scan(const std::shared_ptr<Session>& session,
-                               const Frame& frame) {
-  const std::uint32_t id = frame.header.request_id;
-
-  ScanRequest req;
-  try {
-    req = decode_scan_request(frame.payload);
-  } catch (const ProtocolError& e) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kBadRequest, e.what());
-    return;
-  }
-
-  if (draining()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_rejected_draining;
-    }
-    send_error(*session, id, ErrorCode::kShuttingDown,
-               "daemon is draining; no new scans accepted");
-    return;
-  }
-
-  if (req.db_id >= dbs_.size()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kUnknownDatabase,
-               "no resident database with id " + std::to_string(req.db_id));
-    return;
-  }
-
-  if (scan_searches_.empty()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kUnknownModel,
-               "no model libraries loaded; SCAN has nothing to score");
-    return;
-  }
-
-  auto pending = std::make_shared<Pending>();
-  pending->request_id = id;
-  pending->db_id = req.db_id;
-  pending->is_scan = true;
-  pending->scan_evalue = req.evalue;
-  pending->scan_z_override = req.z_override;
-  pending->session = session;
-  if (req.deadline_ms > 0) {
-    pending->has_deadline = true;
-    pending->deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(req.deadline_ms);
-  }
-
-  pending->trace_id = obs::next_trace_id();
-  pending->admitted_at = SteadyClock::now();
-  if (!queue_.try_push(pending)) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_overloaded;
-    }
-    static obs::LogRateLimit overload_limit(1);
-    std::uint64_t suppressed = 0;
-    if (overload_limit.allow(&suppressed))
-      obs::log(obs::LogLevel::kWarn, "server.overload",
-               {{"verb", "SCAN"},
-                {"queue_capacity", static_cast<std::uint64_t>(
-                                       queue_.capacity())},
-                {"suppressed", suppressed}});
-    send_reply(*session, MsgType::kOverload, id,
-               encode_overload(OverloadInfo{
-                   static_cast<std::uint32_t>(queue_.capacity())}));
-    return;
-  }
-  MutexLock lock(stats_mu_);
-  ++stats_.requests_admitted;
-  ++stats_.scan_requests;
+  if (pending->is_scan) ++stats_.scan_requests;
 }
 
 // --- Scheduler tier ----------------------------------------------------
@@ -693,7 +478,9 @@ void SearchServer::merge_batch_telemetry(const obs::ScanTelemetry& t) {
 
 ServerStats SearchServer::stats() const {
   MutexLock lock(stats_mu_);
-  return stats_;
+  ServerStats s = stats_;
+  static_cast<FrontendCounters&>(s) = counters_;
+  return s;
 }
 
 obs::ScanTelemetry SearchServer::telemetry() const {
@@ -711,7 +498,7 @@ void SearchServer::finish_request_trace(
   t.trace_id = p.trace_id;
   t.request_id = p.request_id;
   t.verb = verb;
-  t.start_ns = ns_between(start_time_, p.admitted_at);
+  t.start_ns = ns_between(start_time(), p.admitted_at);
   t.queue_seconds = seconds_between(p.admitted_at, p.popped_at);
   t.coalesce_seconds = seconds_between(p.popped_at, sweep_start);
   t.sweep_seconds = seconds_between(sweep_start, sweep_end);
@@ -766,55 +553,9 @@ void SearchServer::finish_request_trace(
   }
 }
 
-double SearchServer::uptime_seconds() const {
-  return seconds_between(start_time_, SteadyClock::now());
-}
-
-namespace {
-
-/// One latency surface as JSON, seconds.  The SAME quantile math
-/// (obs::latency_quantiles over one snapshot) and the same double
-/// formatting feed /metrics, so the two surfaces agree on p99.
-void write_hist_json(std::ostream& os, const obs::Histogram& h, int indent) {
-  const obs::LatencyQuantiles q = obs::latency_quantiles(h);
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  os << pad << "{\"count\": " << q.count
-     << ", \"sum_seconds\": " << static_cast<double>(q.sum) * 1e-9
-     << ", \"p50_seconds\": " << static_cast<double>(q.p50) * 1e-9
-     << ", \"p90_seconds\": " << static_cast<double>(q.p90) * 1e-9
-     << ", \"p99_seconds\": " << static_cast<double>(q.p99) * 1e-9
-     << ", \"p999_seconds\": " << static_cast<double>(q.p999) * 1e-9
-     << ", \"max_seconds\": " << static_cast<double>(h.max()) * 1e-9 << "}";
-}
-
-/// One latency surface as a Prometheus summary family.
-void write_hist_prometheus(std::ostream& os, const char* name,
-                           const char* help, const obs::Histogram& h) {
-  const obs::LatencyQuantiles q = obs::latency_quantiles(h);
-  os << "# HELP " << name << " " << help << "\n";
-  os << "# TYPE " << name << " summary\n";
-  os << name << "{quantile=\"0.5\"} " << static_cast<double>(q.p50) * 1e-9
-     << "\n";
-  os << name << "{quantile=\"0.9\"} " << static_cast<double>(q.p90) * 1e-9
-     << "\n";
-  os << name << "{quantile=\"0.99\"} " << static_cast<double>(q.p99) * 1e-9
-     << "\n";
-  os << name << "{quantile=\"0.999\"} " << static_cast<double>(q.p999) * 1e-9
-     << "\n";
-  os << name << "_sum " << static_cast<double>(q.sum) * 1e-9 << "\n";
-  os << name << "_count " << q.count << "\n";
-}
-
-}  // namespace
-
 std::string SearchServer::stats_json() const {
-  ServerStats s;
-  obs::ScanTelemetry t;
-  {
-    MutexLock lock(stats_mu_);
-    s = stats_;
-    t = telemetry_;
-  }
+  const ServerStats s = stats();
+  const obs::ScanTelemetry t = telemetry();
   const obs::Histogram e2e = e2e_hist_.snapshot();
   const obs::Histogram queue_wait = queue_hist_.snapshot();
   const obs::Histogram sweep = sweep_hist_.snapshot();
@@ -848,11 +589,11 @@ std::string SearchServer::stats_json() const {
   os << "  \"scan_lane_occupancy\": " << s.scan_lane_occupancy << ",\n";
   os << "  \"latency\": {\n";
   os << "    \"e2e\": ";
-  write_hist_json(os, e2e, 0);
+  obs::write_latency_json(os, e2e);
   os << ",\n    \"queue_wait\": ";
-  write_hist_json(os, queue_wait, 0);
+  obs::write_latency_json(os, queue_wait);
   os << ",\n    \"sweep\": ";
-  write_hist_json(os, sweep, 0);
+  obs::write_latency_json(os, sweep);
   os << "\n  },\n";
   os << "  \"recent_traces\": [";
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -867,13 +608,8 @@ std::string SearchServer::stats_json() const {
 }
 
 std::string SearchServer::metrics_text() const {
-  ServerStats s;
-  obs::ScanTelemetry t;
-  {
-    MutexLock lock(stats_mu_);
-    s = stats_;
-    t = telemetry_;
-  }
+  const ServerStats s = stats();
+  const obs::ScanTelemetry t = telemetry();
 
   std::ostringstream os;
   os << "# HELP finehmm_up Whether finehmmd is serving (drain flips to 0).\n";
@@ -931,28 +667,29 @@ std::string SearchServer::metrics_text() const {
   os << "# TYPE finehmm_scan_lane_occupancy gauge\n";
   os << "finehmm_scan_lane_occupancy " << s.scan_lane_occupancy << "\n";
 
-  write_hist_prometheus(os, "finehmm_request_latency_seconds",
-                        "End-to-end request latency (admission to reply "
-                        "written).",
-                        e2e_hist_.snapshot());
-  write_hist_prometheus(os, "finehmm_queue_wait_seconds",
-                        "Time requests spent in the admission queue.",
-                        queue_hist_.snapshot());
-  write_hist_prometheus(os, "finehmm_sweep_seconds",
-                        "Wall time of the database sweep each request rode "
-                        "in.",
-                        sweep_hist_.snapshot());
+  const std::tuple<const char*, const char*, const obs::ConcurrentHistogram*>
+      latencies[] = {
+          {"finehmm_request_latency_seconds",
+           "End-to-end request latency (admission to reply written).",
+           &e2e_hist_},
+          {"finehmm_queue_wait_seconds",
+           "Time requests spent in the admission queue.", &queue_hist_},
+          {"finehmm_sweep_seconds",
+           "Wall time of the database sweep each request rode in.",
+           &sweep_hist_},
+      };
+  for (const auto& [name, help, hist] : latencies) {
+    os << "# HELP " << name << " " << help << "\n";
+    os << "# TYPE " << name << " summary\n";
+    obs::write_latency_prometheus(os, name, hist->snapshot());
+  }
 
   t.write_prometheus(os);
   return os.str();
 }
 
 std::string SearchServer::statusz_text() const {
-  ServerStats s;
-  {
-    MutexLock lock(stats_mu_);
-    s = stats_;
-  }
+  const ServerStats s = stats();
   std::uint64_t db_seqs = 0, db_residues = 0;
   for (const Db& db : dbs_) {
     db_seqs += db.sequences;
@@ -1009,29 +746,6 @@ std::string SearchServer::statusz_text() const {
        << ", batch " << tr.batch_size << ")\n";
   }
   return os.str();
-}
-
-HttpResponse SearchServer::handle_http(const std::string& path) const {
-  HttpResponse r;
-  if (path == "/metrics") {
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = metrics_text();
-  } else if (path == "/healthz") {
-    // Drain-aware: flip unhealthy the moment drain begins, so a load
-    // balancer stops routing before the listener actually closes.
-    if (draining()) {
-      r.status = 503;
-      r.body = "draining\n";
-    } else {
-      r.body = "ok\n";
-    }
-  } else if (path == "/statusz") {
-    r.body = statusz_text();
-  } else {
-    r.status = 404;
-    r.body = "not found; routes: /metrics /healthz /statusz\n";
-  }
-  return r;
 }
 
 }  // namespace finehmm::server

@@ -11,14 +11,14 @@
 // (docs/server.md).
 //
 // Threading model (three tiers):
-//   * accept loop     — serve()'s calling thread; exits when the
-//                       listener closes (begin_drain).
-//   * connection threads — one per client: parse frames, construct the
-//                       per-request HmmSearch (profile build +
-//                       calibration happen off the scan path), answer
-//                       PING/STATS inline, and push searches onto the
-//                       admission queue.  try_push failure = immediate
-//                       OVERLOAD reply: the daemon sheds, never stalls.
+//   * accept loop and connection threads — the shared daemon frontend
+//                       (server::Frontend): sessions, PING/STATS, drain,
+//                       payload decoding.  on_search/on_scan construct
+//                       the per-request HmmSearch (profile build +
+//                       calibration happen off the scan path) and push
+//                       it onto the admission queue.  try_push failure =
+//                       immediate OVERLOAD reply: the daemon sheds,
+//                       never stalls.
 //   * scheduler thread — pops the admission queue, gathers up to
 //                       max_batch requests inside coalesce_window_ms,
 //                       groups them by database, drops expired
@@ -26,7 +26,7 @@
 //                       ThreadPool, and writes each client its result.
 //
 // Drain (SIGTERM): begin_drain() stops the accept loop and flags new
-// SEARCH frames for rejection (kShuttingDown); everything already
+// SEARCH/SCAN frames for rejection (kShuttingDown); everything already
 // admitted still completes because the closed queue keeps delivering
 // accepted items.  serve() returns once the scheduler has drained and
 // every connection thread has joined — telemetry is complete at that
@@ -35,6 +35,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -50,8 +51,7 @@
 #include "obs/telemetry.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/workload.hpp"
-#include "server/http.hpp"
-#include "server/transport.hpp"
+#include "server/frontend.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -74,9 +74,6 @@ struct ServerConfig {
   /// Test hook: start with the scheduler paused (set_paused(false) to
   /// release), so tests can deterministically fill the admission queue.
   bool start_paused = false;
-  /// Collect span traces in the server recorder (stage clocks and the
-  /// telemetry snapshot are collected regardless).
-  bool tracing = false;
   /// Completed requests kept in the trace ring (STATS v2
   /// `recent_traces`, /statusz).  Request-scoped tracing itself is
   /// always on — ids, stage attribution, and histograms cost one clock
@@ -93,21 +90,18 @@ struct ServerConfig {
   std::uint32_t shard_id = 0;  // meaningful when role == kShard
 };
 
-/// Monotonic request/connection accounting ("finehmm.server_stats.v2").
-struct ServerStats {
-  std::uint64_t connections_accepted = 0;
+/// Monotonic request/connection accounting ("finehmm.server_stats.v2"),
+/// on top of the frontend's shared counters.
+struct ServerStats : FrontendCounters {
   std::uint64_t requests_admitted = 0;
   std::uint64_t requests_completed = 0;
   std::uint64_t requests_overloaded = 0;         // shed at admission
-  std::uint64_t requests_rejected_draining = 0;  // arrived after drain began
   std::uint64_t requests_deadline_expired = 0;   // queued past their deadline
-  std::uint64_t requests_bad = 0;      // undecodable / unknown db or model
   std::uint64_t requests_failed = 0;   // scan raised server-side
   std::uint64_t batches = 0;           // scheduler gathers
   std::uint64_t db_sweeps = 0;         // coalesced database passes
   std::uint64_t max_batch_size = 0;    // largest single coalesced group
   std::uint64_t responses_dropped = 0; // client gone before its reply
-  std::uint64_t frames_malformed = 0;  // connections torn down on bad bytes
   // SCAN verb (fused many-model sweeps over the resident libraries):
   std::uint64_t scan_requests = 0;       // admitted SCAN requests
   std::uint64_t scan_sweeps = 0;         // fused library sweeps run
@@ -116,13 +110,10 @@ struct ServerStats {
   double scan_lane_occupancy = 0.0;      // cell-weighted mean, 0..1
 };
 
-class SearchServer {
+class SearchServer final : public Frontend {
  public:
   explicit SearchServer(ServerConfig cfg = {});
-  ~SearchServer();
-
-  SearchServer(const SearchServer&) = delete;
-  SearchServer& operator=(const SearchServer&) = delete;
+  ~SearchServer() override;
 
   // --- Resident data (load before serve(); not thread-safe against it) --
   /// mmap a .fsqdb and keep it resident; returns the db_id clients name.
@@ -138,19 +129,7 @@ class SearchServer {
   std::size_t database_count() const { return dbs_.size(); }
   std::size_t model_count() const { return models_.size(); }
 
-  // --- Lifecycle ------------------------------------------------------
-  /// Run the accept loop on the calling thread; returns after
-  /// begin_drain() once every in-flight request finished and every
-  /// connection thread joined.
-  void serve(Listener& listener);
-
-  /// Initiate graceful shutdown: stop accepting, reject new SEARCH
-  /// frames with kShuttingDown, finish everything already admitted.
-  /// Idempotent; safe from any thread (finehmmd calls it from its
-  /// signal-watcher thread).
-  void begin_drain() FINEHMM_EXCLUDES(state_mu_);
-  bool draining() const FINEHMM_EXCLUDES(state_mu_);
-
+  // --- Lifecycle (serve / begin_drain / draining: server::Frontend) ----
   /// Test hook: freeze/release the scheduler so tests can stage the
   /// admission queue deterministically.  begin_drain() releases a pause.
   void set_paused(bool paused) FINEHMM_EXCLUDES(state_mu_);
@@ -163,7 +142,7 @@ class SearchServer {
   obs::ScanTelemetry telemetry() const FINEHMM_EXCLUDES(stats_mu_);
   /// The STATS verb's payload ("finehmm.server_stats.v2"): ServerStats +
   /// latency histogram quantiles + recent request traces + telemetry.
-  std::string stats_json() const FINEHMM_EXCLUDES(stats_mu_);
+  std::string stats_json() const override FINEHMM_EXCLUDES(stats_mu_);
 
   /// Always-on latency snapshots in nanoseconds: end-to-end
   /// (admission -> reply written), queue wait, and sweep time.
@@ -178,16 +157,9 @@ class SearchServer {
     return trace_ring_.snapshot();
   }
 
-  /// Seconds since construction (monotonic).
-  double uptime_seconds() const;
-
-  /// The embedded HTTP endpoint's router: /metrics (Prometheus text),
-  /// /healthz (drain-aware), /statusz (human-readable snapshot).
-  /// finehmmd wires this into an HttpEndpoint on --metrics-port; safe
-  /// from any thread, any time between construction and destruction.
-  HttpResponse handle_http(const std::string& path) const;
-  std::string metrics_text() const;
-  std::string statusz_text() const;
+  /// /metrics and /statusz bodies (routed by Frontend::handle_http).
+  std::string metrics_text() const override;
+  std::string statusz_text() const override;
 
  private:
   struct Db {
@@ -200,18 +172,6 @@ class SearchServer {
       return mapped ? pipeline::ScanSource(*mapped)
                     : pipeline::ScanSource(*heap);
     }
-  };
-
-  /// One client connection.  The connection thread is the only reader
-  /// of conn (so conn itself needs no guard — a contract, not a lock);
-  /// replies (from it or the scheduler) serialize on write_mu.  On the
-  /// registered lock order (docs/static_analysis.md) write_mu sits
-  /// below state_mu_: serve() holds state_mu_ while calling
-  /// conn->shutdown(), which never takes write_mu.
-  struct Session {
-    std::unique_ptr<Connection> conn;
-
-    Mutex write_mu;
   };
 
   /// An admitted search waiting for (or riding in) a coalesced sweep.
@@ -235,14 +195,24 @@ class SearchServer {
     std::chrono::steady_clock::time_point popped_at;
   };
 
-  void handle_connection(const std::shared_ptr<Session>& session)
-      FINEHMM_EXCLUDES(stats_mu_);
-  void handle_search(const std::shared_ptr<Session>& session,
-                     const Frame& frame)
+  void on_search(const std::shared_ptr<Session>& session,
+                 std::uint32_t request_id, SearchRequest req) override
       FINEHMM_EXCLUDES(state_mu_, stats_mu_);
-  void handle_scan(const std::shared_ptr<Session>& session,
-                   const Frame& frame)
+  void on_scan(const std::shared_ptr<Session>& session,
+               std::uint32_t request_id, ScanRequest req) override
       FINEHMM_EXCLUDES(state_mu_, stats_mu_);
+  /// The one admit path for SEARCH and SCAN: db check, the verb's model
+  /// lookup (`resolve` fills the Pending or names the error), deadline,
+  /// trace id, try_push / OVERLOAD.
+  void admit(const std::shared_ptr<Session>& session,
+             std::uint32_t request_id, std::uint32_t db_id,
+             std::uint32_t deadline_ms,
+             const std::function<std::optional<ErrorInfo>(Pending&)>& resolve)
+      FINEHMM_EXCLUDES(state_mu_, stats_mu_);
+  void on_drain() override FINEHMM_REQUIRES(state_mu_);
+  /// Close the admission queue (accepted items keep flowing, which IS
+  /// "finish in-flight") and join the scheduler once it is empty.
+  void on_listener_closed() override;
   void scheduler_loop() FINEHMM_EXCLUDES(state_mu_, stats_mu_);
   /// The coalescer's sweep path: runs with NO server lock held — the
   /// sweep blocks for milliseconds and replies re-enter per-session
@@ -260,12 +230,6 @@ class SearchServer {
   ScanResultWire scan_reply(
       const Pending& p, const Db& db,
       const pipeline::HmmSearch::CoalescedScan& sweep) const;
-  bool send_reply(Session& session, MsgType type, std::uint32_t request_id,
-                  const std::vector<std::uint8_t>& payload)
-      FINEHMM_EXCLUDES(session.write_mu);
-  void send_error(Session& session, std::uint32_t request_id, ErrorCode code,
-                  const std::string& message)
-      FINEHMM_EXCLUDES(session.write_mu);
   void merge_batch_telemetry(const obs::ScanTelemetry& t)
       FINEHMM_EXCLUDES(stats_mu_);
   /// Complete one request's trace: compute its spans from the sweep
@@ -293,30 +257,23 @@ class SearchServer {
   std::vector<std::string> scan_names_;
   std::optional<hmm::FusePlan> scan_plan_;
 
-  /// Lifecycle lock (order 1 of the registry in docs/static_analysis.md:
-  /// acquired before every other server lock).
-  mutable Mutex state_mu_;
-  bool draining_ FINEHMM_GUARDED_BY(state_mu_) = false;
+  // Under the frontend's state_mu_ / stats_mu_.  The frontend-owned
+  // counters live outside stats_, which leaves them at zero; stats()
+  // overlays the live values.
   bool paused_ FINEHMM_GUARDED_BY(state_mu_) = false;
-  Listener* listener_ FINEHMM_GUARDED_BY(state_mu_) = nullptr;
-  std::vector<std::weak_ptr<Session>> sessions_ FINEHMM_GUARDED_BY(state_mu_);
-  std::vector<std::thread> conn_threads_ FINEHMM_GUARDED_BY(state_mu_);
-
   CondVar pause_cv_;  // signals paused_ edges; waited on under state_mu_
-
-  mutable Mutex stats_mu_;
   ServerStats stats_ FINEHMM_GUARDED_BY(stats_mu_);
   obs::ScanTelemetry telemetry_ FINEHMM_GUARDED_BY(stats_mu_);
 
   // Always-on observability.  Histograms record in nanoseconds via
   // relaxed atomic adds (lock-free, zero allocation); the trace ring is
   // mutex-guarded but touched once per completed request.
-  const std::chrono::steady_clock::time_point start_time_ =
-      std::chrono::steady_clock::now();
   obs::ConcurrentHistogram e2e_hist_;
   obs::ConcurrentHistogram queue_hist_;
   obs::ConcurrentHistogram sweep_hist_;
   obs::TraceRing trace_ring_;
+
+  std::thread scheduler_;  // started last in the constructor
 };
 
 }  // namespace finehmm::server

@@ -770,34 +770,4 @@ TEST(ClusterCoordinatorTest, ServesMergedSearchOverTheWireProtocol) {
   EXPECT_EQ(coord.handle_http("/healthz").status, 503);
 }
 
-TEST(ClusterCoordinatorTest, RejectsLegacyPeersWithVersionMismatch) {
-  ClusterFixture fx(1);
-  ClusterConfig ccfg;
-  ccfg.manifest = fx.m;
-  // Re-plan for one shard: reuse fixture's manifest only if single-shard.
-  ASSERT_EQ(ccfg.manifest.shards.size(), 1u);
-  auto& hubs = fx.hubs;
-  ClusterCoordinator coord(ccfg, [&hubs](std::size_t shard) {
-    return hubs[shard]->connect();
-  });
-  LoopbackHub front;
-  auto listener = front.listener();
-  std::thread serve([&] { coord.serve(*listener); });
-
-  // A legacy peer pings with an empty payload (wire revision 1): the
-  // coordinator answers a structured kVersionMismatch, not a kPong.
-  auto conn = front.connect();
-  ASSERT_TRUE(conn);
-  ASSERT_TRUE(server::send_frame(*conn, server::MsgType::kPing, 1, {}));
-  server::Frame reply;
-  ASSERT_EQ(server::recv_frame(*conn, reply), server::RecvStatus::kFrame);
-  ASSERT_EQ(reply.type(), server::MsgType::kError);
-  const server::ErrorInfo err = server::decode_error(reply.payload);
-  EXPECT_EQ(err.code, server::ErrorCode::kVersionMismatch);
-  conn->shutdown();
-
-  coord.begin_drain();
-  serve.join();
-}
-
 }  // namespace

@@ -12,7 +12,9 @@
 //       with kShuttingDown.
 // Plus the failure paths: deadline expiry, mid-request disconnect,
 // malformed frames (connection torn down, server survives), and a
-// multi-client stress run written for the tsan preset.
+// multi-client stress run written for the tsan preset.  The connection
+// tier both daemons share (malformed frames, PING handshake, drain,
+// HTTP routes) is also covered once per daemon in test_frontend.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>

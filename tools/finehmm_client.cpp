@@ -56,18 +56,6 @@ void usage() {
                "                      [<model.hmm>]\n");
 }
 
-bool parse_hostport(const std::string& arg, std::string& host,
-                    std::uint16_t& port) {
-  const std::size_t colon = arg.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= arg.size())
-    return false;
-  host = arg.substr(0, colon);
-  const long p = std::atol(arg.c_str() + colon + 1);
-  if (p < 1 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 double percentile(std::vector<double>& sorted_ms, double p) {
   if (sorted_ms.empty()) return 0.0;
   const double rank = p / 100.0 * static_cast<double>(sorted_ms.size() - 1);
@@ -249,12 +237,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string host;
-  std::uint16_t port = 0;
-  if (hostport.empty() || !parse_hostport(hostport, host, port)) {
+  const std::optional<tools::HostPort> target =
+      tools::parse_host_port(hostport);
+  if (!target) {
     usage();
     return tools::kBadArgs;
   }
+  const std::string& host = target->host;
+  const std::uint16_t port = target->port;
   const bool needs_model =
       bench_n > 0 || (!do_ping && !do_stats && !do_stats_json);
   if (needs_model && hmm_path.empty()) {

@@ -27,21 +27,14 @@
 // SIGTERM/SIGINT drains gracefully: stop accepting, finish in-flight
 // scatters, then exit 0 after printing the final cluster stats JSON.
 // Exit codes follow examples/tool_exit.hpp.
-#include <pthread.h>
-#include <unistd.h>
-
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/coordinator.hpp"
+#include "daemon_main.hpp"
 #include "obs/log.hpp"
-#include "server/http.hpp"
 #include "server/tcp.hpp"
 #include "tool_exit.hpp"
 
@@ -59,62 +52,34 @@ void usage() {
                "[--log level]\n");
 }
 
-struct HostPort {
-  std::string host;
-  std::uint16_t port = 0;
-};
-
-bool parse_host_port(const std::string& s, HostPort& out) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size())
-    return false;
-  out.host = s.substr(0, colon);
-  const long port = std::atol(s.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) return false;
-  out.port = static_cast<std::uint16_t>(port);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  bool metrics = false;
-  std::uint16_t metrics_port = 0;
-  std::string log_level = "info";
-  std::string pid_file;
+  tools::Daemon daemon("finehmm_clusterd", "cluster");  // before any thread
   std::string manifest_path;
-  std::vector<HostPort> shard_addrs;
+  std::vector<tools::HostPort> shard_addrs;
   cluster::ClusterConfig cfg;
   cfg.require_shard_role = true;
 
   for (int i = 1; i < argc; ++i) {
+    const tools::Daemon::Arg shared = daemon.take_arg(argc, argv, i);
+    if (shared == tools::Daemon::Arg::kBad) return tools::kBadArgs;
+    if (shared == tools::Daemon::Arg::kTaken) continue;
     const std::string arg = argv[i];
     if (arg == "--manifest" && i + 1 < argc) {
       manifest_path = argv[++i];
     } else if (arg == "--shard" && i + 1 < argc) {
-      HostPort hp;
-      if (!parse_host_port(argv[++i], hp)) {
+      const std::optional<tools::HostPort> hp =
+          tools::parse_host_port(argv[++i]);
+      if (!hp) {
         std::fprintf(stderr, "finehmm_clusterd: bad --shard '%s'\n", argv[i]);
         return tools::kBadArgs;
       }
-      shard_addrs.push_back(hp);
-    } else if (arg == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else if (arg == "--metrics-port" && i + 1 < argc) {
-      metrics = true;
-      metrics_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      shard_addrs.push_back(*hp);
     } else if (arg == "--no-degraded") {
       cfg.allow_degraded = false;
     } else if (arg == "--retries" && i + 1 < argc) {
       cfg.connect_retries = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--pid-file" && i + 1 < argc) {
-      pid_file = argv[++i];
-    } else if (arg == "--log" && i + 1 < argc) {
-      log_level = argv[++i];
     } else {
       usage();
       return tools::kBadArgs;
@@ -124,16 +89,6 @@ int main(int argc, char** argv) {
     usage();
     return tools::kBadArgs;
   }
-
-  // Same signal discipline as finehmmd: block SIGTERM/SIGINT everywhere
-  // before any thread exists so only the watcher sees them.
-  sigset_t sigs;
-  sigemptyset(&sigs);
-  sigaddset(&sigs, SIGTERM);
-  sigaddset(&sigs, SIGINT);
-  pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-
-  obs::set_log_level(obs::parse_log_level(log_level));
 
   try {
     cfg.manifest = cluster::read_manifest_file(manifest_path);
@@ -145,10 +100,10 @@ int main(int argc, char** argv) {
       return tools::kBadArgs;
     }
 
-    auto addrs = shard_addrs;  // owned copy for the connect closure
     cluster::ClusterCoordinator coord(
-        std::move(cfg), [addrs](std::size_t shard) {
-          return server::tcp_connect(addrs[shard].host, addrs[shard].port);
+        std::move(cfg), [shard_addrs](std::size_t shard) {
+          return server::tcp_connect(shard_addrs[shard].host,
+                                     shard_addrs[shard].port);
         });
 
     const std::size_t up = coord.client().probe_all();
@@ -160,52 +115,14 @@ int main(int argc, char** argv) {
                    "serving anyway (requests will fail until shards come "
                    "up)\n");
 
-    server::TcpListener listener(host, port);
-    std::printf("finehmm_clusterd: listening on %s:%u\n", host.c_str(),
-                listener.port());
-
-    std::unique_ptr<server::HttpEndpoint> endpoint;
-    if (metrics) {
-      auto http_listener =
-          std::make_unique<server::TcpListener>(host, metrics_port);
-      std::printf("finehmm_clusterd: metrics on %s:%u\n", host.c_str(),
-                  http_listener->port());
-      endpoint = std::make_unique<server::HttpEndpoint>(
-          std::move(http_listener), [&coord](const std::string& path) {
-            return coord.handle_http(path);
-          });
-    }
-    std::fflush(stdout);  // scripts scrape the lines while we serve
-
+    const std::uint16_t port = daemon.listen(coord);
     obs::log(obs::LogLevel::kInfo, "cluster.start",
-             {{"host", host},
-              {"port", static_cast<std::uint64_t>(listener.port())},
+             {{"host", daemon.host()},
+              {"port", static_cast<std::uint64_t>(port)},
               {"shards",
                static_cast<std::uint64_t>(coord.client().shard_count())},
               {"shards_up", static_cast<std::uint64_t>(up)}});
-
-    if (!pid_file.empty()) {
-      std::ofstream pf(pid_file);
-      if (!pf.good()) throw IoError("cannot open pid file: " + pid_file);
-      pf << ::getpid() << "\n";
-    }
-
-    std::thread watcher([&sigs, &coord] {
-      int sig = 0;
-      sigwait(&sigs, &sig);
-      std::fprintf(stderr, "finehmm_clusterd: signal %d, draining\n", sig);
-      coord.begin_drain();
-    });
-
-    coord.serve(listener);  // returns once drained and joined
-    watcher.join();
-    if (endpoint) endpoint->stop();
-    obs::log(obs::LogLevel::kInfo, "cluster.stop",
-             {{"uptime_seconds", coord.uptime_seconds()}});
-
-    std::cout << coord.stats_json();
-    if (!pid_file.empty()) std::remove(pid_file.c_str());
-    std::printf("finehmm_clusterd: drained, bye\n");
+    daemon.serve(coord);
   } catch (const std::exception& e) {
     return tools::report_exception(e);
   }

@@ -33,22 +33,14 @@
 // exit 0 after printing the final server stats JSON to stdout.
 //
 // Exit codes follow examples/tool_exit.hpp.
-#include <pthread.h>
-#include <unistd.h>
-
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "daemon_main.hpp"
 #include "obs/log.hpp"
-#include "server/http.hpp"
 #include "server/server.hpp"
-#include "server/tcp.hpp"
 #include "tool_exit.hpp"
 
 using namespace finehmm;
@@ -68,23 +60,17 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  bool metrics = false;
-  std::uint16_t metrics_port = 0;
-  std::string log_level = "info";
-  std::string pid_file;
+  tools::Daemon daemon("finehmmd", "server");  // before any thread exists
   std::vector<std::string> db_paths;
   std::vector<std::string> model_paths;
   server::ServerConfig cfg;
 
   for (int i = 1; i < argc; ++i) {
+    const tools::Daemon::Arg shared = daemon.take_arg(argc, argv, i);
+    if (shared == tools::Daemon::Arg::kBad) return tools::kBadArgs;
+    if (shared == tools::Daemon::Arg::kTaken) continue;
     const std::string arg = argv[i];
-    if (arg == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else if (arg == "--threads" && i + 1 < argc) {
+    if (arg == "--threads" && i + 1 < argc) {
       cfg.scan_threads = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--queue" && i + 1 < argc) {
       cfg.admission_capacity = static_cast<std::size_t>(std::atoll(argv[++i]));
@@ -97,15 +83,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard-id" && i + 1 < argc) {
       cfg.role = server::NodeRole::kShard;
       cfg.shard_id = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--pid-file" && i + 1 < argc) {
-      pid_file = argv[++i];
-    } else if (arg == "--metrics-port" && i + 1 < argc) {
-      metrics = true;
-      metrics_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
     } else if (arg == "--slow-ms" && i + 1 < argc) {
       cfg.slow_request_seconds = std::atof(argv[++i]) * 1e-3;
-    } else if (arg == "--log" && i + 1 < argc) {
-      log_level = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
       usage();
       return tools::kBadArgs;
@@ -117,21 +96,6 @@ int main(int argc, char** argv) {
     usage();
     return tools::kBadArgs;
   }
-
-  // Block the shutdown signals in EVERY thread before ANY thread exists
-  // (the scan pool spawns inside the SearchServer constructor; the mask
-  // inherits), so only the dedicated watcher ever sees them —
-  // begin_drain then runs in normal thread context, no
-  // async-signal-safety contortions.
-  sigset_t sigs;
-  sigemptyset(&sigs);
-  sigaddset(&sigs, SIGTERM);
-  sigaddset(&sigs, SIGINT);
-  pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-
-  // The library defaults to silent; the daemon is a long-running service
-  // and speaks structured JSON on stderr (FINEHMM_LOG still overrides).
-  obs::set_log_level(obs::parse_log_level(log_level));
 
   try {
     server::SearchServer srv(cfg);
@@ -145,56 +109,13 @@ int main(int argc, char** argv) {
                   path.c_str());
     }
 
-    server::TcpListener listener(host, port);
-    std::printf("finehmmd: listening on %s:%u\n", host.c_str(),
-                listener.port());
-
-    // The observability endpoint rides a second listener + its own
-    // thread; scrapes never touch the search data plane.
-    std::unique_ptr<server::HttpEndpoint> endpoint;
-    if (metrics) {
-      auto http_listener =
-          std::make_unique<server::TcpListener>(host, metrics_port);
-      std::printf("finehmmd: metrics on %s:%u\n", host.c_str(),
-                  http_listener->port());
-      endpoint = std::make_unique<server::HttpEndpoint>(
-          std::move(http_listener),
-          [&srv](const std::string& path) { return srv.handle_http(path); });
-    }
-    std::fflush(stdout);  // scripts scrape the lines while we serve
-
+    const std::uint16_t port = daemon.listen(srv);
     obs::log(obs::LogLevel::kInfo, "server.start",
-             {{"host", host},
-              {"port", static_cast<std::uint64_t>(listener.port())},
+             {{"host", daemon.host()},
+              {"port", static_cast<std::uint64_t>(port)},
               {"databases", static_cast<std::uint64_t>(srv.database_count())},
               {"models", static_cast<std::uint64_t>(srv.model_count())}});
-
-    if (!pid_file.empty()) {
-      std::ofstream pf(pid_file);
-      if (!pf.good()) throw IoError("cannot open pid file: " + pid_file);
-      pf << ::getpid() << "\n";
-    }
-
-    std::thread watcher([&sigs, &srv] {
-      int sig = 0;
-      sigwait(&sigs, &sig);
-      std::fprintf(stderr, "finehmmd: signal %d, draining\n", sig);
-      srv.begin_drain();
-    });
-
-    srv.serve(listener);  // returns once drained and joined
-    watcher.join();
-    // Keep /healthz answering 503 "draining" while in-flight requests
-    // finish; stop only after the data plane has fully drained.
-    if (endpoint) endpoint->stop();
-    obs::log(obs::LogLevel::kInfo, "server.stop",
-             {{"uptime_seconds", srv.uptime_seconds()}});
-
-    // Flush telemetry: the final stats snapshot is the daemon's last
-    // stdout output, so a supervisor's log ends with the full accounting.
-    std::cout << srv.stats_json();
-    if (!pid_file.empty()) std::remove(pid_file.c_str());
-    std::printf("finehmmd: drained, bye\n");
+    daemon.serve(srv);
   } catch (const std::exception& e) {
     return tools::report_exception(e);
   }

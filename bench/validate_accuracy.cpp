@@ -71,8 +71,8 @@ int main() {
 
   // ---- 3. CPU vs GPU identity ----
   bio::PackedDatabase packed(db);
-  auto gpu_run = strict_search.run_gpu_auto(simt::DeviceSpec::tesla_k40(),
-                                            db, packed);
+  auto gpu_run =
+      strict_search.run_gpu({simt::DeviceSpec::tesla_k40()}, db, packed);
   bool identical = gpu_run.hits.size() == run.hits.size();
   for (std::size_t i = 0; identical && i < run.hits.size(); ++i)
     identical = gpu_run.hits[i].seq_index == run.hits[i].seq_index;

@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
     if (use_gpu) {
       bio::PackedDatabase packed(queries);
       for (std::size_t m = 0; m < searches.size(); ++m)
-        collect(m, searches[m].run_gpu_auto(simt::DeviceSpec::tesla_k40(),
-                                            queries, packed));
+        collect(m, searches[m].run_gpu({simt::DeviceSpec::tesla_k40()},
+                                       queries, packed));
     } else if (sequential) {
       for (std::size_t m = 0; m < searches.size(); ++m)
         collect(m, searches[m].run_cpu(queries));

@@ -360,7 +360,7 @@ int main(int argc, char** argv) {
     pipeline::SearchResult result;
     if (use_gpu) {
       bio::PackedDatabase packed(db);
-      result = search.run_gpu(simt::DeviceSpec::tesla_k40(), db, packed,
+      result = search.run_gpu({simt::DeviceSpec::tesla_k40()}, db, packed,
                               placement);
     } else if (threads > 0) {
       result = search.run_cpu_overlapped(src, threads);

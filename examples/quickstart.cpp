@@ -42,8 +42,8 @@ int main() {
 
   // ... and the same search through the simulated GPU kernels.
   bio::PackedDatabase packed(db);
-  auto gpu_result = search.run_gpu(simt::DeviceSpec::tesla_k40(), db, packed,
-                                   gpu::ParamPlacement::kShared);
+  auto gpu_result = search.run_gpu({simt::DeviceSpec::tesla_k40()}, db,
+                                   packed, gpu::ParamPlacement::kShared);
   std::printf("GPU engine agrees: %zu hits (filters are bit-identical)\n",
               gpu_result.hits.size());
 

@@ -35,6 +35,22 @@ cpu_hits=$(grep -o "hits [0-9]*" "$WORK/cpu.out")
 gpu_hits=$(grep -o "hits [0-9]*" "$WORK/gpu.out")
 [ "$cpu_hits" = "$gpu_hits" ]
 
+echo "== hmmsearch_tool --gpu (tblout byte-identical to CPU) =="
+# Its own input, so the "hits 8" steps keep theirs: the homologs plus one
+# empty record, which every engine counts into the first stage but never
+# scores.
+cp "$WORK/homologs.fasta" "$WORK/with_empty.fasta"
+printf '>empty\n' >> "$WORK/with_empty.fasta"
+"$BIN_DIR/hmmsearch_tool" --domains --tblout "$WORK/cpu_empty.tbl" \
+  "$WORK/model.hmm" "$WORK/with_empty.fasta" > /dev/null
+"$BIN_DIR/hmmsearch_tool" --gpu --domains --tblout "$WORK/gpu_empty.tbl" \
+  "$WORK/model.hmm" "$WORK/with_empty.fasta" > /dev/null
+[ "$(grep -cv '^#' "$WORK/gpu_empty.tbl")" -eq 8 ]
+cmp "$WORK/cpu_empty.tbl" "$WORK/gpu_empty.tbl"
+"$BIN_DIR/hmmsearch_tool" --gpu --stats-json "$WORK/gpu.stats.json" \
+  "$WORK/model.hmm" "$WORK/with_empty.fasta" > /dev/null
+grep -q '"engine": "gpu_sim"' "$WORK/gpu.stats.json"
+
 echo "== hmmsearch_tool --ali =="
 "$BIN_DIR/hmmsearch_tool" --ali "$WORK/model.hmm" "$WORK/homologs.fasta" \
   | grep -q "model"

@@ -1,14 +1,54 @@
 #include "gpu/search.hpp"
 
+#include <string>
+#include <type_traits>
+
 #include "util/error.hpp"
 
 namespace finehmm::gpu {
 
 namespace {
 
-std::size_t item_count(const bio::PackedDatabase& db,
-                       const std::vector<std::size_t>* items) {
-  return items ? items->size() : db.size();
+/// The one launcher behind the per-warp stages: plan the launch for
+/// (stage, placement, model size), lay out shared memory for the planned
+/// block, size the results to the item list and run the grid.  The byte
+/// kernels (MSV, SSV) also report per-item overflow.
+template <class Kernel, class Layout, class Profile>
+StageResult launch_stage(const simt::DeviceSpec& dev, const char* name,
+                         const Profile& prof, const bio::PackedDatabase& db,
+                         ParamPlacement placement,
+                         const std::vector<std::size_t>* items) {
+  constexpr bool kByte = std::is_same_v<Layout, MsvSmemLayout>;
+  constexpr Stage stage = kByte ? Stage::kMsv : Stage::kViterbi;
+  StageResult out;
+  out.plan = plan_launch(stage, placement, prof.length(), dev);
+  FH_REQUIRE(out.plan.feasible,
+             std::string(name) +
+                 " launch infeasible for this placement/model size");
+
+  Layout layout;
+  layout.mpad = prof.padded_length();
+  layout.warps = out.plan.cfg.warps_per_block;
+  layout.shared_params = placement == ParamPlacement::kShared;
+  layout.shuffle_scratch = !dev.has_warp_shuffle;
+
+  const std::size_t n = items ? items->size() : db.size();
+  out.scores.assign(n, 0.0f);
+  if constexpr (kByte) out.overflow.assign(n, 0);
+  const Kernel kernel = [&] {
+    if constexpr (kByte)
+      return Kernel(prof, db, placement, layout, &out.scores, &out.overflow,
+                    items);
+    else
+      return Kernel(prof, db, placement, layout, &out.scores, items);
+  }();
+  out.counters = simt::launch_grid(
+      dev, out.plan.cfg, n,
+      [&kernel](simt::WarpContext& ctx, std::size_t item) {
+        kernel(ctx, item);
+      },
+      [&kernel](simt::WarpContext& ctx) { kernel.stage_params(ctx); });
+  return out;
 }
 
 }  // namespace
@@ -17,115 +57,32 @@ StageResult GpuSearch::run_msv(const profile::MsvProfile& prof,
                                const bio::PackedDatabase& db,
                                ParamPlacement placement,
                                const std::vector<std::size_t>* items) const {
-  StageResult out;
-  out.plan = plan_launch(Stage::kMsv, placement, prof.length(), dev_);
-  FH_REQUIRE(out.plan.feasible,
-             "MSV launch infeasible for this placement/model size");
-
-  MsvSmemLayout layout;
-  layout.mpad = prof.padded_length();
-  layout.warps = out.plan.cfg.warps_per_block;
-  layout.shared_params = placement == ParamPlacement::kShared;
-  layout.shuffle_scratch = !dev_.has_warp_shuffle;
-
-  std::size_t n = item_count(db, items);
-  out.scores.assign(n, 0.0f);
-  out.overflow.assign(n, 0);
-
-  MsvWarpKernel kernel(prof, db, placement, layout, &out.scores,
-                       &out.overflow, items);
-  out.counters = simt::launch_grid(
-      dev_, out.plan.cfg, n,
-      [&kernel](simt::WarpContext& ctx, std::size_t item) {
-        kernel(ctx, item);
-      },
-      [&kernel](simt::WarpContext& ctx) { kernel.stage_params(ctx); });
-  return out;
+  return launch_stage<MsvWarpKernel, MsvSmemLayout>(dev_, "MSV", prof, db,
+                                                    placement, items);
 }
 
 StageResult GpuSearch::run_ssv(const profile::MsvProfile& prof,
                                const bio::PackedDatabase& db,
                                ParamPlacement placement,
                                const std::vector<std::size_t>* items) const {
-  StageResult out;
-  out.plan = plan_launch(Stage::kMsv, placement, prof.length(), dev_);
-  FH_REQUIRE(out.plan.feasible,
-             "SSV launch infeasible for this placement/model size");
-
-  MsvSmemLayout layout;
-  layout.mpad = prof.padded_length();
-  layout.warps = out.plan.cfg.warps_per_block;
-  layout.shared_params = placement == ParamPlacement::kShared;
-  layout.shuffle_scratch = !dev_.has_warp_shuffle;
-
-  std::size_t n = item_count(db, items);
-  out.scores.assign(n, 0.0f);
-  out.overflow.assign(n, 0);
-
-  SsvWarpKernel kernel(prof, db, placement, layout, &out.scores,
-                       &out.overflow, items);
-  out.counters = simt::launch_grid(
-      dev_, out.plan.cfg, n,
-      [&kernel](simt::WarpContext& ctx, std::size_t item) {
-        kernel(ctx, item);
-      },
-      [&kernel](simt::WarpContext& ctx) { kernel.stage_params(ctx); });
-  return out;
+  return launch_stage<SsvWarpKernel, MsvSmemLayout>(dev_, "SSV", prof, db,
+                                                    placement, items);
 }
 
 StageResult GpuSearch::run_vit(const profile::VitProfile& prof,
                                const bio::PackedDatabase& db,
                                ParamPlacement placement,
                                const std::vector<std::size_t>* items) const {
-  StageResult out;
-  out.plan = plan_launch(Stage::kViterbi, placement, prof.length(), dev_);
-  FH_REQUIRE(out.plan.feasible,
-             "P7Viterbi launch infeasible for this placement/model size");
-
-  VitSmemLayout layout;
-  layout.mpad = prof.padded_length();
-  layout.warps = out.plan.cfg.warps_per_block;
-  layout.shared_params = placement == ParamPlacement::kShared;
-  layout.shuffle_scratch = !dev_.has_warp_shuffle;
-
-  std::size_t n = item_count(db, items);
-  out.scores.assign(n, 0.0f);
-
-  VitWarpKernel kernel(prof, db, placement, layout, &out.scores, items);
-  out.counters = simt::launch_grid(
-      dev_, out.plan.cfg, n,
-      [&kernel](simt::WarpContext& ctx, std::size_t item) {
-        kernel(ctx, item);
-      },
-      [&kernel](simt::WarpContext& ctx) { kernel.stage_params(ctx); });
-  return out;
+  return launch_stage<VitWarpKernel, VitSmemLayout>(dev_, "P7Viterbi", prof,
+                                                    db, placement, items);
 }
 
 StageResult GpuSearch::run_vit_prefix(
     const profile::VitProfile& prof, const bio::PackedDatabase& db,
     ParamPlacement placement, const std::vector<std::size_t>* items) const {
-  StageResult out;
-  out.plan = plan_launch(Stage::kViterbi, placement, prof.length(), dev_);
-  FH_REQUIRE(out.plan.feasible,
-             "P7Viterbi launch infeasible for this placement/model size");
-
-  VitSmemLayout layout;
-  layout.mpad = prof.padded_length();
-  layout.warps = out.plan.cfg.warps_per_block;
-  layout.shared_params = placement == ParamPlacement::kShared;
-  layout.shuffle_scratch = !dev_.has_warp_shuffle;
-
-  std::size_t n = item_count(db, items);
-  out.scores.assign(n, 0.0f);
-
-  VitPrefixKernel kernel(prof, db, placement, layout, &out.scores, items);
-  out.counters = simt::launch_grid(
-      dev_, out.plan.cfg, n,
-      [&kernel](simt::WarpContext& ctx, std::size_t item) {
-        kernel(ctx, item);
-      },
-      [&kernel](simt::WarpContext& ctx) { kernel.stage_params(ctx); });
-  return out;
+  return launch_stage<VitPrefixKernel, VitSmemLayout>(dev_, "P7Viterbi",
+                                                      prof, db, placement,
+                                                      items);
 }
 
 StageResult GpuSearch::run_msv_sync(const profile::MsvProfile& prof,
@@ -178,39 +135,23 @@ StageResult GpuSearch::run_msv_sync(const profile::MsvProfile& prof,
 }
 
 std::vector<std::vector<std::size_t>> partition_by_residues(
-    const bio::PackedDatabase& db, std::size_t n_devices) {
+    const bio::PackedDatabase& db, std::size_t n_devices,
+    const std::vector<std::size_t>* items) {
   FH_REQUIRE(n_devices >= 1, "need at least one device");
+  const std::size_t n = items ? items->size() : db.size();
+  const auto id = [&](std::size_t i) { return items ? (*items)[i] : i; };
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) total += db.length(id(i));
   std::vector<std::vector<std::size_t>> parts(n_devices);
-  std::uint64_t total = db.total_residues();
   std::uint64_t per_dev = (total + n_devices - 1) / n_devices;
   std::size_t dev = 0;
   std::uint64_t acc = 0;
-  for (std::size_t s = 0; s < db.size(); ++s) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (acc >= per_dev * (dev + 1) && dev + 1 < n_devices) ++dev;
-    parts[dev].push_back(s);
-    acc += db.length(s);
+    parts[dev].push_back(id(i));
+    acc += db.length(id(i));
   }
   return parts;
-}
-
-MultiDeviceResult run_msv_multi(const std::vector<simt::DeviceSpec>& devs,
-                                const profile::MsvProfile& prof,
-                                const bio::PackedDatabase& db,
-                                ParamPlacement placement) {
-  MultiDeviceResult out;
-  auto parts = partition_by_residues(db, devs.size());
-  out.scores.assign(db.size(), 0.0f);
-  out.overflow.assign(db.size(), 0);
-  for (std::size_t d = 0; d < devs.size(); ++d) {
-    GpuSearch search(devs[d]);
-    StageResult r = search.run_msv(prof, db, placement, &parts[d]);
-    for (std::size_t i = 0; i < parts[d].size(); ++i) {
-      out.scores[parts[d][i]] = r.scores[i];
-      out.overflow[parts[d][i]] = r.overflow[i];
-    }
-    out.per_device.push_back(std::move(r));
-  }
-  return out;
 }
 
 }  // namespace finehmm::gpu

@@ -1,12 +1,14 @@
-// Database search drivers: single device and multi-GPU.
+// Database search drivers on one simulated device, plus the residue
+// partition that spreads a stage across several.
 //
-// A StageRun executes one filter stage (MSV or P7Viterbi) for a set of
-// sequences on one simulated device, with the launch plan chosen by the
+// Each GpuSearch stage runs one filter (SSV, MSV or P7Viterbi) for a set
+// of sequences on one device, with the launch plan chosen by the
 // occupancy maximizer, and returns scores plus the performance counters
-// the cost model consumes.  Multi-GPU runs partition the database across
-// devices by residue count (the sequence scoring is embarrassingly
-// parallel across devices, §IV-A of the paper), and the slowest device
-// bounds the wall clock.
+// the cost model consumes.  Multi-GPU runs split each stage's items
+// across devices by residue count (sequence scoring is embarrassingly
+// parallel across devices, §IV-A of the paper; the cascade lives in
+// pipeline::HmmSearch::run_gpu), and the slowest device bounds the wall
+// clock.
 #pragma once
 
 #include <optional>
@@ -70,22 +72,12 @@ class GpuSearch {
   simt::DeviceSpec dev_;
 };
 
-/// Result of a database partitioned over several devices.
-struct MultiDeviceResult {
-  std::vector<StageResult> per_device;
-  std::vector<float> scores;           // merged over the whole database
-  std::vector<std::uint8_t> overflow;
-};
-
-/// Split [0, db.size()) into contiguous per-device ranges with roughly
-/// equal residue counts.
+/// Split `items` (all of [0, db.size()) when null) into `n_devices`
+/// contiguous slices with roughly equal residue counts.  Slices keep the
+/// item order, so concatenating them gives `items` back; one device
+/// takes everything.
 std::vector<std::vector<std::size_t>> partition_by_residues(
-    const bio::PackedDatabase& db, std::size_t n_devices);
-
-/// Run the MSV stage with the database partitioned across devices.
-MultiDeviceResult run_msv_multi(const std::vector<simt::DeviceSpec>& devs,
-                                const profile::MsvProfile& prof,
-                                const bio::PackedDatabase& db,
-                                ParamPlacement placement);
+    const bio::PackedDatabase& db, std::size_t n_devices,
+    const std::vector<std::size_t>* items = nullptr);
 
 }  // namespace finehmm::gpu

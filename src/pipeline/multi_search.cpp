@@ -72,7 +72,7 @@ std::vector<ModelResult> MultiSearch::run_gpu(
     r.msv_placement =
         gpu::choose_placement(gpu::Stage::kMsv, r.model_length, dev)
             .placement;
-    r.result = search.run_gpu_auto(dev, db, packed);
+    r.result = search.run_gpu({dev}, db, packed);
     out.push_back(std::move(r));
   }
   return out;

@@ -6,8 +6,11 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <type_traits>
+#include <utility>
 
 #include "cpu/msv_group.hpp"
+#include "gpu/search.hpp"
 #include "obs/recorder.hpp"
 #include "pipeline/batch_scanner.hpp"
 #include "pipeline/null2.hpp"
@@ -737,208 +740,136 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
   return out;
 }
 
-SearchResult HmmSearch::run_gpu(const simt::DeviceSpec& dev,
-                                const bio::SequenceDatabase& db,
-                                const bio::PackedDatabase& packed,
-                                gpu::ParamPlacement placement) const {
-  return run_gpu_impl(dev, db, packed, placement, placement);
+namespace {
+
+template <class Profile>
+using GpuStageFn = gpu::StageResult (gpu::GpuSearch::*)(
+    const Profile&, const bio::PackedDatabase&, gpu::ParamPlacement,
+    const std::vector<std::size_t>*) const;
+
+/// One GPU filter stage over `items` (ascending ids of non-empty
+/// sequences), split across `devs` by residues; a null `placement` asks
+/// the occupancy policy per device.  The slices are contiguous, so
+/// `gate(s, score, overflowed)` sees the items in their original order
+/// for any device count.  Returns the SIMT counters summed over devices.
+template <class Profile, class Gate>
+simt::PerfCounters gpu_stage(const std::vector<simt::DeviceSpec>& devs,
+                             GpuStageFn<Profile> run, const Profile& prof,
+                             const bio::PackedDatabase& packed,
+                             const std::vector<std::size_t>& items,
+                             std::optional<gpu::ParamPlacement> placement,
+                             Gate gate) {
+  constexpr gpu::Stage kind = std::is_same_v<Profile, profile::MsvProfile>
+                                  ? gpu::Stage::kMsv
+                                  : gpu::Stage::kViterbi;
+  simt::PerfCounters sum;
+  const auto parts = gpu::partition_by_residues(packed, devs.size(), &items);
+  for (std::size_t d = 0; d < devs.size(); ++d) {
+    if (parts[d].empty()) continue;
+    const gpu::ParamPlacement p =
+        placement ? *placement
+                  : gpu::choose_placement(kind, prof.length(), devs[d])
+                        .placement;
+    const gpu::StageResult r =
+        (gpu::GpuSearch(devs[d]).*run)(prof, packed, p, &parts[d]);
+    for (std::size_t i = 0; i < parts[d].size(); ++i)
+      gate(parts[d][i], r.scores[i], !r.overflow.empty() && r.overflow[i]);
+    sum.merge(r.counters);
+  }
+  return sum;
 }
 
-SearchResult HmmSearch::run_gpu_auto(const simt::DeviceSpec& dev,
-                                     const bio::SequenceDatabase& db,
-                                     const bio::PackedDatabase& packed) const {
-  auto msv_choice =
-      gpu::choose_placement(gpu::Stage::kMsv, msv_.length(), dev);
-  auto vit_choice =
-      gpu::choose_placement(gpu::Stage::kViterbi, vit_.length(), dev);
-  return run_gpu_impl(dev, db, packed, msv_choice.placement,
-                      vit_choice.placement);
-}
+}  // namespace
 
-SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
-                                     const bio::SequenceDatabase& db,
-                                     const bio::PackedDatabase& packed,
-                                     gpu::ParamPlacement msv_placement,
-                                     gpu::ParamPlacement vit_placement) const {
+SearchResult HmmSearch::run_gpu(
+    const std::vector<simt::DeviceSpec>& devs,
+    const bio::SequenceDatabase& db, const bio::PackedDatabase& packed,
+    std::optional<gpu::ParamPlacement> placement) const {
+  FH_REQUIRE(!devs.empty(), "need at least one device");
   FH_REQUIRE(packed.size() == db.size(), "packed database mismatch");
   SearchResult out;
   obs::Recorder* rec = enabled(recorder_);
   if (rec) rec->reserve_threads(1);
-  obs::ScanTelemetry gpu_t;  // per-stage SIMT counters, collected as we go
+  std::vector<std::pair<const char*, simt::PerfCounters>> simt_rows;
   Timer total;
   Timer timer;
-  gpu::GpuSearch search(dev);
+  // Closes a filter stage: survivors, cells, wall clock, SIMT counters.
+  const auto finish = [&](const char* row, StageStats& st,
+                         std::size_t n_passed, const simt::PerfCounters& c) {
+    st.n_passed = n_passed;
+    st.cells = static_cast<double>(c.cells);
+    st.seconds = timer.seconds();
+    timer.reset();
+    simt_rows.emplace_back(row, c);
+  };
+  // SSV and MSV: the byte gate run_cpu applies; `items` becomes the
+  // survivors.
+  const auto byte_stage = [&](const char* row, StageStats& st,
+                              GpuStageFn<profile::MsvProfile> run,
+                              const stats::Gumbel& null, double p_max,
+                              std::vector<std::size_t>& items) {
+    std::vector<std::size_t> pass;
+    const simt::PerfCounters c = gpu_stage(
+        devs, run, msv_, packed, items, placement,
+        [&](std::size_t s, float score, bool overflowed) {
+          if (byte_gate(null, p_max, {score, overflowed}, db[s].length()))
+            pass.push_back(s);
+        });
+    finish(row, st, pass.size(), c);
+    items.swap(pass);
+  };
 
-  // ---- Stage 0 (optional): warp-synchronous SSV pre-filter ----
-  std::vector<std::size_t> candidates;
-  const std::vector<std::size_t>* msv_items = nullptr;
+  // Zero-length sequences cannot match: as in run_cpu they count into the
+  // first active stage's n_in and fail there, never reaching a kernel.
+  std::vector<std::size_t> items;
+  for (std::size_t s = 0; s < db.size(); ++s)
+    if (db[s].length() > 0) items.push_back(s);
+  out.msv.n_in = db.size();
   if (thr_.use_ssv_prefilter) {
     OBS_SPAN(rec, 0, "gpu.ssv");
     out.ssv.n_in = db.size();
-    auto ssv_run = search.run_ssv(msv_, packed, msv_placement);
-    if (rec) {
-      obs::StageTelemetry st;
-      st.stage = "ssv";
-      st.counters = obs::counters_kv(ssv_run.counters);
-      gpu_t.stages.push_back(std::move(st));
-    }
-    for (std::size_t s = 0; s < db.size(); ++s)
-      if (byte_gate(stats_.ssv, thr_.ssv_p,
-                    {ssv_run.scores[s], ssv_run.overflow[s] != 0},
-                    db[s].length()))
-        candidates.push_back(s);
-    out.ssv.n_passed = candidates.size();
-    out.ssv.cells = static_cast<double>(ssv_run.counters.cells);
-    out.ssv.seconds = timer.seconds();
-    timer.reset();
-    msv_items = &candidates;
+    byte_stage("ssv", out.ssv, &gpu::GpuSearch::run_ssv, stats_.ssv,
+               thr_.ssv_p, items);
+    out.msv.n_in = items.size();
   }
-
-  // ---- Stage 1: warp-synchronous MSV ----
-  out.msv.n_in = msv_items ? candidates.size() : db.size();
-  auto msv_run = [&] {
+  {
     OBS_SPAN(rec, 0, "gpu.msv");
-    return search.run_msv(msv_, packed, msv_placement, msv_items);
-  }();
-  if (rec) {
-    obs::StageTelemetry st;
-    st.stage = "msv";
-    st.counters = obs::counters_kv(msv_run.counters);
-    gpu_t.stages.push_back(std::move(st));
+    byte_stage("msv", out.msv, &gpu::GpuSearch::run_msv, stats_.msv,
+               thr_.msv_p, items);
   }
-  std::vector<std::size_t> msv_pass;
-  for (std::size_t i = 0; i < msv_run.scores.size(); ++i) {
-    std::size_t s = msv_items ? candidates[i] : i;
-    if (byte_gate(stats_.msv, thr_.msv_p,
-                  {msv_run.scores[i], msv_run.overflow[i] != 0},
-                  db[s].length()))
-      msv_pass.push_back(s);
-  }
-  out.msv.n_passed = msv_pass.size();
-  out.msv.cells = static_cast<double>(msv_run.counters.cells);
-  out.msv.seconds = timer.seconds();
-  out.gpu_msv = std::move(msv_run);
 
-  // ---- Stage 2: warp-synchronous P7Viterbi on the survivors ----
-  timer.reset();
-  out.vit.n_in = msv_pass.size();
+  out.vit.n_in = items.size();
   std::vector<std::size_t> vit_pass;
-  std::vector<float> vit_bits_pass;
-  if (!msv_pass.empty()) {
-    auto vit_run = [&] {
-      OBS_SPAN(rec, 0, "gpu.vit");
-      return search.run_vit(vit_, packed, vit_placement, &msv_pass);
-    }();
-    if (rec) {
-      obs::StageTelemetry st;
-      st.stage = "vit";
-      st.counters = obs::counters_kv(vit_run.counters);
-      gpu_t.stages.push_back(std::move(st));
-    }
-    for (std::size_t i = 0; i < msv_pass.size(); ++i) {
-      std::size_t s = msv_pass[i];
-      int L = static_cast<int>(db[s].length());
-      float bits = hmm::nats_to_bits(vit_run.scores[i], L);
-      if (stats_.vit_pvalue(bits) <= thr_.vit_p) {
-        vit_pass.push_back(s);
-        vit_bits_pass.push_back(bits);
-      }
-    }
-    out.vit.cells = static_cast<double>(vit_run.counters.cells);
-    out.gpu_vit = std::move(vit_run);
+  std::vector<float> vit_bits;
+  {
+    OBS_SPAN(rec, 0, "gpu.vit");
+    const simt::PerfCounters c = gpu_stage(
+        devs, &gpu::GpuSearch::run_vit, vit_, packed, items, placement,
+        [&](std::size_t s, float score, bool) {
+          const float bits =
+              hmm::nats_to_bits(score, static_cast<int>(db[s].length()));
+          if (stats_.vit_pvalue(bits) <= thr_.vit_p) {
+            vit_pass.push_back(s);
+            vit_bits.push_back(bits);
+          }
+        });
+    finish("vit", out.vit, vit_pass.size(), c);
   }
-  out.vit.n_passed = vit_pass.size();
-  out.vit.seconds = timer.seconds();
 
   BatchScanner scanner(msv_, vit_, &fwd_, /*workers=*/1);
-  forward_stage(db, scanner, vit_pass, vit_bits_pass, out);
+  forward_stage(db, scanner, vit_pass, vit_bits, out);
 
   if (rec) {
     out.telemetry = make_telemetry(db, 1, &out, 1, total.seconds(),
                                    thr_.use_ssv_prefilter,
                                    thr_.define_domains);
     out.telemetry->engine = "gpu_sim";
-    // Graft the per-stage SIMT counters collected above onto the shared
-    // stage rows, so device runs read through the same schema.
+    // The SIMT counters ride on the shared stage rows, so device runs
+    // read through the same schema.
     for (auto& st : out.telemetry->stages)
-      for (auto& collected : gpu_t.stages)
-        if (collected.stage == st.stage)
-          st.counters = std::move(collected.counters);
+      for (const auto& [row, c] : simt_rows)
+        if (st.stage == row) st.counters = obs::counters_kv(c);
   }
-  return out;
-}
-
-HmmSearch::MultiGpuResult HmmSearch::run_gpu_multi(
-    const std::vector<simt::DeviceSpec>& devs,
-    const bio::SequenceDatabase& db, const bio::PackedDatabase& packed,
-    gpu::ParamPlacement placement) const {
-  FH_REQUIRE(!devs.empty(), "need at least one device");
-  FH_REQUIRE(packed.size() == db.size(), "packed database mismatch");
-  MultiGpuResult out;
-  SearchResult& combined = out.combined;
-  Timer timer;
-
-  // ---- Stage 1: MSV, database partitioned by residues (Fig. 11) ----
-  combined.msv.n_in = db.size();
-  auto msv_multi = gpu::run_msv_multi(devs, msv_, packed, placement);
-  std::vector<std::size_t> msv_pass;
-  for (std::size_t s = 0; s < db.size(); ++s)
-    if (byte_gate(stats_.msv, thr_.msv_p,
-                  {msv_multi.scores[s], msv_multi.overflow[s] != 0},
-                  db[s].length()))
-      msv_pass.push_back(s);
-  combined.msv.n_passed = msv_pass.size();
-  for (auto& r : msv_multi.per_device) {
-    combined.msv.cells += static_cast<double>(r.counters.cells);
-    out.msv_per_device.push_back(std::move(r));
-  }
-  combined.msv.seconds = timer.seconds();
-
-  // ---- Stage 2: P7Viterbi, survivors re-partitioned round-robin ----
-  timer.reset();
-  combined.vit.n_in = msv_pass.size();
-  std::vector<std::size_t> vit_pass;
-  std::vector<float> vit_bits_pass;
-  if (!msv_pass.empty()) {
-    std::vector<std::vector<std::size_t>> parts(devs.size());
-    for (std::size_t i = 0; i < msv_pass.size(); ++i)
-      parts[i % devs.size()].push_back(msv_pass[i]);
-    for (std::size_t d = 0; d < devs.size(); ++d) {
-      if (parts[d].empty()) continue;
-      gpu::GpuSearch search(devs[d]);
-      auto run = search.run_vit(vit_, packed, placement, &parts[d]);
-      for (std::size_t i = 0; i < parts[d].size(); ++i) {
-        std::size_t s = parts[d][i];
-        int L = static_cast<int>(db[s].length());
-        float bits = hmm::nats_to_bits(run.scores[i], L);
-        if (stats_.vit_pvalue(bits) <= thr_.vit_p) {
-          vit_pass.push_back(s);
-          vit_bits_pass.push_back(bits);
-        }
-      }
-      combined.vit.cells += static_cast<double>(run.counters.cells);
-      out.vit_per_device.push_back(std::move(run));
-    }
-    // Keep deterministic ordering for downstream reporting.
-    std::vector<std::size_t> order(vit_pass.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return vit_pass[a] < vit_pass[b];
-    });
-    std::vector<std::size_t> sorted_pass;
-    std::vector<float> sorted_bits;
-    for (auto idx : order) {
-      sorted_pass.push_back(vit_pass[idx]);
-      sorted_bits.push_back(vit_bits_pass[idx]);
-    }
-    vit_pass.swap(sorted_pass);
-    vit_bits_pass.swap(sorted_bits);
-  }
-  combined.vit.n_passed = vit_pass.size();
-  combined.vit.seconds = timer.seconds();
-
-  BatchScanner scanner(msv_, vit_, &fwd_, /*workers=*/1);
-  forward_stage(db, scanner, vit_pass, vit_bits_pass, combined);
   return out;
 }
 
@@ -947,7 +878,6 @@ void HmmSearch::forward_stage(ScanSource src, BatchScanner& scanner,
                               const std::vector<float>& vit_bits,
                               SearchResult& out) const {
   obs::Recorder* rec = enabled(recorder_);
-  if (rec) rec->reserve_threads(1);  // run_gpu_multi skips engine setup
   OBS_SPAN(rec, 0, "fwd");
   out.fwd.n_in = survivors.size();
   WordScratch ws;

@@ -15,8 +15,9 @@
 //     (run_cpu_overlapped for one query, run_cpu_coalesced for many):
 //     a length-scheduled byte-filter sweep whose survivors any idle
 //     worker rescores from a shared queue;
-//   * run_gpu* — the warp-synchronous SIMT kernels for MSV and P7Viterbi
-//     (the Forward stage stays on the CPU, as in the paper).
+//   * run_gpu — the warp-synchronous SIMT kernels for SSV, MSV and
+//     P7Viterbi on one or more devices (the Forward stage stays on the
+//     CPU, as in the paper).
 #pragma once
 
 #include <optional>
@@ -28,7 +29,6 @@
 #include "cpu/posterior.hpp"
 #include "cpu/trace.hpp"
 #include "gpu/placement_policy.hpp"
-#include "gpu/search.hpp"
 #include "hmm/model_group.hpp"
 #include "hmm/plan7.hpp"
 #include "hmm/profile.hpp"
@@ -111,9 +111,6 @@ struct SearchResult {
   /// checkpointed Forward internally, so its time is banked here, not
   /// under fwd.
   StageStats bwd;
-  /// GPU runs also expose the per-stage counters and launch plans.
-  std::optional<gpu::StageResult> gpu_msv;
-  std::optional<gpu::StageResult> gpu_vit;
   /// Unified performance snapshot (docs/observability.md), filled when a
   /// recorder is attached to the HmmSearch (set_recorder); every engine
   /// reports through the same schema.
@@ -205,41 +202,21 @@ class HmmSearch {
       ThreadPool& pool, const hmm::FusePlan* plan = nullptr,
       const ScanSchedule* schedule = nullptr, obs::Recorder* rec = nullptr);
 
-  /// Scan with the SIMT kernels for MSV and P7Viterbi on `dev`; the
-  /// Forward stage runs on the CPU.  `placement` applies to both kernels.
-  SearchResult run_gpu(const simt::DeviceSpec& dev,
-                       const bio::SequenceDatabase& db,
-                       const bio::PackedDatabase& packed,
-                       gpu::ParamPlacement placement) const;
-
-  /// As run_gpu, but each stage's parameter placement is chosen by the
-  /// occupancy-driven policy (the "optimal strategy" of Fig. 9).
-  SearchResult run_gpu_auto(const simt::DeviceSpec& dev,
-                            const bio::SequenceDatabase& db,
-                            const bio::PackedDatabase& packed) const;
-
-  /// Multi-GPU scan: the database is partitioned across the devices for
-  /// the MSV stage and the survivors re-partitioned for P7Viterbi, as in
-  /// the paper's Fig. 11 setup.  Scores are identical to a single-device
-  /// run; the per-device counters land in SearchResult::gpu_* of the
-  /// per-device results vector.
-  struct MultiGpuResult {
-    SearchResult combined;
-    std::vector<gpu::StageResult> msv_per_device;
-    std::vector<gpu::StageResult> vit_per_device;
-  };
-  MultiGpuResult run_gpu_multi(const std::vector<simt::DeviceSpec>& devs,
-                               const bio::SequenceDatabase& db,
-                               const bio::PackedDatabase& packed,
-                               gpu::ParamPlacement placement) const;
+  /// Scan with the warp-synchronous SIMT kernels: SSV (when enabled) ->
+  /// MSV -> P7Viterbi on `devs`, then Forward on the CPU through the same
+  /// rescore as run_cpu.  Each stage's items are split across the devices
+  /// by residues (gpu::partition_by_residues, the paper's Fig. 11 setup);
+  /// one device takes everything.  `placement` applies to every stage;
+  /// nullopt lets the occupancy policy choose per stage and device (the
+  /// "optimal strategy" of Fig. 9).  Hits and stage counts are
+  /// bit-identical to run_cpu for any device list; the telemetry snapshot
+  /// (engine "gpu_sim") carries the SIMT counters summed over devices.
+  SearchResult run_gpu(
+      const std::vector<simt::DeviceSpec>& devs,
+      const bio::SequenceDatabase& db, const bio::PackedDatabase& packed,
+      std::optional<gpu::ParamPlacement> placement = std::nullopt) const;
 
  private:
-  SearchResult run_gpu_impl(const simt::DeviceSpec& dev,
-                            const bio::SequenceDatabase& db,
-                            const bio::PackedDatabase& packed,
-                            gpu::ParamPlacement msv_placement,
-                            gpu::ParamPlacement vit_placement) const;
-
   /// The sweep core behind run_cpu_overlapped and run_cpu_coalesced.
   static CoalescedScan sweep(const std::vector<const HmmSearch*>& queries,
                              ScanSource src, ThreadPool& pool,
@@ -247,7 +224,7 @@ class HmmSearch {
                              const ScanSchedule* schedule,
                              obs::Recorder* rec);
 
-  /// Serial post-filter logic (run_cpu, GPU engines): P7Viterbi
+  /// Serial post-filter logic (run_cpu, run_gpu): P7Viterbi
   /// survivors -> Forward -> hits, on worker 0 of `scanner`.
   void forward_stage(ScanSource src, BatchScanner& scanner,
                      const std::vector<std::size_t>& survivors,

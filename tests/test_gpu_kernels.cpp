@@ -171,16 +171,46 @@ TEST(MultiGpu, PartitionBalancesResidues) {
   }
 }
 
+TEST(MultiGpu, PartitionOfAnItemListKeepsItsOrder) {
+  GpuFixture fx(32, 120);
+  std::vector<std::size_t> items;
+  for (std::size_t s = 1; s < fx.db.size(); s += 3) items.push_back(s);
+  for (std::size_t n_dev : {1u, 2u, 4u}) {
+    auto parts = gpu::partition_by_residues(fx.packed, n_dev, &items);
+    ASSERT_EQ(parts.size(), n_dev);
+    std::vector<std::size_t> joined;
+    for (const auto& p : parts) joined.insert(joined.end(), p.begin(), p.end());
+    EXPECT_EQ(joined, items) << n_dev;  // contiguous slices, item order
+    for (const auto& p : parts) {
+      EXPECT_FALSE(p.empty()) << n_dev;
+    }
+  }
+}
+
 TEST(MultiGpu, FourFermisMatchSingleDeviceScores) {
   GpuFixture fx(64, 40);
-  std::vector<simt::DeviceSpec> devs(4, simt::DeviceSpec::gtx580());
-  auto multi =
-      gpu::run_msv_multi(devs, fx.msv, fx.packed, gpu::ParamPlacement::kShared);
   gpu::GpuSearch single(simt::DeviceSpec::tesla_k40());
   auto ref = single.run_msv(fx.msv, fx.packed, gpu::ParamPlacement::kShared);
-  ASSERT_EQ(multi.scores.size(), ref.scores.size());
-  for (std::size_t s = 0; s < ref.scores.size(); ++s)
-    EXPECT_FLOAT_EQ(multi.scores[s], ref.scores[s]);
+  // Each Fermi scores its residue slice; stitched back by sequence id the
+  // scores must cover the database once and match the single K40.
+  const auto parts = gpu::partition_by_residues(fx.packed, 4);
+  std::vector<float> multi(fx.db.size(), -1.0f);
+  std::vector<int> scored(fx.db.size(), 0);
+  for (const auto& part : parts) {
+    gpu::GpuSearch fermi(simt::DeviceSpec::gtx580());
+    auto r = fermi.run_msv(fx.msv, fx.packed, gpu::ParamPlacement::kShared,
+                           &part);
+    ASSERT_EQ(r.scores.size(), part.size());
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      multi[part[i]] = r.scores[i];
+      EXPECT_EQ(r.overflow[i], ref.overflow[part[i]]) << part[i];
+      ++scored[part[i]];
+    }
+  }
+  for (std::size_t s = 0; s < ref.scores.size(); ++s) {
+    EXPECT_EQ(scored[s], 1) << s;
+    EXPECT_EQ(multi[s], ref.scores[s]) << s;
+  }
 }
 
 TEST(LaunchPlan, MsvSharedIsFullOccupancyForSmallModels) {

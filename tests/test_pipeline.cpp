@@ -71,7 +71,7 @@ TEST(Pipeline, GpuEngineFindsTheSameHits) {
   PipelineFixture fx(64, 300, 0.04);
   HmmSearch search(fx.model);
   auto cpu_result = search.run_cpu(fx.db);
-  auto gpu_result = search.run_gpu(simt::DeviceSpec::tesla_k40(), fx.db,
+  auto gpu_result = search.run_gpu({simt::DeviceSpec::tesla_k40()}, fx.db,
                                    fx.packed, gpu::ParamPlacement::kShared);
   ASSERT_EQ(cpu_result.hits.size(), gpu_result.hits.size());
   for (std::size_t i = 0; i < cpu_result.hits.size(); ++i) {
@@ -86,9 +86,9 @@ TEST(Pipeline, GpuEngineFindsTheSameHits) {
 TEST(Pipeline, GpuGlobalPlacementAgreesWithShared) {
   PipelineFixture fx(64, 200, 0.04);
   HmmSearch search(fx.model);
-  auto a = search.run_gpu(simt::DeviceSpec::tesla_k40(), fx.db, fx.packed,
+  auto a = search.run_gpu({simt::DeviceSpec::tesla_k40()}, fx.db, fx.packed,
                           gpu::ParamPlacement::kShared);
-  auto b = search.run_gpu(simt::DeviceSpec::tesla_k40(), fx.db, fx.packed,
+  auto b = search.run_gpu({simt::DeviceSpec::tesla_k40()}, fx.db, fx.packed,
                           gpu::ParamPlacement::kGlobal);
   EXPECT_EQ(a.msv.n_passed, b.msv.n_passed);
   EXPECT_EQ(a.hits.size(), b.hits.size());

@@ -1,9 +1,15 @@
 // Extended pipeline features: auto placement, multi-GPU pipeline, hit
-// alignments, multi-model search.
+// alignments, multi-model search, and the GPU cascade's differential
+// test against run_cpu.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <tuple>
 
 #include "gpu/placement_policy.hpp"
 #include "hmm/generator.hpp"
+#include "obs/recorder.hpp"
 #include "pipeline/multi_search.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/workload.hpp"
@@ -60,8 +66,8 @@ TEST(PipelineExtended, AutoPlacementMatchesExplicit) {
   ExtFixture fx;
   pipeline::HmmSearch search(fx.model);
   auto k40 = simt::DeviceSpec::tesla_k40();
-  auto automatic = search.run_gpu_auto(k40, fx.db, fx.packed);
-  auto manual = search.run_gpu(k40, fx.db, fx.packed,
+  auto automatic = search.run_gpu({k40}, fx.db, fx.packed);
+  auto manual = search.run_gpu({k40}, fx.db, fx.packed,
                                gpu::ParamPlacement::kShared);
   EXPECT_EQ(automatic.hits.size(), manual.hits.size());
   EXPECT_EQ(automatic.msv.n_passed, manual.msv.n_passed);
@@ -73,16 +79,17 @@ TEST(PipelineExtended, MultiGpuPipelineMatchesSingleDevice) {
   auto k40 = simt::DeviceSpec::tesla_k40();
   std::vector<simt::DeviceSpec> fermis(4, simt::DeviceSpec::gtx580());
 
-  auto single = search.run_gpu(k40, fx.db, fx.packed,
+  auto single = search.run_gpu({k40}, fx.db, fx.packed,
                                gpu::ParamPlacement::kShared);
-  auto multi = search.run_gpu_multi(fermis, fx.db, fx.packed,
-                                    gpu::ParamPlacement::kShared);
-  ASSERT_EQ(multi.combined.hits.size(), single.hits.size());
+  auto multi = search.run_gpu(fermis, fx.db, fx.packed,
+                              gpu::ParamPlacement::kShared);
+  ASSERT_EQ(multi.hits.size(), single.hits.size());
   for (std::size_t i = 0; i < single.hits.size(); ++i) {
-    EXPECT_EQ(multi.combined.hits[i].seq_index, single.hits[i].seq_index);
-    EXPECT_FLOAT_EQ(multi.combined.hits[i].fwd_bits, single.hits[i].fwd_bits);
+    EXPECT_EQ(multi.hits[i].seq_index, single.hits[i].seq_index);
+    EXPECT_FLOAT_EQ(multi.hits[i].fwd_bits, single.hits[i].fwd_bits);
   }
-  EXPECT_EQ(multi.msv_per_device.size(), 4u);
+  // Every sequence is scored exactly once, whichever device it lands on.
+  EXPECT_EQ(multi.msv.cells, single.msv.cells);
 }
 
 TEST(PipelineExtended, HitAlignmentsAreProducedOnRequest) {
@@ -138,8 +145,8 @@ TEST(PipelineExtended, GpuEngineHonoursSsvPrefilter) {
   thr.use_ssv_prefilter = true;
   pipeline::HmmSearch search(fx.model, thr);
   auto cpu = search.run_cpu(fx.db);
-  auto gpu = search.run_gpu(simt::DeviceSpec::tesla_k40(), fx.db, fx.packed,
-                            gpu::ParamPlacement::kShared);
+  auto gpu = search.run_gpu({simt::DeviceSpec::tesla_k40()}, fx.db,
+                            fx.packed, gpu::ParamPlacement::kShared);
   EXPECT_EQ(cpu.ssv.n_passed, gpu.ssv.n_passed);
   EXPECT_EQ(cpu.msv.n_passed, gpu.msv.n_passed);
   ASSERT_EQ(cpu.hits.size(), gpu.hits.size());
@@ -182,10 +189,10 @@ TEST(PipelineExtended, SearchesAreDeterministic) {
     EXPECT_EQ(a.hits[i].evalue, b.hits[i].evalue);
     EXPECT_EQ(a.hits[i].fwd_bits, b.hits[i].fwd_bits);
   }
-  auto g1 = search.run_gpu_auto(simt::DeviceSpec::tesla_k40(), fx.db,
-                                fx.packed);
-  auto g2 = search.run_gpu_auto(simt::DeviceSpec::tesla_k40(), fx.db,
-                                fx.packed);
+  auto g1 = search.run_gpu({simt::DeviceSpec::tesla_k40()}, fx.db,
+                           fx.packed);
+  auto g2 = search.run_gpu({simt::DeviceSpec::tesla_k40()}, fx.db,
+                           fx.packed);
   ASSERT_EQ(g1.hits.size(), g2.hits.size());
   for (std::size_t i = 0; i < g1.hits.size(); ++i)
     EXPECT_EQ(g1.hits[i].evalue, g2.hits[i].evalue);
@@ -223,5 +230,125 @@ TEST(MultiSearch, FindsHomologsOfTheRightFamily) {
   EXPECT_EQ(gpu_results[1].result.hits.size(),
             cpu_results[1].result.hits.size());
 }
+
+// ---------------------------------------------------------------------------
+// One GPU cascade for every device list: hits and stage counts are
+// bit-identical to run_cpu at every SSV setting, and the telemetry carries
+// the SIMT counters of every device.
+
+enum class SsvMode { kOff, kDefault, kTight };
+enum class Devices { kK40Shared, kK40Auto, kTwoFermis, kFourFermis };
+
+struct GpuDiffFixture : ExtFixture {
+  pipeline::HmmSearch calibrated{model};
+  GpuDiffFixture() {
+    // One empty record: counted into the first stage, never scored.
+    db.add(bio::Sequence("empty", {}));
+    packed = bio::PackedDatabase(db);
+  }
+};
+
+double counter(const obs::StageTelemetry& st, const std::string& key) {
+  for (const auto& [k, v] : st.counters)
+    if (k == key) return v;
+  ADD_FAILURE() << st.stage << " has no counter " << key;
+  return -1.0;
+}
+
+class GpuDifferential
+    : public ::testing::TestWithParam<std::tuple<SsvMode, Devices>> {};
+
+TEST_P(GpuDifferential, HitsAndStageCountsMatchRunCpu) {
+  const auto [ssv, devices] = GetParam();
+  static const GpuDiffFixture fx;
+  pipeline::Thresholds thr;
+  thr.use_ssv_prefilter = ssv != SsvMode::kOff;
+  if (ssv == SsvMode::kTight) thr.ssv_p = 1e-5;
+  pipeline::HmmSearch search(fx.model, fx.calibrated.model_stats(), thr);
+
+  std::vector<simt::DeviceSpec> devs(1, simt::DeviceSpec::tesla_k40());
+  std::optional<gpu::ParamPlacement> placement;
+  if (devices == Devices::kK40Shared)
+    placement = gpu::ParamPlacement::kShared;
+  if (devices == Devices::kTwoFermis)
+    devs.assign(2, simt::DeviceSpec::gtx580());
+  if (devices == Devices::kFourFermis) {
+    devs.assign(4, simt::DeviceSpec::gtx580());
+    placement = gpu::ParamPlacement::kShared;
+  }
+
+  const pipeline::SearchResult ref = search.run_cpu(fx.db);
+  obs::Recorder rec;
+  search.set_recorder(&rec);
+  const pipeline::SearchResult got =
+      search.run_gpu(devs, fx.db, fx.packed, placement);
+
+  const auto same_counts = [](const pipeline::StageStats& a,
+                              const pipeline::StageStats& b,
+                              const char* name) {
+    EXPECT_EQ(a.n_in, b.n_in) << name;
+    EXPECT_EQ(a.n_passed, b.n_passed) << name;
+  };
+  same_counts(ref.ssv, got.ssv, "ssv");
+  same_counts(ref.msv, got.msv, "msv");
+  same_counts(ref.vit, got.vit, "vit");
+  same_counts(ref.fwd, got.fwd, "fwd");
+  // The empty record enters the first active stage.
+  EXPECT_EQ((thr.use_ssv_prefilter ? got.ssv : got.msv).n_in, fx.db.size());
+  ASSERT_FALSE(ref.hits.empty());
+  ASSERT_EQ(ref.hits.size(), got.hits.size());
+  for (std::size_t i = 0; i < ref.hits.size(); ++i) {
+    const pipeline::Hit& a = ref.hits[i];
+    const pipeline::Hit& b = got.hits[i];
+    EXPECT_EQ(a.seq_index, b.seq_index);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.vit_bits, b.vit_bits);
+    EXPECT_EQ(a.fwd_bits, b.fwd_bits);
+    EXPECT_EQ(a.bias_bits, b.bias_bits);
+    EXPECT_EQ(a.pvalue, b.pvalue);
+    EXPECT_EQ(a.evalue, b.evalue);
+  }
+
+  // Every device's share shows up in the stage rows: the items the SIMT
+  // counters saw are exactly the stage's non-empty inputs.
+  ASSERT_TRUE(got.telemetry.has_value());
+  EXPECT_EQ(got.telemetry->engine, "gpu_sim");
+  std::size_t simt_rows = 0;
+  for (const auto& st : got.telemetry->stages) {
+    const pipeline::StageStats* stage =
+        st.stage == "ssv" ? &got.ssv
+        : st.stage == "msv" ? &got.msv
+        : st.stage == "vit" ? &got.vit
+                            : nullptr;
+    if (stage == nullptr) continue;
+    ++simt_rows;
+    const bool first = st.stage == (thr.use_ssv_prefilter ? "ssv" : "msv");
+    EXPECT_EQ(counter(st, "sequences"),
+              static_cast<double>(stage->n_in - (first ? 1 : 0)))
+        << st.stage;
+    EXPECT_EQ(counter(st, "cells"), stage->cells) << st.stage;
+    EXPECT_EQ(st.n_in, stage->n_in) << st.stage;
+  }
+  EXPECT_EQ(simt_rows, thr.use_ssv_prefilter ? 3u : 2u);
+}
+
+std::string gpu_case_name(
+    const ::testing::TestParamInfo<GpuDifferential::ParamType>& info) {
+  static const char* const kSsv[] = {"SsvOff", "SsvDefault", "SsvTight"};
+  static const char* const kDevs[] = {"K40Shared", "K40Auto", "TwoFermis",
+                                      "FourFermis"};
+  return std::string(kSsv[static_cast<int>(std::get<0>(info.param))]) +
+         kDevs[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, GpuDifferential,
+    ::testing::Combine(::testing::Values(SsvMode::kOff, SsvMode::kDefault,
+                                         SsvMode::kTight),
+                       ::testing::Values(Devices::kK40Shared,
+                                         Devices::kK40Auto,
+                                         Devices::kTwoFermis,
+                                         Devices::kFourFermis)),
+    gpu_case_name);
 
 }  // namespace

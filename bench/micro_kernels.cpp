@@ -10,11 +10,14 @@
 #include "cpu/msv_filter.hpp"
 #include "cpu/msv_scalar.hpp"
 #include "cpu/msv_wide.hpp"
+#include "cpu/posterior.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
+#include "cpu/trace.hpp"
 #include "cpu/vit_filter.hpp"
 #include "cpu/vit_scalar.hpp"
 #include "gpu/search.hpp"
 #include "hmm/generator.hpp"
+#include "hmm/sampler.hpp"
 #include "pipeline/batch_scanner.hpp"
 
 namespace {
@@ -177,6 +180,64 @@ void BM_GenericForward(benchmark::State& state) {
   set_cell_rate(state, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_GenericForward)->Arg(100)->Arg(400);
+
+// The scalar loop the row kernel behind BM_GenericForward reproduces.
+void BM_GenericForwardScalar(benchmark::State& state) {
+  auto& f = fixture(static_cast<int>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(cpu::generic_forward_scalar(
+        f.prof, f.seq.codes.data(), f.seq.length()));
+  set_cell_rate(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_GenericForwardScalar)->Arg(100)->Arg(400);
+
+void BM_ViterbiTrace(benchmark::State& state) {
+  auto& f = fixture(static_cast<int>(state.range(0)));
+  cpu::TraceWorkspace ws;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        cpu::viterbi_trace(f.prof, f.seq.codes.data(), f.seq.length(), ws));
+  set_cell_rate(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_ViterbiTrace)->Arg(100)->Arg(400);
+
+void BM_ViterbiTraceScalar(benchmark::State& state) {
+  auto& f = fixture(static_cast<int>(state.range(0)));
+  cpu::TraceWorkspace ws;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(cpu::viterbi_trace_scalar(
+        f.prof, f.seq.codes.data(), f.seq.length(), ws));
+  set_cell_rate(state, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_ViterbiTraceScalar)->Arg(100)->Arg(400);
+
+/// The rescoring tail of one reported hit: envelopes from a decoded
+/// occupancy track, each rescored by Forward and aligned by traceback.
+/// The target is a homolog between two 100-residue random flanks.
+void BM_DomainsFromOccupancy(benchmark::State& state) {
+  auto& f = fixture(static_cast<int>(state.range(0)));
+  Pcg32 rng(5);
+  std::vector<std::uint8_t> seq = bio::random_sequence(100, rng).codes;
+  const bio::Sequence core = hmm::sample_homolog(f.model, rng);
+  seq.insert(seq.end(), core.codes.begin(), core.codes.end());
+  const bio::Sequence flank = bio::random_sequence(100, rng);
+  seq.insert(seq.end(), flank.codes.begin(), flank.codes.end());
+  profile::FwdProfile fwd(f.prof);
+  cpu::FwdFilter filter(fwd);
+  std::vector<float> mocc;
+  filter.decode(seq.data(), seq.size(), mocc);
+  cpu::TraceWorkspace ws;
+  std::size_t envelope = 0;
+  for (const cpu::Domain& d : cpu::domains_from_occupancy(
+           f.prof, seq.data(), seq.size(), mocc.data(), ws))
+    envelope += d.i_end - d.i_start + 1;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(cpu::domains_from_occupancy(
+        f.prof, seq.data(), seq.size(), mocc.data(), ws));
+  state.counters["envelope"] = static_cast<double>(envelope);
+}
+BENCHMARK(BM_DomainsFromOccupancy)->Arg(100)->Arg(400)->Unit(
+    benchmark::kMicrosecond);
 
 void BM_SimtMsvKernel(benchmark::State& state) {
   // Functional simulator speed (not GPU speed): warp MSV over a small DB.

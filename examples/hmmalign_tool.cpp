@@ -134,8 +134,9 @@ int main(int argc, char** argv) {
                                    : hmm::AlignMode::kLocalMultihit,
                             400);
     bio::SequenceDatabase aligned;
+    cpu::TraceWorkspace ws;
     for (const auto& s : seqs) {
-      auto trace = cpu::viterbi_trace(prof, s.codes.data(), s.length());
+      auto trace = cpu::viterbi_trace(prof, s.codes.data(), s.length(), ws);
       std::string row = a2m_row(trace, model.length(), s.codes.data());
       // A2M rows may contain '-' and lowercase; keep them as annotation by
       // storing the text directly.

@@ -6,6 +6,8 @@ set -euo pipefail
 
 BIN_DIR=${1:?usage: smoke_tools.sh <examples-bin-dir> [tools-bin-dir]}
 TOOLS_DIR=${2:-$BIN_DIR/../tools}
+BIN_DIR=$(cd "$BIN_DIR" && pwd)
+GOLDEN=$(cd "$(dirname "$0")/../tests/golden/tools_smoke" && pwd)
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -85,6 +87,21 @@ echo "== tblout / domains =="
 "$BIN_DIR/hmmsearch_tool" --domains --tblout "$WORK/hits.tbl" \
   "$WORK/model.hmm" "$WORK/homologs.fasta" > /dev/null
 [ "$(grep -cv '^#' "$WORK/hits.tbl")" -eq 8 ]
+
+echo "== hmmsearch_tool output matches the committed golden =="
+# Domain scores, the null2 bias and the alignments are pinned to the
+# files in tests/golden/tools_smoke, so any drift in them fails here and
+# not only a mismatch between two engines.  The runs use relative paths
+# in a directory of their own so the file names they print are stable.
+mkdir "$WORK/golden"
+cp "$WORK/model.hmm" "$WORK/homologs.fasta" "$WORK/golden/"
+(cd "$WORK/golden" &&
+  "$BIN_DIR/hmmsearch_tool" --domains --ali --tblout hits.tbl \
+    model.hmm homologs.fasta > domains_ali.out &&
+  "$BIN_DIR/hmmsearch_tool" --ali model.hmm homologs.fasta > ali.out)
+for f in hits.tbl domains_ali.out ali.out; do
+  cmp "$GOLDEN/$f" "$WORK/golden/$f"
+done
 
 echo "== hmmsearch_tool --threads 2 (tblout identical to serial) =="
 "$BIN_DIR/hmmsearch_tool" --domains --threads 2 --tblout "$WORK/threads.tbl" \

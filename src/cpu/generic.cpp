@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "cpu/simd_backend/backend.hpp"
 #include "util/error.hpp"
 #include "util/logspace.hpp"
 
@@ -137,10 +138,8 @@ float lse(float a, float b, bool exact) {
   return exact ? logsum_exact(a, b) : logsum(a, b);
 }
 
-}  // namespace
-
-float generic_forward(const hmm::SearchProfile& prof, const std::uint8_t* seq,
-                      std::size_t L, bool exact) {
+float forward_scalar(const hmm::SearchProfile& prof, const std::uint8_t* seq,
+                     std::size_t L, bool exact) {
   FH_REQUIRE(L >= 1, "cannot score an empty sequence");
   const int M = prof.length();
   const auto xs = prof.xsc_for(static_cast<int>(L));
@@ -188,6 +187,22 @@ float generic_forward(const hmm::SearchProfile& prof, const std::uint8_t* seq,
     pd.swap(cd);
   }
   return add_scores(xC, xs.c_move);
+}
+
+}  // namespace
+
+float generic_forward(const hmm::SearchProfile& prof, const std::uint8_t* seq,
+                      std::size_t L, bool exact) {
+  if (exact) return forward_scalar(prof, seq, L, true);
+  FH_REQUIRE(L >= 1, "cannot score an empty sequence");
+  std::vector<float> rows(6 * prof.row_stride());
+  return backend::tier_kernels(active_simd_tier())
+      .forward_rows(prof, seq, L, rows.data());
+}
+
+float generic_forward_scalar(const hmm::SearchProfile& prof,
+                             const std::uint8_t* seq, std::size_t L) {
+  return forward_scalar(prof, seq, L, false);
 }
 
 float generic_backward(const hmm::SearchProfile& prof, const std::uint8_t* seq,

@@ -36,9 +36,17 @@ float generic_viterbi(const hmm::SearchProfile& prof, const std::uint8_t* seq,
                       std::size_t L);
 
 /// Forward score (nats).  exact=true uses exact log-sum (slow, tests);
-/// false uses the shared lookup table like HMMER's p7_FLogsum.
+/// false uses the shared lookup table like HMMER's p7_FLogsum, computed
+/// by the active SIMD tier's exact row kernel
+/// (cpu/simd_backend/row_kernels.hpp): bit-identical on every tier to
+/// generic_forward_scalar.
 float generic_forward(const hmm::SearchProfile& prof, const std::uint8_t* seq,
                       std::size_t L, bool exact = false);
+
+/// The scalar table-logsum Forward loop the row kernels reproduce; kept
+/// as their test oracle.
+float generic_forward_scalar(const hmm::SearchProfile& prof,
+                             const std::uint8_t* seq, std::size_t L);
 
 /// Backward score (nats); equals Forward up to log-sum rounding.
 float generic_backward(const hmm::SearchProfile& prof, const std::uint8_t* seq,

@@ -168,6 +168,7 @@ std::vector<float> model_occupancy(const PosteriorMatrices& pm) {
 std::vector<Domain> domains_from_occupancy(const hmm::SearchProfile& prof,
                                            const std::uint8_t* seq,
                                            std::size_t L, const float* mocc,
+                                           TraceWorkspace& ws,
                                            const DomainDefOptions& opts) {
   std::vector<Domain> out;
   std::size_t i = 0;
@@ -192,7 +193,7 @@ std::vector<Domain> domains_from_occupancy(const hmm::SearchProfile& prof,
     float raw = generic_forward(prof, env, env_len);
     d.bits = hmm::nats_to_bits(raw, static_cast<int>(env_len));
 
-    auto trace = viterbi_trace(prof, env, env_len);
+    auto trace = viterbi_trace(prof, env, env_len, ws);
     d.alignments = trace_alignments(trace, prof, env);
     for (auto& a : d.alignments) {
       a.i_start += lo;  // shift to whole-sequence coordinates
@@ -210,7 +211,8 @@ std::vector<Domain> define_domains(const hmm::SearchProfile& prof,
   // The checkpointed decoder (O(M*sqrt(L)) memory) produces the same
   // occupancies as the full matrices; domain definition only needs mocc.
   auto ck = model_occupancy_checkpointed(prof, seq, L);
-  return domains_from_occupancy(prof, seq, L, ck.mocc.data(), opts);
+  TraceWorkspace ws;
+  return domains_from_occupancy(prof, seq, L, ck.mocc.data(), ws, opts);
 }
 
 }  // namespace finehmm::cpu

@@ -64,10 +64,14 @@ struct Domain {
 /// = P(residue i+1 emitted by the core model), L entries).  This is the
 /// common tail of every decode path: the scalar checkpointed decoder and
 /// the vectorized fwd/bwd filters (FwdFilter::decode) both produce mocc
-/// and delegate envelope definition, rescoring and alignment here.
+/// and delegate envelope definition, rescoring and alignment here.  Each
+/// envelope is rescored by generic_forward and aligned by the workspace
+/// viterbi_trace, both on the active tier's exact row kernels; `ws` is
+/// the caller's (a scan worker's) traceback workspace.
 std::vector<Domain> domains_from_occupancy(const hmm::SearchProfile& prof,
                                            const std::uint8_t* seq,
                                            std::size_t L, const float* mocc,
+                                           TraceWorkspace& ws,
                                            const DomainDefOptions& opts = {});
 
 /// Define and score domains for one sequence (computes the occupancy

@@ -18,6 +18,9 @@
 //     (cpu::WideVitStripes<N>; SSE2 uses vit_native_view below).
 //   * fwd / fwd_bwd take a FwdStripesView built for the tier's float lane
 //     count (cpu::WideFwdStripes).
+//   * forward_rows / trace_rows are the exact row kernels of the
+//     rescoring tail (row_kernels.hpp): they read the SearchProfile's
+//     node-major rows directly and reproduce the scalar loops bit for bit.
 //
 // tier_kernels() maps a SimdTier to its function-pointer row, so the
 // filter classes resolve MSV/SSV/Viterbi/Forward/Backward through one
@@ -30,6 +33,7 @@
 #include "bio/packed_seq.hpp"
 #include "cpu/filter_result.hpp"
 #include "cpu/simd_backend/kernels.hpp"
+#include "cpu/simd_backend/row_kernels.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "profile/fwd_profile.hpp"
 #include "profile/msv_profile.hpp"
@@ -104,6 +108,11 @@ float fwd_bwd_sse2(const profile::FwdProfile& prof,
                    const simd_kernels::FwdStripesView& st,
                    const std::uint8_t* seq, std::size_t L,
                    const simd_kernels::FwdBwdScratch& ws, float* mocc);
+float forward_rows_sse2(const hmm::SearchProfile& prof,
+                        const std::uint8_t* seq, std::size_t L, float* rows);
+float trace_rows_sse2(const hmm::SearchProfile& prof,
+                      const std::uint8_t* seq, std::size_t L,
+                      const simd_kernels::TraceRows& ws);
 
 // Zero-copy overloads for the database scan path: the sequence is a packed
 // 5-bit residue view (typically into an mmap'd .fsqdb), consumed in place.
@@ -159,6 +168,11 @@ float fwd_bwd_avx2(const profile::FwdProfile& prof,
                    const simd_kernels::FwdStripesView& st,
                    const std::uint8_t* seq, std::size_t L,
                    const simd_kernels::FwdBwdScratch& ws, float* mocc);
+float forward_rows_avx2(const hmm::SearchProfile& prof,
+                        const std::uint8_t* seq, std::size_t L, float* rows);
+float trace_rows_avx2(const hmm::SearchProfile& prof,
+                      const std::uint8_t* seq, std::size_t L,
+                      const simd_kernels::TraceRows& ws);
 
 // Packed-residue (zero-copy) overloads; see the SSE2 notes above.
 FilterResult msv_avx2(const profile::MsvProfile& prof,
@@ -209,6 +223,11 @@ float fwd_bwd_avx512(const profile::FwdProfile& prof,
                      const simd_kernels::FwdStripesView& st,
                      const std::uint8_t* seq, std::size_t L,
                      const simd_kernels::FwdBwdScratch& ws, float* mocc);
+float forward_rows_avx512(const hmm::SearchProfile& prof,
+                          const std::uint8_t* seq, std::size_t L, float* rows);
+float trace_rows_avx512(const hmm::SearchProfile& prof,
+                        const std::uint8_t* seq, std::size_t L,
+                        const simd_kernels::TraceRows& ws);
 
 FilterResult msv_avx512(const profile::MsvProfile& prof,
                         const std::uint8_t* rows, int Q,
@@ -290,6 +309,13 @@ struct TierKernels {
                            const simd_kernels::MsvGroupState&,
                            bio::PackedResidues, std::size_t,
                            std::uint8_t*) = nullptr;
+
+  // Exact row kernels of the rescoring tail: rows are 6 (forward) or 7
+  // (trace) rows of prof.row_stride() floats.
+  float (*forward_rows)(const hmm::SearchProfile&, const std::uint8_t*,
+                        std::size_t, float*) = nullptr;
+  float (*trace_rows)(const hmm::SearchProfile&, const std::uint8_t*,
+                      std::size_t, const simd_kernels::TraceRows&) = nullptr;
 };
 
 /// The dispatch row for one tier.  The caller is responsible for only

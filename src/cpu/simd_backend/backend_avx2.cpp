@@ -66,6 +66,17 @@ float fwd_bwd_avx2(const profile::FwdProfile& prof,
                                                 mocc);
 }
 
+float forward_rows_avx2(const hmm::SearchProfile& prof,
+                        const std::uint8_t* seq, std::size_t L, float* rows) {
+  return simd_kernels::forward_rows_kernel<AvxF32x8>(prof, seq, L, rows);
+}
+
+float trace_rows_avx2(const hmm::SearchProfile& prof,
+                      const std::uint8_t* seq, std::size_t L,
+                      const simd_kernels::TraceRows& ws) {
+  return simd_kernels::trace_rows_kernel<AvxF32x8>(prof, seq, L, ws);
+}
+
 FilterResult msv_avx2(const profile::MsvProfile& prof,
                       const std::uint8_t* rows, int Q,
                       bio::PackedResidues seq, std::size_t L,
@@ -135,6 +146,14 @@ float fwd_bwd_avx2(const profile::FwdProfile&,
                    const simd_kernels::FwdStripesView&,
                    const std::uint8_t*, std::size_t,
                    const simd_kernels::FwdBwdScratch&, float*) {
+  throw Error("AVX2 backend not compiled into this binary");
+}
+float forward_rows_avx2(const hmm::SearchProfile&, const std::uint8_t*,
+                        std::size_t, float*) {
+  throw Error("AVX2 backend not compiled into this binary");
+}
+float trace_rows_avx2(const hmm::SearchProfile&, const std::uint8_t*,
+                      std::size_t, const simd_kernels::TraceRows&) {
   throw Error("AVX2 backend not compiled into this binary");
 }
 FilterResult msv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,

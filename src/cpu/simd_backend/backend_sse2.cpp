@@ -57,6 +57,17 @@ float fwd_bwd_sse2(const profile::FwdProfile& prof,
                                                 mocc);
 }
 
+float forward_rows_sse2(const hmm::SearchProfile& prof,
+                        const std::uint8_t* seq, std::size_t L, float* rows) {
+  return simd_kernels::forward_rows_kernel<SseF32x4>(prof, seq, L, rows);
+}
+
+float trace_rows_sse2(const hmm::SearchProfile& prof,
+                      const std::uint8_t* seq, std::size_t L,
+                      const simd_kernels::TraceRows& ws) {
+  return simd_kernels::trace_rows_kernel<SseF32x4>(prof, seq, L, ws);
+}
+
 FilterResult msv_sse2(const profile::MsvProfile& prof,
                       const std::uint8_t* rows, int Q,
                       bio::PackedResidues seq, std::size_t L,
@@ -126,6 +137,14 @@ float fwd_bwd_sse2(const profile::FwdProfile&,
                    const simd_kernels::FwdStripesView&,
                    const std::uint8_t*, std::size_t,
                    const simd_kernels::FwdBwdScratch&, float*) {
+  throw Error("SSE2 backend not available on this target");
+}
+float forward_rows_sse2(const hmm::SearchProfile&, const std::uint8_t*,
+                        std::size_t, float*) {
+  throw Error("SSE2 backend not available on this target");
+}
+float trace_rows_sse2(const hmm::SearchProfile&, const std::uint8_t*,
+                      std::size_t, const simd_kernels::TraceRows&) {
   throw Error("SSE2 backend not available on this target");
 }
 FilterResult msv_sse2(const profile::MsvProfile&, const std::uint8_t*, int,

@@ -70,6 +70,18 @@ float fwd_bwd_portable(const profile::FwdProfile& prof,
   return simd_kernels::fwd_bwd_kernel<F32x4>(prof, st, seq, L, ws, mocc);
 }
 
+float forward_rows_portable(const hmm::SearchProfile& prof,
+                            const std::uint8_t* seq, std::size_t L,
+                            float* rows) {
+  return simd_kernels::forward_rows_kernel<F32x4>(prof, seq, L, rows);
+}
+
+float trace_rows_portable(const hmm::SearchProfile& prof,
+                          const std::uint8_t* seq, std::size_t L,
+                          const simd_kernels::TraceRows& ws) {
+  return simd_kernels::trace_rows_kernel<F32x4>(prof, seq, L, ws);
+}
+
 void msv_group_portable(const simd_kernels::MsvGroupView& g,
                         const simd_kernels::MsvGroupState& st,
                         const std::uint8_t* seq, std::size_t L,
@@ -103,7 +115,8 @@ constexpr TierKernels kTable[] = {
      &msv_portable, &msv_portable_packed, &ssv_portable,
      &ssv_portable_packed, &vit_portable, &fwd_portable,
      &fwd_bwd_portable, &msv_group_portable, &msv_group_portable_packed,
-     &ssv_group_portable, &ssv_group_portable_packed},
+     &ssv_group_portable, &ssv_group_portable_packed,
+     &forward_rows_portable, &trace_rows_portable},
     {SimdTier::kSse2, 16, 8, 4,
      [](const profile::MsvProfile& p, const std::uint8_t* r, int q,
         const std::uint8_t* s, std::size_t l, std::uint8_t* w) {
@@ -133,7 +146,8 @@ constexpr TierKernels kTable[] = {
         std::size_t l, std::uint8_t* w) { ssv_group_sse2(g, st, s, l, w); },
      [](const simd_kernels::MsvGroupView& g,
         const simd_kernels::MsvGroupState& st, bio::PackedResidues s,
-        std::size_t l, std::uint8_t* w) { ssv_group_sse2(g, st, s, l, w); }},
+        std::size_t l, std::uint8_t* w) { ssv_group_sse2(g, st, s, l, w); },
+     &forward_rows_sse2, &trace_rows_sse2},
     {SimdTier::kAvx2, 32, 16, 8,
      [](const profile::MsvProfile& p, const std::uint8_t* r, int q,
         const std::uint8_t* s, std::size_t l, std::uint8_t* w) {
@@ -163,7 +177,8 @@ constexpr TierKernels kTable[] = {
         std::size_t l, std::uint8_t* w) { ssv_group_avx2(g, st, s, l, w); },
      [](const simd_kernels::MsvGroupView& g,
         const simd_kernels::MsvGroupState& st, bio::PackedResidues s,
-        std::size_t l, std::uint8_t* w) { ssv_group_avx2(g, st, s, l, w); }},
+        std::size_t l, std::uint8_t* w) { ssv_group_avx2(g, st, s, l, w); },
+     &forward_rows_avx2, &trace_rows_avx2},
     {SimdTier::kAvx512, 64, 32, 16,
      [](const profile::MsvProfile& p, const std::uint8_t* r, int q,
         const std::uint8_t* s, std::size_t l, std::uint8_t* w) {
@@ -201,7 +216,8 @@ constexpr TierKernels kTable[] = {
         const simd_kernels::MsvGroupState& st, bio::PackedResidues s,
         std::size_t l, std::uint8_t* w) {
        ssv_group_avx512(g, st, s, l, w);
-     }},
+     },
+     &forward_rows_avx512, &trace_rows_avx512},
 };
 
 }  // namespace

@@ -111,6 +111,8 @@ struct AvxI16x16 {
 struct AvxF32x8 {
   static constexpr int kLanes = 8;
   __m256 v;
+  /// All-ones lanes where a comparison held.
+  using Mask = __m256;
 
   static AvxF32x8 splat(float x) { return {_mm256_set1_ps(x)}; }
   static AvxF32x8 load(const float* p) { return {_mm256_loadu_ps(p)}; }
@@ -145,6 +147,31 @@ struct AvxF32x8 {
     float s = 0.0f;
     for (int i = 0; i < 8; ++i) s += t[i];
     return s;
+  }
+
+  friend AvxF32x8 sub_f(AvxF32x8 a, AvxF32x8 b) {
+    return {_mm256_sub_ps(a.v, b.v)};
+  }
+  friend AvxF32x8 abs_f(AvxF32x8 a) {
+    return {_mm256_andnot_ps(_mm256_set1_ps(-0.0f), a.v)};
+  }
+  // Ordered, quiet predicates: false on NaN, like the scalar operators.
+  friend Mask gt_f(AvxF32x8 a, AvxF32x8 b) {
+    return _mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ);
+  }
+  friend Mask ge_f(AvxF32x8 a, AvxF32x8 b) {
+    return _mm256_cmp_ps(a.v, b.v, _CMP_GE_OQ);
+  }
+  friend Mask lt_f(AvxF32x8 a, AvxF32x8 b) {
+    return _mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ);
+  }
+  friend AvxF32x8 select_f(Mask m, AvxF32x8 a, AvxF32x8 b) {
+    return {_mm256_blendv_ps(b.v, a.v, m)};
+  }
+  /// Masked VGATHERDPS: lanes outside m keep 0 and are not loaded.
+  friend AvxF32x8 gather_f(const float* table, AvxF32x8 x, Mask m) {
+    return {_mm256_mask_i32gather_ps(_mm256_setzero_ps(), table,
+                                     _mm256_cvttps_epi32(x.v), m, 4)};
   }
 };
 

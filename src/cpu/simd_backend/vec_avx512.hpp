@@ -118,6 +118,8 @@ struct Avx512I16x32 {
 struct Avx512F32x16 {
   static constexpr int kLanes = 16;
   __m512 v;
+  /// One bit per lane where a comparison held.
+  using Mask = __mmask16;
 
   static Avx512F32x16 splat(float x) { return {_mm512_set1_ps(x)}; }
   static Avx512F32x16 load(const float* p) { return {_mm512_loadu_ps(p)}; }
@@ -148,6 +150,29 @@ struct Avx512F32x16 {
     float s = 0.0f;
     for (int i = 0; i < 16; ++i) s += t[i];
     return s;
+  }
+
+  friend Avx512F32x16 sub_f(Avx512F32x16 a, Avx512F32x16 b) {
+    return {_mm512_sub_ps(a.v, b.v)};
+  }
+  friend Avx512F32x16 abs_f(Avx512F32x16 a) { return {_mm512_abs_ps(a.v)}; }
+  // Ordered, quiet predicates: false on NaN, like the scalar operators.
+  friend Mask gt_f(Avx512F32x16 a, Avx512F32x16 b) {
+    return _mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ);
+  }
+  friend Mask ge_f(Avx512F32x16 a, Avx512F32x16 b) {
+    return _mm512_cmp_ps_mask(a.v, b.v, _CMP_GE_OQ);
+  }
+  friend Mask lt_f(Avx512F32x16 a, Avx512F32x16 b) {
+    return _mm512_cmp_ps_mask(a.v, b.v, _CMP_LT_OQ);
+  }
+  friend Avx512F32x16 select_f(Mask m, Avx512F32x16 a, Avx512F32x16 b) {
+    return {_mm512_mask_blend_ps(m, b.v, a.v)};
+  }
+  /// Masked gather: lanes outside m keep 0 and are not loaded.
+  friend Avx512F32x16 gather_f(const float* table, Avx512F32x16 x, Mask m) {
+    return {_mm512_mask_i32gather_ps(_mm512_setzero_ps(), m,
+                                     _mm512_cvttps_epi32(x.v), table, 4)};
   }
 };
 

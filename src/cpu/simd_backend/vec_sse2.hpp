@@ -104,6 +104,8 @@ struct SseI16x8 {
 struct SseF32x4 {
   static constexpr int kLanes = 4;
   __m128 v;
+  /// All-ones lanes where a comparison held.
+  using Mask = __m128;
 
   static SseF32x4 splat(float x) { return {_mm_set1_ps(x)}; }
   static SseF32x4 load(const float* p) { return {_mm_loadu_ps(p)}; }
@@ -131,6 +133,29 @@ struct SseF32x4 {
     float s = 0.0f;
     for (int i = 0; i < 4; ++i) s += t[i];
     return s;
+  }
+
+  friend SseF32x4 sub_f(SseF32x4 a, SseF32x4 b) {
+    return {_mm_sub_ps(a.v, b.v)};
+  }
+  friend SseF32x4 abs_f(SseF32x4 a) {
+    return {_mm_andnot_ps(_mm_set1_ps(-0.0f), a.v)};
+  }
+  friend Mask gt_f(SseF32x4 a, SseF32x4 b) { return _mm_cmpgt_ps(a.v, b.v); }
+  friend Mask ge_f(SseF32x4 a, SseF32x4 b) { return _mm_cmpge_ps(a.v, b.v); }
+  friend Mask lt_f(SseF32x4 a, SseF32x4 b) { return _mm_cmplt_ps(a.v, b.v); }
+  friend SseF32x4 select_f(Mask m, SseF32x4 a, SseF32x4 b) {
+    return {_mm_or_ps(_mm_and_ps(m, a.v), _mm_andnot_ps(m, b.v))};
+  }
+  /// SSE2 has no gather: truncate in the register, load lane by lane.
+  friend SseF32x4 gather_f(const float* table, SseF32x4 x, Mask m) {
+    alignas(16) std::int32_t idx[4];
+    alignas(16) float out[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(idx), _mm_cvttps_epi32(x.v));
+    const int live = _mm_movemask_ps(m);
+    for (int i = 0; i < 4; ++i)
+      out[i] = (live >> i & 1) != 0 ? table[idx[i]] : 0.0f;
+    return {_mm_load_ps(out)};
   }
 };
 

@@ -8,6 +8,7 @@
 // (see profile/vit_profile.hpp) so every implementation agrees exactly.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "profile/vit_profile.hpp"
@@ -122,10 +123,16 @@ struct I16x8 {
   }
 };
 
-/// 4 floats (Forward filter lane type, probability space).
+/// 4 floats (Forward filter lane type, probability space; also the
+/// log-space lane type of the exact row kernels, which use the compare /
+/// select / gather half below).
 struct F32x4 {
   static constexpr int kLanes = 4;
   float v[kLanes];
+  /// Per-lane predicate of a comparison.
+  struct Mask {
+    bool v[kLanes];
+  };
 
   static F32x4 splat(float x) {
     F32x4 r;
@@ -176,6 +183,46 @@ struct F32x4 {
     for (auto e : a.v)
       if (e > m) m = e;
     return m;
+  }
+
+  friend F32x4 sub_f(F32x4 a, F32x4 b) {
+    F32x4 r;
+    for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] - b.v[i];
+    return r;
+  }
+  friend F32x4 abs_f(F32x4 a) {
+    F32x4 r;
+    for (int i = 0; i < kLanes; ++i) r.v[i] = std::fabs(a.v[i]);
+    return r;
+  }
+  friend Mask gt_f(F32x4 a, F32x4 b) {
+    Mask m;
+    for (int i = 0; i < kLanes; ++i) m.v[i] = a.v[i] > b.v[i];
+    return m;
+  }
+  friend Mask ge_f(F32x4 a, F32x4 b) {
+    Mask m;
+    for (int i = 0; i < kLanes; ++i) m.v[i] = a.v[i] >= b.v[i];
+    return m;
+  }
+  friend Mask lt_f(F32x4 a, F32x4 b) {
+    Mask m;
+    for (int i = 0; i < kLanes; ++i) m.v[i] = a.v[i] < b.v[i];
+    return m;
+  }
+  /// m ? a : b, lane-wise.
+  friend F32x4 select_f(Mask m, F32x4 a, F32x4 b) {
+    F32x4 r;
+    for (int i = 0; i < kLanes; ++i) r.v[i] = m.v[i] ? a.v[i] : b.v[i];
+    return r;
+  }
+  /// table[int(x)] (truncating) in the lanes of m, 0 elsewhere; lanes
+  /// outside m are not read.
+  friend F32x4 gather_f(const float* table, F32x4 x, Mask m) {
+    F32x4 r;
+    for (int i = 0; i < kLanes; ++i)
+      r.v[i] = m.v[i] ? table[static_cast<int>(x.v[i])] : 0.0f;
+    return r;
   }
 };
 

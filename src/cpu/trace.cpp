@@ -4,6 +4,7 @@
 #include <cctype>
 #include <vector>
 
+#include "cpu/simd_backend/backend.hpp"
 #include "util/error.hpp"
 #include "util/logspace.hpp"
 
@@ -39,9 +40,9 @@ char consensus_char(const hmm::SearchProfile& prof, int k) {
 // match predecessor (B/M/I/D) in bits 0-1, the insert predecessor (M/I)
 // in bit 2, the delete predecessor (M/D) in bit 3.  A third of the
 // memory of one matrix per state, which is what every concurrent
-// rescoring worker holds.
-constexpr int kInsertBit = 2;
-constexpr int kDeleteBit = 3;
+// rescoring worker holds.  The row kernels pack the same bits.
+constexpr int kInsertBit = simd_kernels::kTraceInsertBit;
+constexpr int kDeleteBit = simd_kernels::kTraceDeleteBit;
 
 /// Recover the state path from the filled backpointer arrays.  `stride`
 /// is M+1; bp is the (L+1)*stride packed matrix.  Only backpointers along
@@ -142,103 +143,12 @@ ViterbiTrace backtrace(float score, std::size_t L, std::size_t stride,
 
 }  // namespace
 
-ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
-                           const std::uint8_t* seq, std::size_t L) {
-  FH_REQUIRE(L >= 1, "cannot trace an empty sequence");
-  const int M = prof.length();
-  const auto xs = prof.xsc_for(static_cast<int>(L));
-
-  // DP values: two rolling rows; backpointers: full matrices (they are
-  // what the traceback needs).
-  std::vector<float> pm(M + 1, kNegInf), pi(M + 1, kNegInf),
-      pd(M + 1, kNegInf);
-  std::vector<float> cm(M + 1, kNegInf), ci(M + 1, kNegInf),
-      cd(M + 1, kNegInf);
-  auto at = [M](std::size_t i, int k) {
-    return i * static_cast<std::size_t>(M + 1) + static_cast<std::size_t>(k);
-  };
-  std::vector<std::uint8_t> bp((L + 1) * (M + 1), 0);
-  std::vector<int> be(L + 1, 0);
-  std::vector<std::uint8_t> bj(L + 1, 0), bc(L + 1, 0), bb(L + 1, 0);
-
-  std::vector<float> vN(L + 1, kNegInf), vB(L + 1, kNegInf),
-      vE(L + 1, kNegInf), vJ(L + 1, kNegInf), vC(L + 1, kNegInf);
-  vN[0] = 0.0f;
-  vB[0] = xs.n_move;
-  bb[0] = 0;
-
-  for (std::size_t i = 1; i <= L; ++i) {
-    std::uint8_t x = seq[i - 1];
-    float xE = kNegInf;
-    int xEk = 0;
-    cm[0] = ci[0] = cd[0] = kNegInf;
-    for (int k = 1; k <= M; ++k) {
-      // Match: B / M / I / D predecessors from row i-1.
-      float cand[4] = {
-          add(vB[i - 1], prof.tsc(k - 1, kPTBM)),
-          add(pm[k - 1], prof.tsc(k - 1, kPTMM)),
-          add(pi[k - 1], prof.tsc(k - 1, kPTIM)),
-          add(pd[k - 1], prof.tsc(k - 1, kPTDM))};
-      int best = 0;
-      for (int c = 1; c < 4; ++c)
-        if (cand[c] > cand[best]) best = c;
-      bp[at(i, k)] = static_cast<std::uint8_t>(best);
-      cm[k] = add(cand[best], prof.msc(k, x));
-      float exit_score = add(cm[k], prof.esc(k));
-      if (exit_score > xE) {
-        xE = exit_score;
-        xEk = k;
-      }
-
-      if (k < M) {
-        float im = add(pm[k], prof.tsc(k, kPTMI));
-        float ii = add(pi[k], prof.tsc(k, kPTII));
-        bp[at(i, k)] |= (im >= ii ? 0 : 1) << kInsertBit;
-        ci[k] = std::max(im, ii);
-      } else {
-        ci[k] = kNegInf;
-      }
-      if (k >= 2) {
-        float dm = add(cm[k - 1], prof.tsc(k - 1, kPTMD));
-        float dd = add(cd[k - 1], prof.tsc(k - 1, kPTDD));
-        bp[at(i, k)] |= (dm >= dd ? 0 : 1) << kDeleteBit;
-        cd[k] = std::max(dm, dd);
-      } else {
-        cd[k] = kNegInf;
-      }
-    }
-    vE[i] = xE;
-    be[i] = xEk;
-
-    float j_loop = add(vJ[i - 1], xs.j_loop);
-    float j_new = add(xE, xs.e_j);
-    bj[i] = j_loop >= j_new ? 0 : 1;
-    vJ[i] = std::max(j_loop, j_new);
-
-    float c_loop = add(vC[i - 1], xs.c_loop);
-    float c_new = add(xE, xs.e_c);
-    bc[i] = c_loop >= c_new ? 0 : 1;
-    vC[i] = std::max(c_loop, c_new);
-
-    vN[i] = add(vN[i - 1], xs.n_loop);
-    float b_n = add(vN[i], xs.n_move);
-    float b_j = add(vJ[i], xs.j_move);
-    bb[i] = b_n >= b_j ? 0 : 1;
-    vB[i] = std::max(b_n, b_j);
-
-    pm.swap(cm);
-    pi.swap(ci);
-    pd.swap(cd);
-  }
-
-  return backtrace(add(vC[L], xs.c_move), L, static_cast<std::size_t>(M + 1),
-                   bp.data(), be.data(), bj.data(), bc.data(), bb.data());
-}
-
-void TraceWorkspace::reserve(int M, std::size_t L) {
-  const std::size_t stride = static_cast<std::size_t>(M) + 1;
-  const std::size_t cells = (L + 1) * stride;
-  if (rows_.size() < 6 * stride) rows_.resize(6 * stride);
+void TraceWorkspace::reserve(const hmm::SearchProfile& prof,
+                             std::size_t L) {
+  bp_stride_ = static_cast<std::size_t>(prof.length()) + 1;
+  const std::size_t cells = (L + 1) * bp_stride_;
+  const std::size_t floats = 7 * prof.row_stride();
+  if (rows_.size() < floats) rows_.resize(floats);
   if (bp_.size() < cells) bp_.resize(cells);
   if (be_.size() < L + 1) {
     be_.resize(L + 1);
@@ -249,29 +159,54 @@ void TraceWorkspace::reserve(int M, std::size_t L) {
 }
 
 ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
+                           const std::uint8_t* seq, std::size_t L) {
+  TraceWorkspace ws;
+  return viterbi_trace_scalar(prof, seq, L, ws);
+}
+
+ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
                            const std::uint8_t* seq, std::size_t L,
                            TraceWorkspace& ws) {
   FH_REQUIRE(L >= 1, "cannot trace an empty sequence");
+  ws.reserve(prof, L);
+  simd_kernels::TraceRows rows;
+  rows.rows = ws.rows_.data();
+  rows.bp = ws.bp_.data();
+  rows.be = ws.be_.data();
+  rows.bj = ws.bj_.data();
+  rows.bc = ws.bc_.data();
+  rows.bb = ws.bb_.data();
+  const float score = backend::tier_kernels(active_simd_tier())
+                          .trace_rows(prof, seq, L, rows);
+  return backtrace(score, L, ws.bp_stride_, rows.bp, rows.be, rows.bj,
+                   rows.bc, rows.bb);
+}
+
+ViterbiTrace viterbi_trace_scalar(const hmm::SearchProfile& prof,
+                                  const std::uint8_t* seq, std::size_t L,
+                                  TraceWorkspace& ws) {
+  FH_REQUIRE(L >= 1, "cannot trace an empty sequence");
   const int M = prof.length();
   const auto xs = prof.xsc_for(static_cast<int>(L));
-  ws.reserve(M, L);
+  ws.reserve(prof, L);
 
-  const std::size_t stride = static_cast<std::size_t>(M) + 1;
+  const std::size_t row = prof.row_stride();
+  const std::size_t stride = ws.bp_stride_;
   float* pm = ws.rows_.data();
-  float* pi = pm + stride;
-  float* pd = pi + stride;
-  float* cm = pd + stride;
-  float* ci = cm + stride;
-  float* cd = ci + stride;
+  float* pi = pm + row;
+  float* pd = pi + row;
+  float* cm = pd + row;
+  float* ci = cm + row;
+  float* cd = ci + row;
   std::uint8_t* bp = ws.bp_.data();
   int* be = ws.be_.data();
   std::uint8_t* bj = ws.bj_.data();
   std::uint8_t* bc = ws.bc_.data();
   std::uint8_t* bb = ws.bb_.data();
 
-  std::fill(pm, pm + stride, kNegInf);
-  std::fill(pi, pi + stride, kNegInf);
-  std::fill(pd, pd + stride, kNegInf);
+  std::fill(pm, pm + row, kNegInf);
+  std::fill(pi, pi + row, kNegInf);
+  std::fill(pd, pd + row, kNegInf);
 
   // Special-state values only feed the next row, so they live in scalars;
   // the per-row backpointers (all the backtrace reads) are kept.
@@ -288,8 +223,8 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
     int xEk = 0;
     cm[0] = ci[0] = cd[0] = kNegInf;
     for (int k = 1; k <= M; ++k) {
-      // Match: B / M / I / D predecessors from row i-1.  Running strict-
-      // greater argmax == the reference's first-index-of-max scan.
+      // Match: B / M / I / D predecessors from row i-1, running strict-
+      // greater argmax (the first index of the maximum).
       float bv = vB + prof.tsc(k - 1, kPTBM);
       int best = 0;
       const float c1 = pm[k - 1] + prof.tsc(k - 1, kPTMM);

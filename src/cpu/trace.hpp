@@ -32,40 +32,58 @@ struct ViterbiTrace {
   float score = 0.0f;  // the Viterbi score this path achieves (nats)
 };
 
-/// Full Viterbi with backpointers; O(M*L) time and space.
+class TraceWorkspace;
+
+/// Full Viterbi with backpointers; O(M*L) time and space.  The reference
+/// traceback: viterbi_trace_scalar on a private workspace.
 ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
                            const std::uint8_t* seq, std::size_t L);
 
-class TraceWorkspace;
-
-/// Scan-path variant of viterbi_trace: identical states, scores, and step
-/// sequence (equality-tested against the reference above), but all DP and
-/// backpointer storage lives in a caller-owned, grow-only workspace and
-/// the inner loop uses plain IEEE float adds — kNegInf is -infinity, so
-/// `a + b` equals the reference's guarded add bit-for-bit (no +inf ever
-/// enters the recurrence, hence no NaN).  Database engines keep one
-/// workspace per worker so rescoring a survivor allocates nothing once the
+/// Scan-path traceback: the same states, score, step sequence and packed
+/// backpointers as viterbi_trace_scalar (equality-tested on every tier),
+/// computed by the active SIMD tier's exact row kernel
+/// (cpu/simd_backend/row_kernels.hpp).  All DP and backpointer storage
+/// lives in a caller-owned, grow-only workspace, so database engines keep
+/// one per worker and rescoring a survivor allocates nothing once the
 /// workspace has grown to the largest (M, L) seen.
 ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
                            const std::uint8_t* seq, std::size_t L,
                            TraceWorkspace& ws);
 
-/// Reusable storage for the workspace viterbi_trace overload.  Buffers
-/// only ever grow; a default-constructed workspace is valid and sizes
-/// itself on first use.
+/// The scalar Viterbi DP the row kernels reproduce, on the same
+/// workspace; kept as their test oracle.  Plain IEEE float adds: kNegInf
+/// is -infinity and no score is +inf, so `a + b` never yields a NaN.
+ViterbiTrace viterbi_trace_scalar(const hmm::SearchProfile& prof,
+                                  const std::uint8_t* seq, std::size_t L,
+                                  TraceWorkspace& ws);
+
+/// Reusable storage for the workspace tracebacks.  Buffers only ever
+/// grow; a default-constructed workspace is valid and sizes itself on
+/// first use.
 class TraceWorkspace {
  public:
   TraceWorkspace() = default;
+
+  /// Row i (0..L) of the last trace's packed backpointers, indexed by
+  /// node k (1..M): the match predecessor (0 B, 1 M, 2 I, 3 D) in bits
+  /// 0-1, I-from-I in bit 2, D-from-D in bit 3.
+  const std::uint8_t* packed_row(std::size_t i) const {
+    return bp_.data() + i * bp_stride_;
+  }
 
  private:
   friend ViterbiTrace viterbi_trace(const hmm::SearchProfile&,
                                     const std::uint8_t*, std::size_t,
                                     TraceWorkspace&);
-  void reserve(int M, std::size_t L);
+  friend ViterbiTrace viterbi_trace_scalar(const hmm::SearchProfile&,
+                                           const std::uint8_t*, std::size_t,
+                                           TraceWorkspace&);
+  void reserve(const hmm::SearchProfile& prof, std::size_t L);
 
-  std::vector<float> rows_;      // 6 rolling value rows of (M+1) floats
-  std::vector<std::uint8_t> bp_; // (L+1)*(M+1) packed M/I/D backpointers
-  std::vector<int> be_;          // best exit node per row
+  std::vector<float> rows_;       // 7 DP rows of prof.row_stride() floats
+  std::vector<std::uint8_t> bp_;  // (L+1)*(M+1) packed M/I/D backpointers
+  std::size_t bp_stride_ = 0;     // M+1
+  std::vector<int> be_;           // best exit node per row
   std::vector<std::uint8_t> bj_, bc_, bb_;  // special-state backpointers
 };
 

@@ -1,5 +1,6 @@
 #include "hmm/profile.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -17,16 +18,24 @@ SearchProfile::SearchProfile(const Plan7Hmm& hmm, AlignMode mode, int L)
   FH_REQUIRE(M_ >= 1, "profile needs a non-empty model");
   const auto& bg = bio::background_frequencies();
 
+  stride_ = static_cast<std::size_t>(M_) + 1 + kRowPad;
+  auto msc = [this](int k, int x) -> float& {
+    return msc_[static_cast<std::size_t>(x) * stride_ + k];
+  };
+  auto tsc = [this](int k, ProfileTransition t) -> float& {
+    return tsc_[static_cast<std::size_t>(t) * stride_ + k];
+  };
+
   // --- Match emission log-odds, expanded over the full alphabet. ---
-  msc_.assign(static_cast<std::size_t>(M_ + 1) * bio::kKp, kNegInf);
+  msc_.assign(static_cast<std::size_t>(bio::kKp) * stride_, kNegInf);
   min_msc_ = 0.0f;
   max_msc_ = kNegInf;
   for (int k = 1; k <= M_; ++k) {
-    float* row = &msc_[static_cast<std::size_t>(k) * bio::kKp];
     for (int a = 0; a < bio::kK; ++a) {
-      row[a] = safe_log(hmm.mat(k, a) / bg[a]);
-      if (row[a] != kNegInf && row[a] < min_msc_) min_msc_ = row[a];
-      if (row[a] > max_msc_) max_msc_ = row[a];
+      const float sc = safe_log(hmm.mat(k, a) / bg[a]);
+      msc(k, a) = sc;
+      if (sc != kNegInf && sc < min_msc_) min_msc_ = sc;
+      if (sc > max_msc_) max_msc_ = sc;
     }
     // Degenerate codes score the background-weighted average of their
     // expansion's scores (matches HMMER's esl_abc average-score rule).
@@ -34,52 +43,48 @@ SearchProfile::SearchProfile(const Plan7Hmm& hmm, AlignMode mode, int L)
       const auto& exp = bio::expansion(static_cast<std::uint8_t>(x));
       double wsum = 0.0, ssum = 0.0;
       for (auto a : exp) {
-        if (row[a] == kNegInf) continue;
+        if (msc(k, a) == kNegInf) continue;
         wsum += bg[a];
-        ssum += bg[a] * row[a];
+        ssum += bg[a] * msc(k, a);
       }
-      row[x] = wsum > 0.0 ? static_cast<float>(ssum / wsum) : kNegInf;
+      msc(k, x) = wsum > 0.0 ? static_cast<float>(ssum / wsum) : kNegInf;
     }
-    // Gap / special codes are unalignable.
-    for (int x = 26; x < bio::kKp; ++x) row[x] = kNegInf;
+    // Gap / special codes (x >= 26) are unalignable: left at -inf.
   }
 
   // --- Core transitions (log probabilities). ---
-  tsc_.assign(static_cast<std::size_t>(M_) * kNProfileTransitions, kNegInf);
+  tsc_.assign(static_cast<std::size_t>(kNProfileTransitions) * stride_,
+              kNegInf);
   for (int k = 0; k < M_; ++k) {
-    float* row = &tsc_[static_cast<std::size_t>(k) * kNProfileTransitions];
-    row[kPTMM] = safe_log(hmm.tr(k, kTMM));
-    row[kPTIM] = safe_log(hmm.tr(k, kTIM));
-    row[kPTDM] = safe_log(hmm.tr(k, kTDM));
-    row[kPTMD] = safe_log(hmm.tr(k, kTMD));
-    row[kPTDD] = safe_log(hmm.tr(k, kTDD));
-    row[kPTMI] = safe_log(hmm.tr(k, kTMI));
-    row[kPTII] = safe_log(hmm.tr(k, kTII));
+    tsc(k, kPTMM) = safe_log(hmm.tr(k, kTMM));
+    tsc(k, kPTIM) = safe_log(hmm.tr(k, kTIM));
+    tsc(k, kPTDM) = safe_log(hmm.tr(k, kTDM));
+    tsc(k, kPTMD) = safe_log(hmm.tr(k, kTMD));
+    tsc(k, kPTDD) = safe_log(hmm.tr(k, kTDD));
+    tsc(k, kPTMI) = safe_log(hmm.tr(k, kTMI));
+    tsc(k, kPTII) = safe_log(hmm.tr(k, kTII));
   }
   // Node 0 has no delete state to leave from.
-  tsc_[kPTDM] = kNegInf;
-  tsc_[kPTDD] = kNegInf;
+  tsc(0, kPTDM) = kNegInf;
+  tsc(0, kPTDD) = kNegInf;
 
   // --- Entry and exit distributions ---
-  esc_.assign(static_cast<std::size_t>(M_) + 1, 0.0f);
+  esc_.assign(stride_, kNegInf);
+  std::fill(esc_.begin(), esc_.begin() + M_ + 1, 0.0f);
   if (is_local(mode)) {
     // Uniform fragment entry, free local exit.
     float entry = std::log(2.0f / (static_cast<float>(M_) *
                                    (static_cast<float>(M_) + 1.0f)));
-    for (int k = 0; k < M_; ++k)
-      tsc_[static_cast<std::size_t>(k) * kNProfileTransitions + kPTBM] =
-          entry;
+    for (int k = 0; k < M_; ++k) tsc(k, kPTBM) = entry;
   } else {
     // Glocal: wing-retracted delete paths.
     //   B -> M_k  =  B->D_1 . D_1->D_2 ... D_{k-1}->M_k
     //   M_k -> E  =  M_k->D_{k+1} . D->D ... (D_M -> E = 1)
     float acc = safe_log(hmm.tr(0, kTMD));  // B -> D_1
-    tsc_[kPTBM] = safe_log(hmm.tr(0, kTMM));  // B -> M_1 directly
+    tsc(0, kPTBM) = safe_log(hmm.tr(0, kTMM));  // B -> M_1 directly
     for (int k = 2; k <= M_; ++k) {
       // Entry to M_k: path through D_1..D_{k-1}.
-      float bm = acc + safe_log(hmm.tr(k - 1, kTDM));
-      tsc_[static_cast<std::size_t>(k - 1) * kNProfileTransitions + kPTBM] =
-          bm;
+      tsc(k - 1, kPTBM) = acc + safe_log(hmm.tr(k - 1, kTDM));
       acc += safe_log(hmm.tr(k - 1, kTDD));
     }
     esc_[M_] = 0.0f;  // M_M -> E

@@ -84,9 +84,7 @@ class SearchProfile {
   const std::string& name() const noexcept { return name_; }
 
   /// Match emission log-odds score of alphabet code x at node k (1..M).
-  float msc(int k, int x) const {
-    return msc_[static_cast<std::size_t>(k) * bio::kKp + x];
-  }
+  float msc(int k, int x) const { return msc_row(x)[k]; }
   /// Insert emission score (0 in local mode, but kept for generality).
   float isc(int k, int x) const {
     (void)k;
@@ -94,12 +92,30 @@ class SearchProfile {
     return 0.0f;
   }
   /// Transition score t at source node k (0..M-1 for the k -> k+1 family).
-  float tsc(int k, ProfileTransition t) const {
-    return tsc_[static_cast<std::size_t>(k) * kNProfileTransitions + t];
-  }
+  float tsc(int k, ProfileTransition t) const { return tsc_row(t)[k]; }
   /// Exit score M_k -> E (0 in local mode; the wing-retracted delete path
   /// M_k -> D_{k+1} -> ... -> D_M -> E in glocal mode).
   float esc(int k) const { return esc_[k]; }
+
+  // Node-major rows, the layout the exact row kernels
+  // (cpu/simd_backend/row_kernels.hpp) load in vector lanes: element k of
+  // a row is node k, for k = 0..M, followed by kRowPad entries of -inf.
+  // Node M has no k -> k+1 transitions and node 0 no match emission, so
+  // those entries are -inf too.  The padding keeps a load of up to
+  // kRowPad lanes that starts at any k <= M inside the row.
+  static constexpr int kRowPad = 16;
+  /// Floats per row: M + 1 nodes plus the padding.
+  std::size_t row_stride() const noexcept { return stride_; }
+  /// msc(k, x) for every k.
+  const float* msc_row(int x) const {
+    return msc_.data() + static_cast<std::size_t>(x) * stride_;
+  }
+  /// tsc(k, t) for every k.
+  const float* tsc_row(ProfileTransition t) const {
+    return tsc_.data() + static_cast<std::size_t>(t) * stride_;
+  }
+  /// esc(k) for every k.
+  const float* esc_row() const { return esc_.data(); }
   const SpecialScores& xsc() const noexcept { return xsc_; }
 
   /// Most negative finite match emission score (used for byte bias).
@@ -112,9 +128,10 @@ class SearchProfile {
   int L_ = 0;
   AlignMode mode_ = AlignMode::kLocalMultihit;
   std::string name_;
-  std::vector<float> msc_;  // (M+1) x Kp
-  std::vector<float> tsc_;  // M x 8 (source node 0..M-1)
-  std::vector<float> esc_;  // (M+1), exit scores M_k -> E
+  std::size_t stride_ = 0;  // M + 1 + kRowPad
+  std::vector<float> msc_;  // Kp rows of stride_
+  std::vector<float> tsc_;  // 8 rows of stride_ (source node 0..M-1)
+  std::vector<float> esc_;  // stride_, exit scores M_k -> E
   SpecialScores xsc_{};
   float min_msc_ = 0.0f;
   float max_msc_ = 0.0f;

@@ -120,22 +120,37 @@ bool rescore_survivor(const HmmSearch& hs, BatchScanner& scanner,
   const std::size_t L = src.length(s);
   Timer t;
   const float raw = scanner.fwd(w, codes, L);
+  struct Scored {
+    float bits;
+    double p, e;
+  };
+  const auto score = [&](float bias_nats) {
+    const float bits =
+        hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
+    const double p = hs.model_stats().fwd_pvalue(bits);
+    return Scored{bits, p, stats::evalue(p, src.size(), thr.z_override)};
+  };
+  // null2 is >= 0 and bits -> P -> E are monotone, so a survivor whose
+  // uncorrected E-value misses the threshold is dropped either way: it
+  // needs no traceback.
+  if (score(0.0f).e > thr.report_evalue) {
+    stage_s[kFwd] += t.seconds();
+    return false;
+  }
   cpu::ViterbiTrace trace;
   float bias_nats = 0.0f;
   if (thr.null2_correction || thr.compute_alignments)
     trace = cpu::viterbi_trace(prof, codes, L, ws.trace);
   if (thr.null2_correction) bias_nats = null2_correction(prof, trace, codes);
-  const float bits = hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
-  const double p = hs.model_stats().fwd_pvalue(bits);
-  const double e = stats::evalue(p, src.size(), thr.z_override);
-  const bool reported = e <= thr.report_evalue;
+  const Scored sc = score(bias_nats);
+  const bool reported = sc.e <= thr.report_evalue;
   if (reported) {
     h.seq_index = s;
     h.name = std::string(src.name(s));
-    h.fwd_bits = bits;
+    h.fwd_bits = sc.bits;
     h.bias_bits = bias_nats / static_cast<float>(M_LN2);
-    h.pvalue = p;
-    h.evalue = e;
+    h.pvalue = sc.p;
+    h.evalue = sc.e;
     if (thr.compute_alignments)
       h.alignments = cpu::trace_alignments(trace, prof, codes);
   }
@@ -146,7 +161,8 @@ bool rescore_survivor(const HmmSearch& hs, BatchScanner& scanner,
     // rescoring run on it directly.  Banked as its own stage (kBwd).
     t.reset();
     scanner.decode(w, codes, L, ws.mocc);
-    h.domains = cpu::domains_from_occupancy(prof, codes, L, ws.mocc.data());
+    h.domains =
+        cpu::domains_from_occupancy(prof, codes, L, ws.mocc.data(), ws.trace);
     stage_s[kBwd] += t.seconds();
   }
   return reported;

@@ -1,5 +1,8 @@
 #include "server/frontend.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "util/error.hpp"
 
 namespace finehmm::server {
@@ -15,13 +18,13 @@ void Frontend::serve(Listener& listener) {
   for (;;) {
     std::unique_ptr<Connection> conn = listener.accept();
     if (!conn) break;  // listener closed: drain has begun
+    reap_ended_sessions();
     auto session = std::make_shared<Session>();
     session->conn = std::move(conn);
     count(&FrontendCounters::connections_accepted);
+    std::thread thread([this, session] { handle_connection(session); });
     MutexLock lock(state_mu_);
-    sessions_.push_back(session);
-    conn_threads_.emplace_back(
-        [this, session] { handle_connection(session); });
+    conns_.push_back({std::move(session), std::move(thread)});
   }
 
   // No new clients: let the backend finish what it admitted while the
@@ -30,18 +33,35 @@ void Frontend::serve(Listener& listener) {
 
   // Unblock every connection reader (clients may be idle, not sending)
   // and join the per-connection threads.
-  std::vector<std::thread> threads;
+  std::vector<ConnThread> conns;
   {
     MutexLock lock(state_mu_);
-    for (const std::weak_ptr<Session>& weak : sessions_)
-      if (std::shared_ptr<Session> s = weak.lock()) s->conn->shutdown();
-    threads.swap(conn_threads_);
-    sessions_.clear();
+    for (const ConnThread& c : conns_) c.session->conn->shutdown();
+    conns.swap(conns_);
   }
-  for (std::thread& t : threads) t.join();
+  for (ConnThread& c : conns) c.thread.join();
 
   MutexLock lock(state_mu_);
   listener_ = nullptr;
+}
+
+void Frontend::reap_ended_sessions() {
+  std::vector<ConnThread> ended;
+  {
+    MutexLock lock(state_mu_);
+    const auto live = std::partition(
+        conns_.begin(), conns_.end(), [](const ConnThread& c) {
+          return !c.session->ended.load();
+        });
+    std::move(live, conns_.end(), std::back_inserter(ended));
+    conns_.erase(live, conns_.end());
+  }
+  for (ConnThread& c : ended) c.thread.join();
+}
+
+std::size_t Frontend::connection_threads() const {
+  MutexLock lock(state_mu_);
+  return conns_.size();
 }
 
 void Frontend::begin_drain() {
@@ -136,6 +156,7 @@ void Frontend::handle_connection(const std::shared_ptr<Session>& session) {
     }
   }
   session->conn->shutdown();
+  session->ended.store(true);
 }
 
 void Frontend::handle_request(const std::shared_ptr<Session>& session,

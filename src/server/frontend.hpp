@@ -11,6 +11,10 @@
 //                       and STATS inline, refuse unknown verbs, decode
 //                       SEARCH/SCAN payloads, and hand the decoded
 //                       request to the backend's on_search / on_scan.
+//                       The accept loop joins the threads of ended
+//                       sessions before each new one starts, so a daemon
+//                       that gets one connection per request (a shard
+//                       behind a ClusterClient) keeps a bounded set.
 //
 // Drain: begin_drain() closes the listener and answers every later
 // SEARCH/SCAN with kShuttingDown.  When the accept loop ends, the
@@ -23,7 +27,9 @@
 // both daemons report (FrontendCounters) are kept here.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -68,6 +74,10 @@ class Frontend {
   /// Seconds since construction (monotonic).
   double uptime_seconds() const;
 
+  /// Connection threads started and not yet joined: live sessions plus
+  /// ended ones the accept loop has not reaped yet.
+  std::size_t connection_threads() const FINEHMM_EXCLUDES(state_mu_);
+
   /// The embedded HTTP endpoint's router: /metrics (Prometheus text),
   /// /healthz (drain-aware), /statusz (human-readable snapshot).  Safe
   /// from any thread, any time between construction and destruction.
@@ -90,6 +100,9 @@ class Frontend {
   /// conn->shutdown(), which never takes write_mu.
   struct Session {
     std::unique_ptr<Connection> conn;
+    /// Set by the connection thread as its last act: the accept loop
+    /// may join it.
+    std::atomic<bool> ended{false};
 
     Mutex write_mu;
   };
@@ -135,14 +148,21 @@ class Frontend {
   void handle_connection(const std::shared_ptr<Session>& session);
   void handle_request(const std::shared_ptr<Session>& session,
                       const Frame& frame);
+  /// Join the threads of ended sessions (accept loop only).
+  void reap_ended_sessions() FINEHMM_EXCLUDES(state_mu_);
+
+  /// One client connection's thread and its session.
+  struct ConnThread {
+    std::shared_ptr<Session> session;
+    std::thread thread;
+  };
 
   const PingInfo self_;
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
 
   Listener* listener_ FINEHMM_GUARDED_BY(state_mu_) = nullptr;
-  std::vector<std::weak_ptr<Session>> sessions_ FINEHMM_GUARDED_BY(state_mu_);
-  std::vector<std::thread> conn_threads_ FINEHMM_GUARDED_BY(state_mu_);
+  std::vector<ConnThread> conns_ FINEHMM_GUARDED_BY(state_mu_);
 };
 
 }  // namespace finehmm::server

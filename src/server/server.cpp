@@ -233,20 +233,25 @@ void SearchServer::admit(
 
 // --- Scheduler tier ----------------------------------------------------
 
+void SearchServer::wait_while_paused() {
+  // Explicit wait loop (not a lambda predicate) so the guarded paused_
+  // read stays inside this annotated function.
+  MutexLock lock(state_mu_);
+  while (paused_) pause_cv_.wait(state_mu_);
+}
+
 void SearchServer::scheduler_loop() {
   std::vector<std::shared_ptr<Pending>> batch;
   for (;;) {
-    {
-      // Explicit wait loop (not a lambda predicate) so the guarded
-      // paused_ read stays inside this annotated function.
-      MutexLock lock(state_mu_);
-      while (paused_) pause_cv_.wait(state_mu_);
-    }
+    wait_while_paused();
 
     std::shared_ptr<Pending> first;
     const PopStatus st = queue_.pop_wait(first, std::chrono::milliseconds(50));
     if (st == PopStatus::kClosed) break;  // drained: every admitted item done
     if (st == PopStatus::kTimeout) continue;
+    // A pause that began while pop_wait blocked holds this item too:
+    // once set_paused(true) returns, nothing is scheduled.
+    wait_while_paused();
 
     batch.clear();
     first->popped_at = SteadyClock::now();  // ends the queue-wait span

@@ -131,7 +131,9 @@ class SearchServer final : public Frontend {
 
   // --- Lifecycle (serve / begin_drain / draining: server::Frontend) ----
   /// Test hook: freeze/release the scheduler so tests can stage the
-  /// admission queue deterministically.  begin_drain() releases a pause.
+  /// admission queue deterministically.  Once set_paused(true) returns,
+  /// no request is scheduled until the release (one the scheduler had
+  /// already popped waits too).  begin_drain() releases a pause.
   void set_paused(bool paused) FINEHMM_EXCLUDES(state_mu_);
 
   // --- Observability --------------------------------------------------
@@ -214,6 +216,8 @@ class SearchServer final : public Frontend {
   /// "finish in-flight") and join the scheduler once it is empty.
   void on_listener_closed() override;
   void scheduler_loop() FINEHMM_EXCLUDES(state_mu_, stats_mu_);
+  /// Block while the scheduler is paused (set_paused).
+  void wait_while_paused() FINEHMM_EXCLUDES(state_mu_);
   /// The coalescer's sweep path: runs with NO server lock held — the
   /// sweep blocks for milliseconds and replies re-enter per-session
   /// write_mu; holding state_mu_ or stats_mu_ across it would stall

@@ -32,6 +32,8 @@ class LogSumTable {
  public:
   static constexpr float kTableWidth = 23.0f;  // exp(-23) ~ 1e-10
   static constexpr int kTableSize = 16000;
+  /// Table entries per nat: entry int(ad * kScale) holds log1p(exp(-ad)).
+  static constexpr float kScale = kTableSize / kTableWidth;
 
   LogSumTable();
 
@@ -48,8 +50,11 @@ class LogSumTable {
   /// Process-wide instance (construction is cheap and thread-safe).
   static const LogSumTable& instance();
 
+  /// The kTableSize correction entries, for vector lanes that repeat
+  /// operator()'s lookup (cpu/simd_backend/row_kernels.hpp).
+  const float* data() const { return table_; }
+
  private:
-  static constexpr float kScale = kTableSize / kTableWidth;
   float table_[kTableSize];
 };
 

@@ -12,7 +12,9 @@
 //   * STATS carries the daemon's schema and the shared counter keys;
 //   * /healthz flips 200 -> 503 on drain, unknown paths are 404;
 //   * SEARCH and SCAN after begin_drain are kShuttingDown
-//     (requests_rejected_draining).
+//     (requests_rejected_draining);
+//   * the accept loop joins the threads of ended sessions, and drain
+//     joins the rest.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -27,6 +29,7 @@
 
 #include "cluster/coordinator.hpp"
 #include "cluster/shard_map.hpp"
+#include "held_listener.hpp"
 #include "hmm/generator.hpp"
 #include "pipeline/workload.hpp"
 #include "server/client.hpp"
@@ -77,22 +80,6 @@ std::string http_get(const Frontend& daemon, const std::string& target) {
   return resp;
 }
 
-/// A listener whose close() is held until release(): begin_drain() then
-/// flips the daemon to draining while its sessions stay open, so a
-/// request sent "after drain" is answered deterministically instead of
-/// racing the session shutdown.
-class HeldListener final : public Listener {
- public:
-  explicit HeldListener(std::unique_ptr<Listener> inner)
-      : inner_(std::move(inner)) {}
-  std::unique_ptr<Connection> accept() override { return inner_->accept(); }
-  void close() override {}
-  void release() { inner_->close(); }
-
- private:
-  std::unique_ptr<Listener> inner_;
-};
-
 enum class Daemon { kSearchServer, kCoordinator };
 
 void PrintTo(Daemon d, std::ostream* os) {
@@ -127,7 +114,7 @@ class FrontendConformance : public ::testing::TestWithParam<Daemon> {
   void TearDown() override {
     daemon_->begin_drain();
     listener_->release();
-    serve_thread_.join();
+    if (serve_thread_.joinable()) serve_thread_.join();
     for (auto& s : shards_) s->begin_drain();
     for (std::thread& t : shard_threads_) t.join();
   }
@@ -324,6 +311,37 @@ TEST_P(FrontendConformance, SharedContract) {
   EXPECT_EQ(scan.error.code, ErrorCode::kShuttingDown);
   EXPECT_EQ(counters().requests_rejected_draining, 2u);
   EXPECT_EQ(counters().requests_bad, 2u);
+}
+
+TEST_P(FrontendConformance, ReapsEndedConnectionThreads) {
+  // A shard behind a ClusterClient gets a fresh connection per request,
+  // so connect / PING / close cycles must not leave a thread each.
+  constexpr int kCycles = 300;
+  for (int c = 0; c < kCycles; ++c) {
+    BlockingClient client(hub_.connect());
+    ASSERT_TRUE(client.ping()) << "cycle " << c;
+  }
+  EXPECT_EQ(counters().connections_accepted,
+            static_cast<std::uint64_t>(kCycles));
+  // Each accept joins every session that has ended by then; the one
+  // before it may still be closing, so a probe sees at most itself and
+  // that one once the earlier sessions have wound down.
+  EXPECT_TRUE(eventually([&] {
+    BlockingClient probe(hub_.connect());
+    return probe.ping() && daemon_->connection_threads() <= 2;
+  }));
+
+  // Drain still shuts down and joins the sessions that are open.
+  BlockingClient idle_a(hub_.connect());
+  BlockingClient idle_b(hub_.connect());
+  ASSERT_TRUE(idle_a.ping());
+  ASSERT_TRUE(idle_b.ping());
+  EXPECT_GE(daemon_->connection_threads(), 2u);
+  daemon_->begin_drain();
+  listener_->release();
+  serve_thread_.join();
+  EXPECT_EQ(daemon_->connection_threads(), 0u);
+  EXPECT_FALSE(idle_a.ping());
 }
 
 INSTANTIATE_TEST_SUITE_P(Daemons, FrontendConformance,

@@ -154,9 +154,9 @@ TEST_P(FwdBwdTiers, DomainsFromDecodeMatchScalarDefineDomains) {
     cpu::FwdFilter filter(fx.fwd, tier);
     std::vector<float> mocc;
     filter.decode(seq.data(), seq.size(), mocc);
-    auto got =
-        cpu::domains_from_occupancy(fx.prof, seq.data(), seq.size(),
-                                    mocc.data());
+    cpu::TraceWorkspace ws;
+    auto got = cpu::domains_from_occupancy(fx.prof, seq.data(), seq.size(),
+                                           mocc.data(), ws);
     ASSERT_EQ(got.size(), ref.size()) << "tier=" << cpu::simd_tier_name(tier);
     for (std::size_t d = 0; d < ref.size(); ++d) {
       EXPECT_EQ(got[d].i_start, ref[d].i_start)

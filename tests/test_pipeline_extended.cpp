@@ -3,6 +3,7 @@
 // test against run_cpu.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -105,6 +106,92 @@ TEST(PipelineExtended, HitAlignmentsAreProducedOnRequest) {
       EXPECT_EQ(a.model_line.size(), a.seq_line.size());
       EXPECT_GE(a.k_start, 1);
       EXPECT_LE(a.k_end, fx.model.length());
+    }
+  }
+}
+
+void expect_same_alignments(const std::vector<cpu::Alignment>& a,
+                            const std::vector<cpu::Alignment>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].k_start, b[i].k_start);
+    EXPECT_EQ(a[i].k_end, b[i].k_end);
+    EXPECT_EQ(a[i].i_start, b[i].i_start);
+    EXPECT_EQ(a[i].i_end, b[i].i_end);
+    EXPECT_EQ(a[i].model_line, b[i].model_line);
+    EXPECT_EQ(a[i].match_line, b[i].match_line);
+    EXPECT_EQ(a[i].seq_line, b[i].seq_line);
+  }
+}
+
+void expect_same_hits(const std::vector<pipeline::Hit>& want,
+                      const std::vector<pipeline::Hit>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(want[i].name);
+    EXPECT_EQ(want[i].seq_index, got[i].seq_index);
+    EXPECT_EQ(want[i].name, got[i].name);
+    EXPECT_EQ(want[i].msv_bits, got[i].msv_bits);
+    EXPECT_EQ(want[i].vit_bits, got[i].vit_bits);
+    EXPECT_EQ(want[i].fwd_bits, got[i].fwd_bits);
+    EXPECT_EQ(want[i].bias_bits, got[i].bias_bits);
+    EXPECT_EQ(want[i].pvalue, got[i].pvalue);
+    EXPECT_EQ(want[i].evalue, got[i].evalue);
+    expect_same_alignments(want[i].alignments, got[i].alignments);
+    ASSERT_EQ(want[i].domains.size(), got[i].domains.size());
+    for (std::size_t d = 0; d < want[i].domains.size(); ++d) {
+      EXPECT_EQ(want[i].domains[d].i_start, got[i].domains[d].i_start);
+      EXPECT_EQ(want[i].domains[d].i_end, got[i].domains[d].i_end);
+      EXPECT_EQ(want[i].domains[d].bits, got[i].domains[d].bits);
+      expect_same_alignments(want[i].domains[d].alignments,
+                             got[i].domains[d].alignments);
+    }
+  }
+}
+
+// A Forward survivor whose uncorrected E-value misses report_evalue is
+// dropped before its traceback and null2 (null2 only lowers the score).
+// The oracle scans with a threshold every survivor meets, so each one
+// runs the traceback and null2, and keeps the hits the real threshold
+// admits: every field and every stage count must agree.
+TEST(PipelineExtended, UnreportableSurvivorsSkipTheTracebackExactly) {
+  ExtFixture fx(80, 400, 0.03);
+  pipeline::Thresholds every;
+  every.msv_p = 0.5;  // loose filters: most Forward survivors are random
+  every.vit_p = 0.5;
+  every.report_evalue = std::numeric_limits<double>::infinity();
+  every.compute_alignments = true;
+  every.define_domains = true;
+  const pipeline::HmmSearch oracle(fx.model, every);
+  const pipeline::SearchResult all = oracle.run_cpu(fx.db);
+  ASSERT_EQ(all.fwd.n_passed, all.fwd.n_in);
+
+  // Thresholds at reported E-values: the hit exactly at the threshold
+  // must survive the early drop.
+  ASSERT_GE(all.hits.size(), 30u);
+  ThreadPool pool(2);
+  for (const double report_evalue : {all.hits[all.hits.size() / 10].evalue,
+                                     all.hits[all.hits.size() / 6].evalue}) {
+    SCOPED_TRACE(report_evalue);
+    pipeline::Thresholds thr = every;
+    thr.report_evalue = report_evalue;
+    const pipeline::HmmSearch strict(fx.model, oracle.model_stats(), thr);
+    std::vector<pipeline::Hit> want;
+    for (const pipeline::Hit& h : all.hits)
+      if (h.evalue <= report_evalue) want.push_back(h);
+    ASSERT_FALSE(want.empty());
+    for (const pipeline::SearchResult& got :
+         {strict.run_cpu(fx.db), strict.run_cpu_overlapped(fx.db, pool)}) {
+      EXPECT_GT(got.fwd.n_in, 4 * got.fwd.n_passed)
+          << "most survivors must miss the threshold";
+      EXPECT_EQ(got.msv.n_in, all.msv.n_in);
+      EXPECT_EQ(got.msv.n_passed, all.msv.n_passed);
+      EXPECT_EQ(got.vit.n_in, all.vit.n_in);
+      EXPECT_EQ(got.vit.n_passed, all.vit.n_passed);
+      EXPECT_EQ(got.fwd.n_in, all.fwd.n_in);
+      EXPECT_EQ(got.fwd.n_passed, want.size());
+      EXPECT_EQ(got.bwd.n_in, want.size());
+      expect_same_hits(want, got.hits);
     }
   }
 }

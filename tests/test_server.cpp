@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bio/seq_db_io.hpp"
+#include "held_listener.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/model_db.hpp"
 #include "obs/request_trace.hpp"
@@ -245,6 +246,7 @@ struct ServerFixture {
   std::unique_ptr<SearchServer> srv;
   LoopbackHub hub;
   std::unique_ptr<Listener> listener;
+  HeldListener* held = nullptr;  // start(/*hold_close=*/true) only
   std::thread serve_thread;
 
   explicit ServerFixture(ServerConfig cfg = {}, int M = 48,
@@ -265,13 +267,21 @@ struct ServerFixture {
 
   ~ServerFixture() { stop(); }
 
-  void start() {
+  /// hold_close: serve through a HeldListener, so drain cannot close
+  /// the sessions before held->release().
+  void start(bool hold_close = false) {
     listener = hub.listener();
+    if (hold_close) {
+      auto h = std::make_unique<HeldListener>(std::move(listener));
+      held = h.get();
+      listener = std::move(h);
+    }
     serve_thread = std::thread([this] { srv->serve(*listener); });
   }
 
   void stop() {
     if (srv) srv->begin_drain();
+    if (held != nullptr) held->release();
     if (serve_thread.joinable()) serve_thread.join();
   }
 
@@ -494,12 +504,14 @@ TEST(SearchServer, AdmissionBoundShedsWithOverloadReplyNotBlocking) {
 TEST(SearchServer, DrainFinishesAdmittedWorkAndRejectsNew) {
   ServerConfig cfg;
   cfg.start_paused = true;
-  // One sweep per request: the drain must chew through kAdmitted
-  // sequential sweeps, which keeps the server alive long enough that the
-  // late client's rejection below is answered deterministically.
+  // One sweep per request: the drain has kAdmitted sequential sweeps to
+  // finish.
   cfg.max_batch = 1;
   ServerFixture fx(cfg);
-  fx.start();
+  // The drain stays open by construction, not by sweep cost: the
+  // listener's close is held until the late client's rejection has been
+  // observed, so its session cannot be shut down before it is answered.
+  fx.start(/*hold_close=*/true);
   const pipeline::SearchResult ref = fx.local_reference();
   const stats::ModelStats cal = fx.calibration();
 
@@ -526,6 +538,7 @@ TEST(SearchServer, DrainFinishesAdmittedWorkAndRejectsNew) {
   const RemoteResult rejected = late.search(0, fx.model, &cal);
   ASSERT_EQ(rejected.status, ClientStatus::kError);
   EXPECT_EQ(rejected.error.code, ErrorCode::kShuttingDown);
+  fx.held->release();  // now the drain may end
 
   // Already-admitted work still completes, bit-identically.
   for (std::thread& t : admitted) t.join();

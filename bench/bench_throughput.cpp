@@ -142,7 +142,7 @@ struct TelemetryReport {
 /// TraceRing (server.cpp finish_request_trace) — instrumentation that
 /// is never compiled out or gated.  Replay exactly that bookkeeping
 /// around each scan and compare against the bare scan.  The roadmap
-/// guard (mirrored by tools/bench_diff and CI) is < 2%.
+/// guard (checked in CI) is < 2%.
 struct HistogramReport {
   double baseline_seconds = 0;      // bare overlapped scan (best-of-3)
   double instrumented_seconds = 0;  // scan + per-request records

@@ -9,7 +9,6 @@
 #include "cpu/generic.hpp"
 #include "cpu/msv_filter.hpp"
 #include "cpu/msv_scalar.hpp"
-#include "cpu/msv_wide.hpp"
 #include "cpu/posterior.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "cpu/trace.hpp"
@@ -75,21 +74,8 @@ void BM_MsvStriped(benchmark::State& state) {
 }
 BENCHMARK(BM_MsvStriped)->Arg(100)->Arg(400)->Arg(1002);
 
-template <int N>
-void BM_MsvWide(benchmark::State& state) {
-  auto& f = fixture(static_cast<int>(state.range(0)));
-  cpu::WideMsvStripes<N> stripes(f.msv);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cpu::msv_striped_wide<N>(
-        f.msv, stripes, f.seq.codes.data(), f.seq.length()));
-  set_cell_rate(state, static_cast<int>(state.range(0)));
-}
-BENCHMARK(BM_MsvWide<32>)->Arg(400);
-BENCHMARK(BM_MsvWide<64>)->Arg(400);
-
 // Per-tier variants: range(1) is the SimdTier (0 portable / 1 sse2 /
-// 2 avx2); tiers this host can't run are skipped, not failed.  The AVX2
-// vs. portable ratio here is the tentpole's headline number.
+// 2 avx2 / 3 avx512); tiers this host can't run are skipped, not failed.
 void BM_MsvStripedTier(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));
   const auto tier = static_cast<cpu::SimdTier>(state.range(1));
@@ -108,8 +94,10 @@ BENCHMARK(BM_MsvStripedTier)
     ->Args({400, 0})
     ->Args({400, 1})
     ->Args({400, 2})
+    ->Args({400, 3})
     ->Args({1002, 0})
-    ->Args({1002, 2});
+    ->Args({1002, 2})
+    ->Args({1002, 3});
 
 void BM_VitStripedTier(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));
@@ -129,8 +117,10 @@ BENCHMARK(BM_VitStripedTier)
     ->Args({400, 0})
     ->Args({400, 1})
     ->Args({400, 2})
+    ->Args({400, 3})
     ->Args({1002, 0})
-    ->Args({1002, 2});
+    ->Args({1002, 2})
+    ->Args({1002, 3});
 
 void BM_VitScalar(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));

@@ -21,10 +21,6 @@
 #                 cluster's TCP end-to-end smoke (scripts/cluster_smoke.sh:
 #                 fsqdb_shard + 2 workers + finehmm_clusterd, merged tblout
 #                 byte-identical to an unsharded scan)
-#   --bench-diff  build the default preset, regenerate BENCH_throughput
-#                 into the build tree, and diff it against the committed
-#                 one (tools/bench_diff; BENCH_DIFF_THRESHOLD overrides
-#                 the 10% regression gate)
 #   --all         everything: lint, then default + asan + ubsan + tsan
 #
 # Every sanitizer preset builds into its own tree (build-asan/,
@@ -96,13 +92,6 @@ case "${1:-}" in
     run cmake --build --preset default -j "$(nproc)"
     run bash scripts/cluster_smoke.sh build/tools build/examples
     ;;
-  --bench-diff)
-    run cmake --preset default
-    run cmake --build --preset default -j "$(nproc)"
-    run build/bench/bench_throughput 0.001 400 build/BENCH_fresh.json
-    run python3 tools/bench_diff build/BENCH_fresh.json \
-        --threshold "${BENCH_DIFF_THRESHOLD:-0.10}"
-    ;;
   --all)
     lint
     preset default
@@ -116,7 +105,7 @@ case "${1:-}" in
     ;;
   *)
     echo "check.sh: unknown mode '$1'" \
-         "(--fast|--lint|--static|--preset P|--server-smoke|--cluster-smoke|--bench-diff|--all)" >&2
+         "(--fast|--lint|--static|--preset P|--server-smoke|--cluster-smoke|--all)" >&2
     exit 2
     ;;
 esac

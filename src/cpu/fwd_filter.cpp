@@ -5,7 +5,6 @@
 
 #include "cpu/simd_backend/denormals.hpp"
 #include "cpu/simd_backend/kernels.hpp"
-#include "util/error.hpp"
 
 namespace finehmm::cpu {
 
@@ -13,15 +12,10 @@ FwdFilter::FwdFilter(const profile::FwdProfile& prof, SimdTier tier)
     : FwdFilter(prof, tier, nullptr) {}
 
 FwdFilter::FwdFilter(const profile::FwdProfile& prof, SimdTier tier,
-                     std::shared_ptr<const WideFwdStripes> stripes)
+                     std::shared_ptr<const FwdStripes> stripes)
     : prof_(prof),
       ops_(&backend::tier_kernels(resolve_simd_tier(tier))),
-      stripes_(std::move(stripes)) {
-  if (stripes_ == nullptr)
-    stripes_ =
-        std::make_shared<const WideFwdStripes>(prof, ops_->f32_lanes);
-  FH_REQUIRE(stripes_->lanes() == ops_->f32_lanes,
-             "shared Forward stripes built for a different lane count");
+      stripes_(stripes_for(prof, ops_->f32_lanes, std::move(stripes))) {
   mmx_.assign(stripes_->row_floats(), 0.0f);
   imx_.assign(stripes_->row_floats(), 0.0f);
   dmx_.assign(stripes_->row_floats(), 0.0f);

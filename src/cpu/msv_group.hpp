@@ -27,7 +27,7 @@
 namespace finehmm::cpu {
 
 /// The shared striped emission table for one model group, built once and
-/// shared read-only between workers (like SharedMsvRows for one model).
+/// shared read-only between workers (like MsvStripes for one model).
 /// Member profiles must outlive the group.
 class FusedMsvGroup {
  public:

@@ -1,30 +1,25 @@
-// Native filter backend entry points and the per-tier dispatch table.
+// The per-tier kernel table.
 //
-// Each function is one striped filter kernel instantiated with a native
-// vector class (vec_sse2.hpp / vec_avx2.hpp / vec_avx512.hpp) inside an
-// ISA-specific translation unit; this header itself is plain C++ and safe
-// to include anywhere.  All entry points take caller-owned DP scratch and
-// perform no heap allocation.  Callers must not invoke a tier whose
-// have_*() probe returns false — the dispatcher (cpu::resolve_simd_tier
-// and the filter classes) guarantees that; the stubs compiled when a tier
-// is absent throw.
+// Every kernel is written once, as a template over lane classes
+// (kernels.hpp, row_kernels.hpp); a tier is only a choice of lane classes.
+// make_tier_kernels<U8, I16, F32> fills one TierKernels row with the
+// kernels instantiated for those classes.  Each ISA translation unit
+// (backend_sse2/avx2/avx512.cpp) instantiates it with its native classes
+// (vec_*.hpp), so every kernel body is compiled with that TU's -m flags,
+// and exports only that row plus its have_*() cpuid probe;
+// dispatch.cpp instantiates the portable row from cpu/simd_vec.hpp's
+// <16, 8, 4> lane classes.  This header itself is plain C++ and safe to
+// include anywhere.
 //
-// Every tier exposes the same signatures (HMMER4-style):
-//   * msv/ssv take a re-striped emission table for the tier's byte lane
-//     count (cpu::WideMsvStripes<N> layout: residue x at rows + x*Q*N;
-//     for SSE2 the MsvProfile's own 16-lane arrays are already that
-//     layout and are passed zero-copy).
-//   * vit takes a VitStripesView built for the tier's word lane count
-//     (cpu::WideVitStripes<N>; SSE2 uses vit_native_view below).
-//   * fwd / fwd_bwd take a FwdStripesView built for the tier's float lane
-//     count (cpu::WideFwdStripes).
-//   * forward_rows / trace_rows are the exact row kernels of the
-//     rescoring tail (row_kernels.hpp): they read the SearchProfile's
-//     node-major rows directly and reproduce the scalar loops bit for bit.
+// Every row has the same signatures (HMMER4-style): msv/ssv take the
+// striped emission table of a cpu::MsvStripes built for the row's byte
+// lane count, vit a cpu::VitStripes view, fwd/fwd_bwd a cpu::FwdStripes
+// view; forward_rows/trace_rows are the exact row kernels of the
+// rescoring tail and read the SearchProfile's node-major rows directly.
+// All take caller-owned DP scratch and allocate nothing.
 //
-// tier_kernels() maps a SimdTier to its function-pointer row, so the
-// filter classes resolve MSV/SSV/Viterbi/Forward/Backward through one
-// table instead of per-filter switch ladders.
+// Adding a kernel: declare its pointer in TierKernels and add one line to
+// make_tier_kernels.
 #pragma once
 
 #include <cstddef>
@@ -41,228 +36,11 @@
 
 namespace finehmm::cpu::backend {
 
-/// True when the SSE2 backend is compiled in and this CPU can run it.
-bool have_sse2();
-/// True when the AVX2 backend is compiled in and this CPU can run it.
-bool have_avx2();
-/// True when the AVX-512 backend is compiled in and this CPU can run it
-/// (requires the F and BW subsets).
-bool have_avx512();
-
-/// The VitProfile's native 8-word striping as a VitStripesView (zero-copy;
-/// this is what the SSE2 tier consumes).
-inline simd_kernels::VitStripesView vit_native_view(
-    const profile::VitProfile& prof) {
-  simd_kernels::VitStripesView st;
-  st.msc = prof.msc_striped(0);
-  st.tmm = prof.tmm_striped();
-  st.tim = prof.tim_striped();
-  st.tdm = prof.tdm_striped();
-  st.tmi = prof.tmi_striped();
-  st.tii = prof.tii_striped();
-  st.tmd = prof.tmd_striped();
-  st.tdd = prof.tdd_striped();
-  st.Q = prof.striped_segments();
-  return st;
-}
-
-/// The FwdProfile's native 4-float striping as a FwdStripesView
-/// (zero-copy; what the portable and SSE2 tiers consume for plain
-/// scoring).  The out-indexed stripes are left null — Backward needs a
-/// cpu::WideFwdStripes, which builds them for any lane count.
-inline simd_kernels::FwdStripesView fwd_native_view(
-    const profile::FwdProfile& prof) {
-  simd_kernels::FwdStripesView st;
-  st.odds = prof.odds_striped(0);
-  st.tmm = prof.tmm_striped();
-  st.tim = prof.tim_striped();
-  st.tdm = prof.tdm_striped();
-  st.tmi = prof.tmi_striped();
-  st.tii = prof.tii_striped();
-  st.tmd = prof.tmd_in_striped();
-  st.tdd = prof.tdd_in_striped();
-  st.entry = prof.entry();
-  st.Q = prof.striped_segments();
-  return st;
-}
-
-// ---- SSE2 tier (128-bit: 16 bytes / 8 words / 4 floats) ----
-FilterResult msv_sse2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult ssv_sse2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult vit_sse2(const profile::VitProfile& prof,
-                      const simd_kernels::VitStripesView& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::int16_t* mmx, std::int16_t* imx,
-                      std::int16_t* dmx, int* lazyf_passes = nullptr);
-float fwd_sse2(const profile::FwdProfile& prof,
-               const simd_kernels::FwdStripesView& st,
-               const std::uint8_t* seq, std::size_t L, float* mmx,
-               float* imx, float* dmx);
-float fwd_bwd_sse2(const profile::FwdProfile& prof,
-                   const simd_kernels::FwdStripesView& st,
-                   const std::uint8_t* seq, std::size_t L,
-                   const simd_kernels::FwdBwdScratch& ws, float* mocc);
-float forward_rows_sse2(const hmm::SearchProfile& prof,
-                        const std::uint8_t* seq, std::size_t L, float* rows);
-float trace_rows_sse2(const hmm::SearchProfile& prof,
-                      const std::uint8_t* seq, std::size_t L,
-                      const simd_kernels::TraceRows& ws);
-
-// Zero-copy overloads for the database scan path: the sequence is a packed
-// 5-bit residue view (typically into an mmap'd .fsqdb), consumed in place.
-// Bit-identical to the byte-code overloads by construction — both
-// instantiate the same kernel, only the Seq accessor differs.
-FilterResult msv_sse2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult ssv_sse2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-
-// Fused multi-model group sweeps (cpu::FusedMsvGroup packing; see
-// simd_kernels::msv_group_kernel).
-void msv_group_sse2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row);
-void ssv_group_sse2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row);
-void msv_group_sse2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row);
-void ssv_group_sse2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row);
-
-// ---- AVX2 tier (256-bit: 32 bytes / 16 words / 8 floats) ----
-FilterResult msv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult ssv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult vit_avx2(const profile::VitProfile& prof,
-                      const simd_kernels::VitStripesView& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::int16_t* mmx, std::int16_t* imx,
-                      std::int16_t* dmx, int* lazyf_passes = nullptr);
-float fwd_avx2(const profile::FwdProfile& prof,
-               const simd_kernels::FwdStripesView& st,
-               const std::uint8_t* seq, std::size_t L, float* mmx,
-               float* imx, float* dmx);
-float fwd_bwd_avx2(const profile::FwdProfile& prof,
-                   const simd_kernels::FwdStripesView& st,
-                   const std::uint8_t* seq, std::size_t L,
-                   const simd_kernels::FwdBwdScratch& ws, float* mocc);
-float forward_rows_avx2(const hmm::SearchProfile& prof,
-                        const std::uint8_t* seq, std::size_t L, float* rows);
-float trace_rows_avx2(const hmm::SearchProfile& prof,
-                      const std::uint8_t* seq, std::size_t L,
-                      const simd_kernels::TraceRows& ws);
-
-// Packed-residue (zero-copy) overloads; see the SSE2 notes above.
-FilterResult msv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult ssv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-
-void msv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row);
-void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row);
-void msv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row);
-void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row);
-
-// ---- AVX-512 tier (512-bit: 64 bytes / 32 words / 16 floats) ----
-FilterResult msv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::uint8_t* row);
-FilterResult ssv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::uint8_t* row);
-FilterResult vit_avx512(const profile::VitProfile& prof,
-                        const simd_kernels::VitStripesView& st,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::int16_t* mmx, std::int16_t* imx,
-                        std::int16_t* dmx, int* lazyf_passes = nullptr);
-float fwd_avx512(const profile::FwdProfile& prof,
-                 const simd_kernels::FwdStripesView& st,
-                 const std::uint8_t* seq, std::size_t L, float* mmx,
-                 float* imx, float* dmx);
-float fwd_bwd_avx512(const profile::FwdProfile& prof,
-                     const simd_kernels::FwdStripesView& st,
-                     const std::uint8_t* seq, std::size_t L,
-                     const simd_kernels::FwdBwdScratch& ws, float* mocc);
-float forward_rows_avx512(const hmm::SearchProfile& prof,
-                          const std::uint8_t* seq, std::size_t L, float* rows);
-float trace_rows_avx512(const hmm::SearchProfile& prof,
-                        const std::uint8_t* seq, std::size_t L,
-                        const simd_kernels::TraceRows& ws);
-
-FilterResult msv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        bio::PackedResidues seq, std::size_t L,
-                        std::uint8_t* row);
-FilterResult ssv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        bio::PackedResidues seq, std::size_t L,
-                        std::uint8_t* row);
-
-void msv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-void msv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-
-// ---- Per-tier dispatch table ----
-
-/// One tier's kernels plus its lane geometry.  The portable row wraps the
-/// template kernels with the portable lane classes at 128-bit widths, so
-/// every row satisfies the same signatures and the filter classes can
-/// dispatch data-driven.  Function pointers, so no default arguments:
-/// vit's final parameter is the optional lazyf_passes out-param
-/// (nullable), fwd_bwd's mocc must hold L floats.
+/// One tier's kernels plus its lane geometry.  Function pointers, so no
+/// default arguments: vit's final parameter is the optional lazyf_passes
+/// out-param (nullable), fwd_bwd's mocc must hold L floats.  The
+/// *_packed entries score a zero-copy bio::PackedResidues view (the
+/// database scan path) with the same kernel as the byte-code entry.
 struct TierKernels {
   SimdTier tier = SimdTier::kPortable;
   int u8_lanes = 0;   // MSV/SSV byte lanes
@@ -318,9 +96,49 @@ struct TierKernels {
                       std::size_t, const simd_kernels::TraceRows&) = nullptr;
 };
 
-/// The dispatch row for one tier.  The caller is responsible for only
-/// asking for tiers that are supported (simd_tier_supported); the
-/// returned row's entries for an unavailable tier are the throwing stubs.
+/// The row of one tier: every entry is the shared template kernel
+/// instantiated with that tier's byte / word / float lane classes.
+template <class U8, class I16, class F32>
+constexpr TierKernels make_tier_kernels(SimdTier tier) {
+  using Bytes = const std::uint8_t*;
+  using Packed = bio::PackedResidues;
+  namespace sk = simd_kernels;
+  TierKernels k;
+  k.tier = tier;
+  k.u8_lanes = U8::kLanes;
+  k.i16_lanes = I16::kLanes;
+  k.f32_lanes = F32::kLanes;
+  k.msv = &sk::msv_kernel<U8, Bytes>;
+  k.msv_packed = &sk::msv_kernel<U8, Packed>;
+  k.ssv = &sk::ssv_kernel<U8, Bytes>;
+  k.ssv_packed = &sk::ssv_kernel<U8, Packed>;
+  k.vit = &sk::vit_kernel<I16, Bytes>;
+  k.fwd = &sk::fwd_kernel<F32, Bytes>;
+  k.fwd_bwd = &sk::fwd_bwd_kernel<F32, Bytes>;
+  k.msv_group = &sk::msv_group_kernel<U8, Bytes>;
+  k.msv_group_packed = &sk::msv_group_kernel<U8, Packed>;
+  k.ssv_group = &sk::ssv_group_kernel<U8, Bytes>;
+  k.ssv_group_packed = &sk::ssv_group_kernel<U8, Packed>;
+  k.forward_rows = &sk::forward_rows_kernel<F32>;
+  k.trace_rows = &sk::trace_rows_kernel<F32>;
+  return k;
+}
+
+// Exported by each ISA TU.  The *_kernels() row is nullptr when the
+// compiler did not build that backend; have_*() is additionally false
+// when this CPU cannot run it.  Only simd_tier.cpp consults the probes —
+// everything else asks simd_tier_supported() / tier_kernels().
+bool have_sse2();
+bool have_avx2();
+/// Requires the F and BW subsets.
+bool have_avx512();
+const TierKernels* sse2_kernels();
+const TierKernels* avx2_kernels();
+const TierKernels* avx512_kernels();
+
+/// The dispatch row for one tier.  Callers must only ask for tiers that
+/// are supported (simd_tier_supported); asking for one that was not
+/// compiled in throws.
 const TierKernels& tier_kernels(SimdTier tier);
 
 }  // namespace finehmm::cpu::backend

@@ -1,14 +1,14 @@
-// AVX2 instantiations of the striped filter kernels.
+// AVX2 row of the kernel table (see backend.hpp).
 //
 // This is the only TU in the library compiled with -mavx2 (set per-file
 // from src/CMakeLists.txt, which also defines FINEHMM_BACKEND_AVX2; there
 // is deliberately no global -march so the rest of the binary stays
-// runnable on any x86-64).  have_avx2() combines that compile-time
-// availability with a cpuid probe, so a binary built here still runs —
-// and correctly reports the tier unavailable — on an SSE2-only machine.
+// runnable on any x86-64).  Instantiating the row here is what compiles
+// every kernel body with AVX2 code.  have_avx2() combines that
+// compile-time availability with a cpuid probe, so a binary built here
+// still runs — and correctly reports the tier unavailable — on an
+// SSE2-only machine.
 #include "cpu/simd_backend/backend.hpp"
-
-#include "util/error.hpp"
 
 #if defined(FINEHMM_BACKEND_AVX2) && defined(__AVX2__)
 #define FINEHMM_AVX2_TU 1
@@ -27,163 +27,16 @@ bool have_avx2() {
 #endif
 }
 
-FilterResult msv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row) {
-  return simd_kernels::msv_kernel<AvxU8x32>(prof, rows, Q, seq, L, row);
+const TierKernels* avx2_kernels() {
+  static constexpr TierKernels kRow =
+      make_tier_kernels<AvxU8x32, AvxI16x16, AvxF32x8>(SimdTier::kAvx2);
+  return &kRow;
 }
 
-FilterResult ssv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row) {
-  return simd_kernels::ssv_kernel<AvxU8x32>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult vit_avx2(const profile::VitProfile& prof,
-                      const simd_kernels::VitStripesView& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::int16_t* mmx, std::int16_t* imx,
-                      std::int16_t* dmx, int* lazyf_passes) {
-  return simd_kernels::vit_kernel<AvxI16x16>(prof, st, seq, L, mmx, imx,
-                                             dmx, lazyf_passes);
-}
-
-float fwd_avx2(const profile::FwdProfile& prof,
-               const simd_kernels::FwdStripesView& st,
-               const std::uint8_t* seq, std::size_t L, float* mmx,
-               float* imx, float* dmx) {
-  return simd_kernels::fwd_kernel<AvxF32x8>(prof, st, seq, L, mmx, imx,
-                                            dmx);
-}
-
-float fwd_bwd_avx2(const profile::FwdProfile& prof,
-                   const simd_kernels::FwdStripesView& st,
-                   const std::uint8_t* seq, std::size_t L,
-                   const simd_kernels::FwdBwdScratch& ws, float* mocc) {
-  return simd_kernels::fwd_bwd_kernel<AvxF32x8>(prof, st, seq, L, ws,
-                                                mocc);
-}
-
-float forward_rows_avx2(const hmm::SearchProfile& prof,
-                        const std::uint8_t* seq, std::size_t L, float* rows) {
-  return simd_kernels::forward_rows_kernel<AvxF32x8>(prof, seq, L, rows);
-}
-
-float trace_rows_avx2(const hmm::SearchProfile& prof,
-                      const std::uint8_t* seq, std::size_t L,
-                      const simd_kernels::TraceRows& ws) {
-  return simd_kernels::trace_rows_kernel<AvxF32x8>(prof, seq, L, ws);
-}
-
-FilterResult msv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row) {
-  return simd_kernels::msv_kernel<AvxU8x32>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult ssv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row) {
-  return simd_kernels::ssv_kernel<AvxU8x32>(prof, rows, Q, seq, L, row);
-}
-
-void msv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row) {
-  simd_kernels::msv_group_kernel<AvxU8x32>(g, st, seq, L, row);
-}
-
-void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row) {
-  simd_kernels::ssv_group_kernel<AvxU8x32>(g, st, seq, L, row);
-}
-
-void msv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row) {
-  simd_kernels::msv_group_kernel<AvxU8x32>(g, st, seq, L, row);
-}
-
-void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row) {
-  simd_kernels::ssv_group_kernel<AvxU8x32>(g, st, seq, L, row);
-}
-
-#else  // AVX2 backend not compiled in: stubs, never dispatched to
+#else  // AVX2 backend not compiled in
 
 bool have_avx2() { return false; }
-
-FilterResult msv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
-                      const std::uint8_t*, std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-FilterResult ssv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
-                      const std::uint8_t*, std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-FilterResult vit_avx2(const profile::VitProfile&,
-                      const simd_kernels::VitStripesView&,
-                      const std::uint8_t*, std::size_t, std::int16_t*,
-                      std::int16_t*, std::int16_t*, int*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-float fwd_avx2(const profile::FwdProfile&,
-               const simd_kernels::FwdStripesView&, const std::uint8_t*,
-               std::size_t, float*, float*, float*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-float fwd_bwd_avx2(const profile::FwdProfile&,
-                   const simd_kernels::FwdStripesView&,
-                   const std::uint8_t*, std::size_t,
-                   const simd_kernels::FwdBwdScratch&, float*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-float forward_rows_avx2(const hmm::SearchProfile&, const std::uint8_t*,
-                        std::size_t, float*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-float trace_rows_avx2(const hmm::SearchProfile&, const std::uint8_t*,
-                      std::size_t, const simd_kernels::TraceRows&) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-FilterResult msv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
-                      bio::PackedResidues, std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-FilterResult ssv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
-                      bio::PackedResidues, std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-void msv_group_avx2(const simd_kernels::MsvGroupView&,
-                    const simd_kernels::MsvGroupState&, const std::uint8_t*,
-                    std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-void ssv_group_avx2(const simd_kernels::MsvGroupView&,
-                    const simd_kernels::MsvGroupState&, const std::uint8_t*,
-                    std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-void msv_group_avx2(const simd_kernels::MsvGroupView&,
-                    const simd_kernels::MsvGroupState&, bio::PackedResidues,
-                    std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-void ssv_group_avx2(const simd_kernels::MsvGroupView&,
-                    const simd_kernels::MsvGroupState&, bio::PackedResidues,
-                    std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
+const TierKernels* avx2_kernels() { return nullptr; }
 
 #endif
 

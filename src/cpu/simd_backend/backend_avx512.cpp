@@ -1,4 +1,4 @@
-// AVX-512 instantiations of the striped filter kernels.
+// AVX-512 row of the kernel table (see backend.hpp).
 //
 // This is the only TU compiled with -mavx512f -mavx512bw (set per-file
 // from src/CMakeLists.txt, which also defines FINEHMM_BACKEND_AVX512 —
@@ -11,8 +11,6 @@
 // additionally builds this TU on non-AVX-512 runners as a compile-only
 // check.
 #include "cpu/simd_backend/backend.hpp"
-
-#include "util/error.hpp"
 
 #if defined(FINEHMM_BACKEND_AVX512) && defined(__AVX512F__) && \
     defined(__AVX512BW__)
@@ -33,167 +31,17 @@ bool have_avx512() {
 #endif
 }
 
-FilterResult msv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::uint8_t* row) {
-  return simd_kernels::msv_kernel<Avx512U8x64>(prof, rows, Q, seq, L, row);
+const TierKernels* avx512_kernels() {
+  static constexpr TierKernels kRow =
+      make_tier_kernels<Avx512U8x64, Avx512I16x32, Avx512F32x16>(
+          SimdTier::kAvx512);
+  return &kRow;
 }
 
-FilterResult ssv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::uint8_t* row) {
-  return simd_kernels::ssv_kernel<Avx512U8x64>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult vit_avx512(const profile::VitProfile& prof,
-                        const simd_kernels::VitStripesView& st,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::int16_t* mmx, std::int16_t* imx,
-                        std::int16_t* dmx, int* lazyf_passes) {
-  return simd_kernels::vit_kernel<Avx512I16x32>(prof, st, seq, L, mmx,
-                                                imx, dmx, lazyf_passes);
-}
-
-float fwd_avx512(const profile::FwdProfile& prof,
-                 const simd_kernels::FwdStripesView& st,
-                 const std::uint8_t* seq, std::size_t L, float* mmx,
-                 float* imx, float* dmx) {
-  return simd_kernels::fwd_kernel<Avx512F32x16>(prof, st, seq, L, mmx,
-                                                imx, dmx);
-}
-
-float fwd_bwd_avx512(const profile::FwdProfile& prof,
-                     const simd_kernels::FwdStripesView& st,
-                     const std::uint8_t* seq, std::size_t L,
-                     const simd_kernels::FwdBwdScratch& ws, float* mocc) {
-  return simd_kernels::fwd_bwd_kernel<Avx512F32x16>(prof, st, seq, L, ws,
-                                                    mocc);
-}
-
-float forward_rows_avx512(const hmm::SearchProfile& prof,
-                          const std::uint8_t* seq, std::size_t L, float* rows) {
-  return simd_kernels::forward_rows_kernel<Avx512F32x16>(prof, seq, L, rows);
-}
-
-float trace_rows_avx512(const hmm::SearchProfile& prof,
-                        const std::uint8_t* seq, std::size_t L,
-                        const simd_kernels::TraceRows& ws) {
-  return simd_kernels::trace_rows_kernel<Avx512F32x16>(prof, seq, L, ws);
-}
-
-FilterResult msv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        bio::PackedResidues seq, std::size_t L,
-                        std::uint8_t* row) {
-  return simd_kernels::msv_kernel<Avx512U8x64>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult ssv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        bio::PackedResidues seq, std::size_t L,
-                        std::uint8_t* row) {
-  return simd_kernels::ssv_kernel<Avx512U8x64>(prof, rows, Q, seq, L, row);
-}
-
-void msv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row) {
-  simd_kernels::msv_group_kernel<Avx512U8x64>(g, st, seq, L, row);
-}
-
-void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row) {
-  simd_kernels::ssv_group_kernel<Avx512U8x64>(g, st, seq, L, row);
-}
-
-void msv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row) {
-  simd_kernels::msv_group_kernel<Avx512U8x64>(g, st, seq, L, row);
-}
-
-void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row) {
-  simd_kernels::ssv_group_kernel<Avx512U8x64>(g, st, seq, L, row);
-}
-
-#else  // AVX-512 backend not compiled in: stubs, never dispatched to
+#else  // AVX-512 backend not compiled in
 
 bool have_avx512() { return false; }
-
-FilterResult msv_avx512(const profile::MsvProfile&, const std::uint8_t*,
-                        int, const std::uint8_t*, std::size_t,
-                        std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-FilterResult ssv_avx512(const profile::MsvProfile&, const std::uint8_t*,
-                        int, const std::uint8_t*, std::size_t,
-                        std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-FilterResult vit_avx512(const profile::VitProfile&,
-                        const simd_kernels::VitStripesView&,
-                        const std::uint8_t*, std::size_t, std::int16_t*,
-                        std::int16_t*, std::int16_t*, int*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-float fwd_avx512(const profile::FwdProfile&,
-                 const simd_kernels::FwdStripesView&, const std::uint8_t*,
-                 std::size_t, float*, float*, float*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-float fwd_bwd_avx512(const profile::FwdProfile&,
-                     const simd_kernels::FwdStripesView&,
-                     const std::uint8_t*, std::size_t,
-                     const simd_kernels::FwdBwdScratch&, float*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-float forward_rows_avx512(const hmm::SearchProfile&, const std::uint8_t*,
-                          std::size_t, float*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-float trace_rows_avx512(const hmm::SearchProfile&, const std::uint8_t*,
-                        std::size_t, const simd_kernels::TraceRows&) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-FilterResult msv_avx512(const profile::MsvProfile&, const std::uint8_t*,
-                        int, bio::PackedResidues, std::size_t,
-                        std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-FilterResult ssv_avx512(const profile::MsvProfile&, const std::uint8_t*,
-                        int, bio::PackedResidues, std::size_t,
-                        std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-void msv_group_avx512(const simd_kernels::MsvGroupView&,
-                      const simd_kernels::MsvGroupState&,
-                      const std::uint8_t*, std::size_t, std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-void ssv_group_avx512(const simd_kernels::MsvGroupView&,
-                      const simd_kernels::MsvGroupState&,
-                      const std::uint8_t*, std::size_t, std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-void msv_group_avx512(const simd_kernels::MsvGroupView&,
-                      const simd_kernels::MsvGroupState&,
-                      bio::PackedResidues, std::size_t, std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-void ssv_group_avx512(const simd_kernels::MsvGroupView&,
-                      const simd_kernels::MsvGroupState&,
-                      bio::PackedResidues, std::size_t, std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
+const TierKernels* avx512_kernels() { return nullptr; }
 
 #endif
 

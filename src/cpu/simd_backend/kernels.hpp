@@ -5,12 +5,11 @@
 // ADL-found friends (splat/load/store, max_u8/adds_u8/subs_u8/hmax_u8 for
 // bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
 // add_f/mul_f/hsum_f/shift_lanes_down for floats; shift_lanes_up for
-// all).  The portable classes (cpu/simd_vec.hpp, cpu/msv_wide.hpp,
-// cpu/vit_wide.hpp, cpu/fwd_wide.hpp) and the native SSE2/AVX2/AVX-512
-// wrappers (vec_sse2.hpp, vec_avx2.hpp, vec_avx512.hpp) all satisfy the
-// same contract, so every tier executes literally the same algorithm —
-// which is what makes the bit-exactness guarantee structural rather than
-// empirical.
+// all).  The portable classes (cpu/simd_vec.hpp, any width) and the
+// native SSE2/AVX2/AVX-512 wrappers (vec_sse2.hpp, vec_avx2.hpp,
+// vec_avx512.hpp) all satisfy the same contract, so every tier executes
+// literally the same algorithm — which is what makes the bit-exactness
+// guarantee structural rather than empirical.
 //
 // Kernels take raw striped-parameter pointers (residue x's stripe row
 // lives at base + x*Q*N) and caller-owned DP row storage, so they perform

@@ -25,7 +25,7 @@
 namespace finehmm::cpu {
 
 enum class SimdTier : int {
-  kPortable = 0,  // auto-vectorized lane loops (simd_vec.hpp / *_wide.hpp)
+  kPortable = 0,  // auto-vectorized lane loops (simd_vec.hpp), 128-bit
   kSse2 = 1,      // native 128-bit intrinsics, 16x u8 / 8x i16 / 4x f32
   kAvx2 = 2,      // native 256-bit intrinsics, 32x u8 / 16x i16 / 8x f32
   kAvx512 = 3,    // native 512-bit intrinsics, 64x u8 / 32x i16 / 16x f32

@@ -1,8 +1,8 @@
 // Native SSE2 lane classes satisfying the simd_kernels vector contract.
 //
-// Drop-in intrinsic twins of cpu/simd_vec.hpp's U8x16 / I16x8 / F32x4.
-// Only SSE2 instructions are used (baseline on every x86-64), so this
-// header needs no special compile flags.  Two operations deserve care:
+// Drop-in intrinsic twins of cpu/simd_vec.hpp's U8xN<16> / I16xN<8> /
+// F32xN<4>.  Only SSE2 instructions are used (baseline on every x86-64),
+// so this header needs no special compile flags.  Two operations deserve care:
 //   * adds_w must reproduce the library's *sticky -inf* saturating add
 //     (profile::sat_add_word), which plain PADDSW does not: -32768 is a
 //     dedicated -infinity and the finite range is clamped at -32767.
@@ -126,7 +126,7 @@ struct SseF32x4 {
     return {_mm_castsi128_ps(_mm_srli_si128(_mm_castps_si128(a.v), 4))};
   }
   /// In-order lane sum starting from 0.0f: bit-identical to the portable
-  /// F32x4::hsum_f, which the Forward score contract depends on.
+  /// F32xN<4>::hsum_f, which the Forward score contract depends on.
   friend float hsum_f(SseF32x4 a) {
     alignas(16) float t[4];
     _mm_store_ps(t, a.v);

@@ -9,9 +9,8 @@
 // paper's GPU kernel both rely on.  Word values match vit_scalar exactly.
 //
 // Like MsvFilter, the filter resolves its tier through the backend's
-// kernel table; tiers wider than the profile's native 8-word layout
-// re-stripe all eight parameter arrays once per (model, lane count),
-// shareable between workers through SharedVitStripes.
+// kernel table and stripes all eight parameter arrays once per (model,
+// tier), shareable between workers as one VitStripes.
 #pragma once
 
 #include <cstddef>
@@ -22,32 +21,19 @@
 #include "cpu/filter_result.hpp"
 #include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
+#include "cpu/stripes.hpp"
 #include "profile/vit_profile.hpp"
 
 namespace finehmm::cpu {
-
-/// A tier's striped Viterbi parameters, type-erased like SharedMsvRows:
-/// the 8-lane view aliases the VitProfile's own arrays (owner empty); the
-/// wide re-stripings keep their WideVitStripes<N> alive via owner.
-struct SharedVitStripes {
-  std::shared_ptr<const void> owner;
-  simd_kernels::VitStripesView view;
-  int lanes = 0;
-};
-
-/// Build (or alias) the parameter stripes for one word lane count: 8
-/// reads the VitProfile's own striping zero-copy; 16/32 re-stripe once.
-SharedVitStripes make_shared_vit_stripes(const profile::VitProfile& prof,
-                                         int lanes);
 
 class VitFilter {
  public:
   explicit VitFilter(const profile::VitProfile& prof,
                      SimdTier tier = active_simd_tier());
-  /// Share a prebuilt parameter re-striping between workers; its lane
-  /// count must match the resolved tier's.
+  /// Share a prebuilt parameter striping between workers; its lane count
+  /// must match the resolved tier's.
   VitFilter(const profile::VitProfile& prof, SimdTier tier,
-            SharedVitStripes wide);
+            std::shared_ptr<const VitStripes> stripes);
 
   FilterResult score(const std::uint8_t* seq, std::size_t L);
 
@@ -57,13 +43,12 @@ class VitFilter {
 
   /// The tier score() actually runs (requested clamped to supported).
   SimdTier tier() const noexcept { return ops_->tier; }
-  /// The parameter stripes score() reads (shareable with other workers).
-  const SharedVitStripes& wide_stripes() const { return wide_; }
 
  private:
   const profile::VitProfile& prof_;
   const backend::TierKernels* ops_;
-  SharedVitStripes wide_;
+  std::shared_ptr<const VitStripes> stripes_;
+  simd_kernels::VitStripesView view_;
   std::vector<std::int16_t> mmx_, imx_, dmx_;  // Q stripes x lane words
   int lazyf_passes_ = 0;
 };

@@ -13,7 +13,6 @@ namespace {
 
 constexpr char kMagic[4] = {'F', 'H', 'M', 'P'};
 constexpr std::uint32_t kMaxStringLen = 1 << 16;
-constexpr std::int32_t kMaxModelLen = 1 << 20;
 
 template <class T>
 void put(std::ostream& out, const T& v) {
@@ -91,9 +90,7 @@ Plan7Hmm read_hmm_binary(std::istream& in,
   std::string name = get_string(in);
   std::string desc = get_string(in);
   auto M = get<std::int32_t>(in);
-  FH_REQUIRE(M >= 1 && M <= kMaxModelLen, "implausible model length");
-
-  Plan7Hmm hmm(M);
+  Plan7Hmm hmm(M);  // rejects implausible lengths before allocating
   hmm.set_name(name);
   hmm.set_description(desc);
   for (int k = 1; k <= M; ++k)

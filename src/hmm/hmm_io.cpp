@@ -1,5 +1,6 @@
 #include "hmm/hmm_io.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -28,6 +29,17 @@ float parse_prob(const std::string& tok, std::size_t lineno) {
   } catch (const std::exception&) {
     throw ParseError("bad probability token '" + tok + "'", lineno);
   }
+}
+
+/// A whole-token decimal int: trailing junk, an empty token or a value
+/// outside int range is a ParseError at this line.
+int parse_int(const std::string& tok, std::size_t lineno, const char* what) {
+  int v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc() || ptr != end)
+    throw ParseError(std::string("bad ") + what + " '" + tok + "'", lineno);
+  return v;
 }
 
 std::vector<std::string> split_ws(const std::string& line) {
@@ -142,7 +154,7 @@ Plan7Hmm read_hmm(std::istream& in,
     if (line.rfind("LENG", 0) == 0) {
       auto toks = split_ws(line);
       if (toks.size() < 2) throw ParseError("LENG without value", lineno);
-      M = std::stoi(toks[1]);
+      M = parse_int(toks[1], lineno, "LENG value");
       continue;
     }
     if (line.rfind("ALPH", 0) == 0) {
@@ -216,7 +228,7 @@ Plan7Hmm read_hmm(std::istream& in,
     // tolerate and ignore beyond the 20 scores).
     ++k;
     FH_REQUIRE(k <= M, "more node lines than LENG");
-    if (std::stoi(toks[0]) != k)
+    if (parse_int(toks[0], lineno, "node index") != k)
       throw ParseError("node index mismatch", lineno);
     FH_REQUIRE(toks.size() >= 1 + static_cast<std::size_t>(bio::kK),
                "short match emission line");

@@ -9,7 +9,9 @@
 namespace finehmm::hmm {
 
 Plan7Hmm::Plan7Hmm(int M) : M_(M) {
-  FH_REQUIRE(M >= 1, "model length must be >= 1");
+  FH_REQUIRE(M >= 1 && M <= kMaxLength,
+             "model length must be in [1, " + std::to_string(kMaxLength) +
+                 "], got " + std::to_string(M));
   mat_.assign(static_cast<std::size_t>(M + 1) * bio::kK, 0.0f);
   ins_.assign(static_cast<std::size_t>(M + 1) * bio::kK, 0.0f);
   tr_.assign(static_cast<std::size_t>(M + 1) * kNTransitions, 0.0f);

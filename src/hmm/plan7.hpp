@@ -29,8 +29,13 @@ inline constexpr int kNTransitions = 7;
 
 class Plan7Hmm {
  public:
+  /// Longest model either reader accepts: far past any real profile, and
+  /// small enough that every per-node size computation stays in range.
+  static constexpr int kMaxLength = 1 << 20;
+
   Plan7Hmm() = default;
   /// Create a zeroed model of length M (all probabilities 0; caller fills).
+  /// Throws unless 1 <= M <= kMaxLength.
   explicit Plan7Hmm(int M);
 
   int length() const noexcept { return M_; }

@@ -19,20 +19,20 @@ BatchScanner::BatchScanner(const profile::MsvProfile& msv,
       ops_(&cpu::backend::tier_kernels(tier_)) {
   FH_REQUIRE(workers >= 1, "need at least one worker");
 
-  // Immutable re-stripings for the resolved tier, built once and shared
-  // by every worker (zero-copy aliases of the profiles' own arrays for
-  // the 128-bit tiers).
-  ssv_rows_ = cpu::make_shared_msv_rows(msv, ops_->u8_lanes);
-  cpu::SharedVitStripes vit_wide =
-      cpu::make_shared_vit_stripes(vit, ops_->i16_lanes);
+  // Immutable stripings for the resolved tier, built once and shared by
+  // every worker.
+  msv_stripes_ = std::make_shared<const cpu::MsvStripes>(msv, ops_->u8_lanes);
+  auto vit_stripes =
+      std::make_shared<const cpu::VitStripes>(vit, ops_->i16_lanes);
 
   const std::size_t ssv_row_bytes =
-      static_cast<std::size_t>(ssv_rows_.Q) * ssv_rows_.lanes;
+      static_cast<std::size_t>(msv_stripes_->segments()) *
+      msv_stripes_->lanes();
 
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    Worker worker{cpu::MsvFilter(msv, tier_, ssv_rows_),
-                  cpu::VitFilter(vit, tier_, vit_wide),
+    Worker worker{cpu::MsvFilter(msv, tier_, msv_stripes_),
+                  cpu::VitFilter(vit, tier_, vit_stripes),
                   std::nullopt,
                   std::vector<std::uint8_t>(ssv_row_bytes, 0),
                   WorkerLoad{}};
@@ -51,13 +51,13 @@ constexpr bool empty_no_hit(std::size_t L) { return L == 0; }
 template <class Seq>
 cpu::FilterResult BatchScanner::ssv_impl(std::size_t w, Seq seq,
                                          std::size_t L) {
-  Worker& worker = workers_[w];
+  std::uint8_t* row = workers_[w].ssv_row.data();
+  const std::uint8_t* rows = msv_stripes_->row(0);
+  const int Q = msv_stripes_->segments();
   if constexpr (std::is_same_v<Seq, bio::PackedResidues>)
-    return ops_->ssv_packed(msv_, ssv_rows_.rows, ssv_rows_.Q, seq, L,
-                            worker.ssv_row.data());
+    return ops_->ssv_packed(msv_, rows, Q, seq, L, row);
   else
-    return ops_->ssv(msv_, ssv_rows_.rows, ssv_rows_.Q, seq, L,
-                     worker.ssv_row.data());
+    return ops_->ssv(msv_, rows, Q, seq, L, row);
 }
 
 cpu::FilterResult BatchScanner::ssv(std::size_t w, const std::uint8_t* seq,
@@ -112,10 +112,10 @@ cpu::FwdFilter& BatchScanner::fwd_filter(std::size_t w) {
   if (!filter) {
     // Worker w alone touches its slot; the shared stripes are built once.
     std::call_once(fwd_once_, [this] {
-      fwd_wide_ =
-          std::make_shared<const cpu::WideFwdStripes>(*fwd_, ops_->f32_lanes);
+      fwd_stripes_ =
+          std::make_shared<const cpu::FwdStripes>(*fwd_, ops_->f32_lanes);
     });
-    filter.emplace(*fwd_, tier_, fwd_wide_);
+    filter.emplace(*fwd_, tier_, fwd_stripes_);
   }
   return *filter;
 }

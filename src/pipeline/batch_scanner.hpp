@@ -9,11 +9,11 @@
 // monotonically), so scoring a sequence is allocation-free no matter
 // which engine (serial, ThreadPool, or MultiSearch) drives it.
 //
-// The wide parameter re-stripings for the resolved tier are built once
-// and shared across all workers (SharedMsvRows / SharedVitStripes /
-// WideFwdStripes): model parameters are immutable during a scan, only DP
-// state is per-worker.  This mirrors the paper's GPU decomposition — one
-// read-only model in constant/shared memory, one DP slice per warp.
+// The parameter stripings for the resolved tier are built once and shared
+// across all workers (cpu::MsvStripes / VitStripes / FwdStripes): model
+// parameters are immutable during a scan, only DP state is per-worker.
+// This mirrors the paper's GPU decomposition — one read-only model in
+// constant/shared memory, one DP slice per warp.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +39,7 @@ class BatchScanner {
  public:
   /// State for `workers` concurrent scanners over one model's profiles.
   /// `fwd` may be nullptr when the caller never runs the Forward stage.
-  /// Forward state (the shared wide re-striping and each worker's rows)
+  /// Forward state (the shared striping and each worker's rows)
   /// is built on a worker's first fwd()/decode(), so a many-query sweep
   /// pays for it only on queries that have a Viterbi survivor.  All
   /// workers score through the same resolved SIMD tier, so results are
@@ -113,9 +113,10 @@ class BatchScanner {
   const profile::FwdProfile* fwd_;
   cpu::SimdTier tier_;
   const cpu::backend::TierKernels* ops_;
-  cpu::SharedMsvRows ssv_rows_;  // shared emission table the SSV path reads
-  std::once_flag fwd_once_;      // builds fwd_wide_ on first Forward use
-  std::shared_ptr<const cpu::WideFwdStripes> fwd_wide_;
+  // Shared emission table the MSV filters and the SSV path read.
+  std::shared_ptr<const cpu::MsvStripes> msv_stripes_;
+  std::once_flag fwd_once_;  // builds fwd_stripes_ on first Forward use
+  std::shared_ptr<const cpu::FwdStripes> fwd_stripes_;
   std::vector<Worker> workers_;
 };
 

@@ -14,38 +14,37 @@ float prob_of(float log_score) {
 }  // namespace
 
 FwdProfile::FwdProfile(const hmm::SearchProfile& prof)
-    : M_(prof.length()), Q_(fwd_segments(prof.length())) {
+    : M_(prof.length()) {
   FH_REQUIRE(hmm::is_local(prof.mode()),
              "vectorized filters are local-mode only (as in HMMER)");
-  const std::size_t row = static_cast<std::size_t>(Q_) * kLanes;
-  odds_.assign(static_cast<std::size_t>(bio::kKp) * row, 0.0f);
-  tmm_.assign(row, 0.0f);
-  tim_.assign(row, 0.0f);
-  tdm_.assign(row, 0.0f);
-  tmi_.assign(row, 0.0f);
-  tii_.assign(row, 0.0f);
-  tmd_in_.assign(row, 0.0f);
-  tdd_in_.assign(row, 0.0f);
+  const std::size_t M = static_cast<std::size_t>(M_);
+  odds_.assign(static_cast<std::size_t>(bio::kKp) * M, 0.0f);
+  tmm_.assign(M, 0.0f);
+  tim_.assign(M, 0.0f);
+  tdm_.assign(M, 0.0f);
+  tmi_.assign(M, 0.0f);
+  tii_.assign(M, 0.0f);
+  tmd_in_.assign(M, 0.0f);
+  tdd_in_.assign(M, 0.0f);
 
-  // slot(k) is the private 1-based position -> striped index helper.
   for (int x = 0; x < bio::kKp; ++x)
     for (int k = 1; k <= M_; ++k)
-      odds_[static_cast<std::size_t>(x) * row + slot(k)] =
+      odds_[static_cast<std::size_t>(x) * M + (k - 1)] =
           prob_of(prof.msc(k, x));
 
   entry_ = prob_of(prof.tsc(0, hmm::kPTBM));
 
   for (int k = 1; k <= M_; ++k) {
-    tmm_[slot(k)] = prob_of(prof.tsc(k - 1, hmm::kPTMM));
-    tim_[slot(k)] = prob_of(prof.tsc(k - 1, hmm::kPTIM));
-    tdm_[slot(k)] = prob_of(prof.tsc(k - 1, hmm::kPTDM));
+    tmm_[k - 1] = prob_of(prof.tsc(k - 1, hmm::kPTMM));
+    tim_[k - 1] = prob_of(prof.tsc(k - 1, hmm::kPTIM));
+    tdm_[k - 1] = prob_of(prof.tsc(k - 1, hmm::kPTDM));
     if (k < M_) {
-      tmi_[slot(k)] = prob_of(prof.tsc(k, hmm::kPTMI));
-      tii_[slot(k)] = prob_of(prof.tsc(k, hmm::kPTII));
+      tmi_[k - 1] = prob_of(prof.tsc(k, hmm::kPTMI));
+      tii_[k - 1] = prob_of(prof.tsc(k, hmm::kPTII));
     }
     if (k >= 2) {
-      tmd_in_[slot(k)] = prob_of(prof.tsc(k - 1, hmm::kPTMD));
-      tdd_in_[slot(k)] = prob_of(prof.tsc(k - 1, hmm::kPTDD));
+      tmd_in_[k - 1] = prob_of(prof.tsc(k - 1, hmm::kPTMD));
+      tdd_in_[k - 1] = prob_of(prof.tsc(k - 1, hmm::kPTDD));
     }
   }
 }

@@ -30,8 +30,7 @@ std::uint8_t biased_byteify(float scale, std::uint8_t bias, float sc) {
 
 MsvProfile::MsvProfile(const hmm::SearchProfile& prof)
     : M_(prof.length()),
-      Mpad_((prof.length() + 31) / 32 * 32),
-      Q_(msv_segments(prof.length())) {
+      Mpad_((prof.length() + 31) / 32 * 32) {
   FH_REQUIRE(hmm::is_local(prof.mode()),
              "vectorized filters are local-mode only (as in HMMER)");
   scale_ = 3.0f / static_cast<float>(M_LN2);  // 1/3-bit units per nat
@@ -45,16 +44,10 @@ MsvProfile::MsvProfile(const hmm::SearchProfile& prof)
   tec_ = unbiased_byteify(scale_, std::log(0.5f));
 
   linear_.assign(static_cast<std::size_t>(bio::kKp) * Mpad_, 255);
-  striped_.assign(static_cast<std::size_t>(bio::kKp) * Q_ * kLanes, 255);
-  for (int x = 0; x < bio::kKp; ++x) {
-    for (int k = 1; k <= M_; ++k) {
-      std::uint8_t c = biased_byteify(scale_, bias_, prof.msc(k, x));
-      linear_[static_cast<std::size_t>(x) * Mpad_ + (k - 1)] = c;
-      int q = (k - 1) % Q_;
-      int j = (k - 1) / Q_;
-      striped_[static_cast<std::size_t>(x) * Q_ * kLanes + q * kLanes + j] = c;
-    }
-  }
+  for (int x = 0; x < bio::kKp; ++x)
+    for (int k = 1; k <= M_; ++k)
+      linear_[static_cast<std::size_t>(x) * Mpad_ + (k - 1)] =
+          biased_byteify(scale_, bias_, prof.msc(k, x));
   reconfig_length(prof.target_length());
 }
 

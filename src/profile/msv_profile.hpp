@@ -8,10 +8,9 @@
 // correction (the L->inf limit of L*log(L/(L+3))) applied at score
 // recovery.
 //
-// Two parameter layouts are produced:
-//   * linear   — cost[x][k], what the GPU kernels stream ("global memory")
-//   * striped  — Farrar layout for the 16-lane CPU SIMD filter, position
-//                k (1-based) lives in vector q=(k-1)%Q, lane j=(k-1)/Q.
+// The profile holds the linear layout cost[x][k], what the GPU kernels
+// stream ("global memory"); the CPU SIMD filters re-stripe it once per
+// (model, tier) for their lane count (cpu/stripes.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +23,6 @@ namespace finehmm::profile {
 class MsvProfile {
  public:
   static constexpr std::uint8_t kBase = 190;
-  static constexpr int kLanes = 16;  // bytes per 128-bit SIMD vector
 
   MsvProfile() = default;
   explicit MsvProfile(const hmm::SearchProfile& prof);
@@ -34,7 +32,6 @@ class MsvProfile {
   /// GPU linear layout is padded to this with cost 255 ("wasteful cells")
   /// so warp loads never need masking.
   int padded_length() const noexcept { return Mpad_; }
-  int striped_segments() const noexcept { return Q_; }
   int target_length() const noexcept { return L_; }
   float scale() const noexcept { return scale_; }
   std::uint8_t base() const noexcept { return kBase; }
@@ -57,10 +54,6 @@ class MsvProfile {
   /// Row pointer for a residue code, length padded_length() (GPU layout).
   const std::uint8_t* linear_row(int x) const {
     return linear_.data() + static_cast<std::size_t>(x) * Mpad_;
-  }
-  /// Striped row pointer for a residue code, length Q*16 (CPU layout).
-  const std::uint8_t* striped_row(int x) const {
-    return striped_.data() + static_cast<std::size_t>(x) * Q_ * kLanes;
   }
 
   /// Total parameter bytes (what a GPU would stage into shared memory).
@@ -86,7 +79,6 @@ class MsvProfile {
  private:
   int M_ = 0;
   int Mpad_ = 0;
-  int Q_ = 0;
   int L_ = 0;
   float scale_ = 0.0f;
   std::uint8_t bias_ = 0;
@@ -94,10 +86,6 @@ class MsvProfile {
   std::uint8_t tec_ = 0;  // E -> C/J cost (log 1/2)
   std::uint8_t tjb_ = 0;  // N/J -> B move cost (log 3/(L+3))
   aligned_vector<std::uint8_t> linear_;   // Kp x M
-  aligned_vector<std::uint8_t> striped_;  // Kp x (Q*16)
 };
-
-/// Number of 16-lane stripes for model length M.
-inline int msv_segments(int M) { return (M + MsvProfile::kLanes - 1) / MsvProfile::kLanes; }
 
 }  // namespace finehmm::profile

@@ -62,10 +62,7 @@ TEST(IoRobustness, MutatedHmmTokensNeverCrash) {
       // If it parsed, it must at least be structurally sane.
       EXPECT_GE(model.length(), 1);
     } catch (const Error&) {
-      // fine
-    } catch (const std::exception&) {
-      // std::stoi and friends may throw std:: exceptions on hostile
-      // numerics before our validation sees them: acceptable, no crash.
+      // fine: every hostile numeric surfaces as a finehmm error
     }
   }
 }
@@ -143,6 +140,43 @@ TEST(IoRobustness, HmmWithWrongNodeCountThrows) {
   text.replace(pos, 8, "LENG  13");
   std::istringstream in(text);
   EXPECT_THROW(hmm::read_hmm(in), Error);
+}
+
+// LENG is read before any node, so the reader must not trust it: values
+// past Plan7Hmm::kMaxLength are refused before the model is sized (no
+// int overflow at M + 1, no multi-GB allocation from a five-line file),
+// and tokens that are not a whole int are a ParseError with the line.
+TEST(IoRobustness, HostileLengIsRejectedBeforeAllocation) {
+  struct Case {
+    const char* leng;
+    bool parse_error;
+  };
+  for (const Case& c : {Case{"2147483647", false}, Case{"300000000", false},
+                        Case{"abc", true}, Case{"99999999999", true}}) {
+    std::string text = valid_hmm_text();
+    auto pos = text.find("LENG  12");
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, 8, std::string("LENG  ") + c.leng);
+    std::istringstream in(text);
+    try {
+      hmm::read_hmm(in);
+      ADD_FAILURE() << "LENG " << c.leng << " parsed";
+    } catch (const ParseError& e) {
+      EXPECT_TRUE(c.parse_error) << c.leng << ": " << e.what();
+      EXPECT_GT(e.line(), 0u);
+    } catch (const Error& e) {
+      EXPECT_FALSE(c.parse_error) << c.leng << ": " << e.what();
+    }
+  }
+}
+
+TEST(IoRobustness, NodeIndexMustBeAWholeInteger) {
+  std::string text = valid_hmm_text();
+  auto pos = text.find("\n  1 ");  // node 1's match emission line
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 5, "\n  1x");
+  std::istringstream in(text);
+  EXPECT_THROW(hmm::read_hmm(in), ParseError);
 }
 
 }  // namespace

@@ -1,10 +1,18 @@
-// Width-templated striped MSV: every lane count must reproduce the
-// scalar reference byte-exactly.
+// Striped MSV at every lane count: the width-N template kernel with the
+// portable lane class, and the MsvFilter of every supported native tier,
+// must reproduce the scalar reference byte-exactly.  The model lengths
+// sit on the stripe edges of the 16/32/64-byte geometries.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bio/synthetic.hpp"
+#include "cpu/msv_filter.hpp"
 #include "cpu/msv_scalar.hpp"
-#include "cpu/msv_wide.hpp"
+#include "cpu/simd_backend/kernels.hpp"
+#include "cpu/simd_backend/simd_tier.hpp"
+#include "cpu/simd_vec.hpp"
+#include "cpu/stripes.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/sampler.hpp"
 
@@ -12,24 +20,46 @@ namespace {
 
 using namespace finehmm;
 
+/// Portable N-lane MSV through the shared template kernel.
 template <int N>
-void check_width(int M, std::uint64_t seed) {
+cpu::FilterResult msv_width(const profile::MsvProfile& msv,
+                            const cpu::MsvStripes& stripes,
+                            const bio::Sequence& seq) {
+  std::vector<std::uint8_t> row(
+      static_cast<std::size_t>(stripes.segments()) * N);
+  return cpu::simd_kernels::msv_kernel<cpu::U8xN<N>>(
+      msv, stripes.row(0), stripes.segments(), seq.codes.data(),
+      seq.length(), row.data());
+}
+
+/// Runs `score(msv, seq)` on homologs and random draws of one model and
+/// checks every result against msv_scalar.
+template <class Score>
+void check_against_scalar(int M, std::uint64_t seed, const char* what,
+                          Score&& score) {
   auto model = hmm::paper_model(M);
   hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 400);
   profile::MsvProfile msv(prof);
-  cpu::WideMsvStripes<N> stripes(msv);
   Pcg32 rng(seed);
   for (int rep = 0; rep < 12; ++rep) {
     auto seq = rep % 3 == 0 ? hmm::sample_homolog(model, rng)
                             : bio::random_sequence(1 + rng.below(400), rng);
     auto ref = cpu::msv_scalar(msv, seq.codes.data(), seq.length());
-    auto wide =
-        cpu::msv_striped_wide<N>(msv, stripes, seq.codes.data(), seq.length());
-    EXPECT_EQ(wide.overflowed, ref.overflowed)
-        << "N=" << N << " M=" << M << " rep=" << rep;
-    EXPECT_FLOAT_EQ(wide.score_nats, ref.score_nats)
-        << "N=" << N << " M=" << M << " rep=" << rep;
+    auto got = score(msv, seq);
+    EXPECT_EQ(got.overflowed, ref.overflowed)
+        << what << " M=" << M << " rep=" << rep;
+    EXPECT_FLOAT_EQ(got.score_nats, ref.score_nats)
+        << what << " M=" << M << " rep=" << rep;
   }
+}
+
+template <int N>
+void check_width(int M, std::uint64_t seed) {
+  check_against_scalar(M, seed, "portable width", [](const auto& msv,
+                                                     const auto& seq) {
+    cpu::MsvStripes stripes(msv, N);
+    return msv_width<N>(msv, stripes, seq);
+  });
 }
 
 class WideMsv : public ::testing::TestWithParam<int> {};
@@ -39,6 +69,16 @@ TEST_P(WideMsv, Avx2WidthMatchesScalar) { check_width<32>(GetParam(), 4); }
 TEST_P(WideMsv, Avx512WidthMatchesScalar) { check_width<64>(GetParam(), 5); }
 TEST_P(WideMsv, TinyWidthMatchesScalar) { check_width<4>(GetParam(), 6); }
 
+TEST_P(WideMsv, EverySupportedTierMatchesScalar) {
+  for (cpu::SimdTier tier : cpu::supported_simd_tiers())
+    check_against_scalar(
+        GetParam(), 8, cpu::simd_tier_name(tier),
+        [tier](const auto& msv, const auto& seq) {
+          cpu::MsvFilter filter(msv, tier);
+          return filter.score(seq.codes.data(), seq.length());
+        });
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, WideMsv,
                          ::testing::Values(1, 15, 16, 17, 63, 64, 65, 200),
                          ::testing::PrintToStringParamName());
@@ -47,14 +87,14 @@ TEST(WideMsv, AllWidthsAgreeWithEachOther) {
   auto model = hmm::paper_model(100);
   hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 400);
   profile::MsvProfile msv(prof);
-  cpu::WideMsvStripes<16> s16(msv);
-  cpu::WideMsvStripes<32> s32(msv);
-  cpu::WideMsvStripes<64> s64(msv);
+  cpu::MsvStripes s16(msv, 16);
+  cpu::MsvStripes s32(msv, 32);
+  cpu::MsvStripes s64(msv, 64);
   Pcg32 rng(7);
   auto seq = bio::random_sequence(333, rng);
-  auto a = cpu::msv_striped_wide<16>(msv, s16, seq.codes.data(), 333);
-  auto b = cpu::msv_striped_wide<32>(msv, s32, seq.codes.data(), 333);
-  auto c = cpu::msv_striped_wide<64>(msv, s64, seq.codes.data(), 333);
+  auto a = msv_width<16>(msv, s16, seq);
+  auto b = msv_width<32>(msv, s32, seq);
+  auto c = msv_width<64>(msv, s64, seq);
   EXPECT_FLOAT_EQ(a.score_nats, b.score_nats);
   EXPECT_FLOAT_EQ(b.score_nats, c.score_nats);
 }

@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "cpu/stripes.hpp"
 #include "hmm/generator.hpp"
+#include "profile/fwd_profile.hpp"
 #include "profile/msv_profile.hpp"
 #include "profile/vit_profile.hpp"
 
@@ -17,11 +19,13 @@ struct ProfFixture {
   hmm::SearchProfile prof;
   profile::MsvProfile msv;
   profile::VitProfile vit;
+  profile::FwdProfile fwd;
   explicit ProfFixture(int M)
       : model(hmm::paper_model(M)),
         prof(model, hmm::AlignMode::kLocalMultihit, 400),
         msv(prof),
-        vit(prof) {}
+        vit(prof),
+        fwd(prof) {}
 };
 
 class ProfileQuantization : public ::testing::TestWithParam<int> {};
@@ -58,18 +62,53 @@ TEST_P(ProfileQuantization, WordScoresInvertWithinHalfUnit) {
   }
 }
 
+// One stripes builder serves every tier: at each lane count, position k
+// must land in stripe (k-1)%Q, lane (k-1)/Q, and padding must be inert.
 TEST_P(ProfileQuantization, StripedLayoutPermutesLinear) {
   ProfFixture fx(GetParam());
   const int M = fx.prof.length();
-  const int Q = fx.msv.striped_segments();
-  for (int x = 0; x < bio::kKp; ++x) {
-    const std::uint8_t* striped = fx.msv.striped_row(x);
+  for (int lanes : {4, 16, 32, 64}) {
+    cpu::MsvStripes st(fx.msv, lanes);
+    const int Q = st.segments();
+    ASSERT_EQ(Q, (M + lanes - 1) / lanes);
+    for (int x = 0; x < bio::kKp; ++x) {
+      const std::uint8_t* striped = st.row(x);
+      for (int k = 1; k <= M; ++k)
+        EXPECT_EQ(striped[(k - 1) % Q * lanes + (k - 1) / Q],
+                  fx.msv.cost(x, k))
+            << "lanes=" << lanes << " x=" << x << " k=" << k;
+      for (int slot = M; slot < Q * lanes; ++slot)
+        EXPECT_EQ(striped[slot % Q * lanes + slot / Q], 255)
+            << "lanes=" << lanes << " pad slot " << slot;
+    }
+  }
+  for (int lanes : {8, 16, 32}) {
+    cpu::VitStripes st(fx.vit, lanes);
+    const auto view = st.view();
+    const int Q = view.Q;
     for (int k = 1; k <= M; ++k) {
-      int q = (k - 1) % Q;
-      int j = (k - 1) / Q;
-      EXPECT_EQ(striped[q * profile::MsvProfile::kLanes + j],
-                fx.msv.cost(x, k))
-          << "x=" << x << " k=" << k;
+      const std::size_t at = (k - 1) % Q * lanes + (k - 1) / Q;
+      EXPECT_EQ(view.tmm[at], fx.vit.tmm_in(k)) << "lanes=" << lanes;
+      EXPECT_EQ(view.tdd[at], fx.vit.tdd_out(k)) << "lanes=" << lanes;
+      for (int x = 0; x < bio::kKp; ++x)
+        EXPECT_EQ(view.msc[static_cast<std::size_t>(x) * Q * lanes + at],
+                  fx.vit.msc(x, k))
+            << "lanes=" << lanes << " x=" << x << " k=" << k;
+    }
+  }
+  for (int lanes : {4, 8, 16}) {
+    cpu::FwdStripes st(fx.fwd, lanes);
+    const auto view = st.view();
+    const int Q = view.Q;
+    for (int k = 1; k <= M; ++k) {
+      const std::size_t at = (k - 1) % Q * lanes + (k - 1) / Q;
+      EXPECT_EQ(view.tmm[at], fx.fwd.tmm_at(k)) << "lanes=" << lanes;
+      EXPECT_EQ(view.tmm_out[at], k < M ? fx.fwd.tmm_at(k + 1) : 0.0f)
+          << "lanes=" << lanes;
+      for (int x = 0; x < bio::kKp; ++x)
+        EXPECT_EQ(view.odds[static_cast<std::size_t>(x) * Q * lanes + at],
+                  fx.fwd.odds_at(x, k))
+            << "lanes=" << lanes << " x=" << x << " k=" << k;
     }
   }
 }

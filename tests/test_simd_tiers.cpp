@@ -2,12 +2,13 @@
 // bit-identical filter scores.
 //
 // The dispatcher (cpu/simd_backend/simd_tier.hpp) promises that portable,
-// SSE2 and AVX2 tiers are interchangeable — a database scan may resolve
-// to any of them depending on host and FINEHMM_SIMD, and hit lists must
-// not move.  These tests pin that promise against the scalar references
-// for model lengths spanning one stripe (M=48) to many (M=2405), on
-// random sequences and on adversarial ones built to hit the saturation
-// edges (byte overflow in MSV, word clamping in ViterbiFilter).
+// SSE2, AVX2 and AVX-512 tiers are interchangeable — a database scan may
+// resolve to any of them depending on host and FINEHMM_SIMD, and hit
+// lists must not move.  These tests pin that promise against the scalar
+// references for model lengths spanning one stripe (M=48) to many
+// (M=2405), on random sequences and on adversarial ones built to hit the
+// saturation edges (byte overflow in MSV, word clamping in
+// ViterbiFilter).
 //
 // Tiers the host cannot run are skipped, not failed: the portable tier is
 // the specification and is always exercised.
@@ -21,14 +22,11 @@
 #include "cpu/generic.hpp"
 #include "cpu/msv_filter.hpp"
 #include "cpu/msv_scalar.hpp"
-#include "cpu/msv_wide.hpp"
-#include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "cpu/ssv.hpp"
 #include "pipeline/batch_scanner.hpp"
 #include "cpu/vit_filter.hpp"
 #include "cpu/vit_scalar.hpp"
-#include "cpu/vit_wide.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/profile.hpp"
 #include "profile/fwd_profile.hpp"
@@ -193,44 +191,6 @@ TEST_P(TierEquivalence, FwdStripedHonorsActiveTierOverride) {
       float got = active.fwd(0, seq.codes.data(), seq.length());
       EXPECT_EQ(want, got) << "tier=" << cpu::simd_tier_name(tier)
                            << " L=" << seq.length();
-    }
-  }
-  cpu::reset_simd_tier();
-}
-
-// The width-templated engines route their native widths (32/64-byte MSV,
-// 16/32-word Viterbi) through the AVX2/AVX-512 backends when active;
-// scores must not depend on whether the native or portable path ran.
-TEST_P(TierEquivalence, WideEnginesMatchScalarUnderEveryForcedTier) {
-  Fixture fx(GetParam());
-  auto seqs = test_sequences(fx);
-  cpu::WideMsvStripes<32> msv32(fx.msv);
-  cpu::WideMsvStripes<64> msv64(fx.msv);
-  cpu::WideVitStripes<16> vit16(fx.vit);
-  cpu::WideVitStripes<32> vit32(fx.vit);
-  for (SimdTier tier : cpu::supported_simd_tiers()) {
-    cpu::set_simd_tier(tier);
-    for (const auto& seq : seqs) {
-      auto mref = cpu::msv_scalar(fx.msv, seq.codes.data(), seq.length());
-      auto mgot =
-          cpu::msv_striped_wide(fx.msv, msv32, seq.codes.data(), seq.length());
-      EXPECT_EQ(mref.overflowed, mgot.overflowed);
-      EXPECT_FLOAT_EQ(mref.score_nats, mgot.score_nats)
-          << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
-      auto mgot64 =
-          cpu::msv_striped_wide(fx.msv, msv64, seq.codes.data(), seq.length());
-      EXPECT_EQ(mref.overflowed, mgot64.overflowed);
-      EXPECT_FLOAT_EQ(mref.score_nats, mgot64.score_nats)
-          << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
-      auto vref = cpu::vit_scalar(fx.vit, seq.codes.data(), seq.length());
-      auto vgot =
-          cpu::vit_striped_wide(fx.vit, vit16, seq.codes.data(), seq.length());
-      EXPECT_FLOAT_EQ(vref.score_nats, vgot.score_nats)
-          << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
-      auto vgot32 =
-          cpu::vit_striped_wide(fx.vit, vit32, seq.codes.data(), seq.length());
-      EXPECT_FLOAT_EQ(vref.score_nats, vgot32.score_nats)
-          << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
     }
   }
   cpu::reset_simd_tier();

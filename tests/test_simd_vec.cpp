@@ -1,4 +1,5 @@
-// Portable SIMD vector lane semantics.
+// Portable SIMD lane semantics, on the <16, 8, 4> instances the portable
+// tier runs.
 #include <gtest/gtest.h>
 
 #include "cpu/simd_vec.hpp"
@@ -6,6 +7,9 @@
 namespace {
 
 using namespace finehmm::cpu;
+using U8x16 = U8xN<16>;
+using I16x8 = I16xN<8>;
+using F32x4 = F32xN<4>;
 
 TEST(U8x16, SaturatingOps) {
   auto a = U8x16::splat(200);
@@ -25,10 +29,10 @@ TEST(U8x16, ShiftLanesUp) {
 }
 
 TEST(U8x16, HorizontalMax) {
-  U8x16 a = U8x16::zero();
+  U8x16 a = U8x16::splat(0);
   a.v[11] = 42;
   EXPECT_EQ(hmax_u8(a), 42);
-  EXPECT_EQ(hmax_u8(U8x16::zero()), 0);
+  EXPECT_EQ(hmax_u8(U8x16::splat(0)), 0);
 }
 
 TEST(U8x16, LoadStoreRoundTrip) {
@@ -65,6 +69,25 @@ TEST(I16x8, AnyGt) {
   a.v[6] = 6;
   EXPECT_TRUE(any_gt_i16(a, b));
   EXPECT_FALSE(any_gt_i16(b, a));
+}
+
+TEST(F32x4, CompareSelectGather) {
+  const float table[4] = {10.0f, 11.0f, 12.0f, 13.0f};
+  F32x4 a;
+  for (int i = 0; i < 4; ++i) a.v[i] = static_cast<float>(i) + 0.5f;
+  const F32x4 two = F32x4::splat(2.0f);
+  const auto lt = lt_f(a, two);  // lanes 0, 1
+  auto s = select_f(lt, a, two);
+  EXPECT_EQ(s.v[1], 1.5f);
+  EXPECT_EQ(s.v[3], 2.0f);
+  auto g = gather_f(table, a, lt);  // truncating index, 0 outside lt
+  EXPECT_EQ(g.v[0], 10.0f);
+  EXPECT_EQ(g.v[1], 11.0f);
+  EXPECT_EQ(g.v[2], 0.0f);
+  EXPECT_EQ(hsum_f(a), 0.5f + 1.5f + 2.5f + 3.5f);
+  auto d = shift_lanes_down(a);
+  EXPECT_EQ(d.v[0], 1.5f);
+  EXPECT_EQ(d.v[3], 0.0f);
 }
 
 }  // namespace

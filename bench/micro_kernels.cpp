@@ -3,11 +3,15 @@
 // the figure benches, which model the paper's hardware).
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "bio/packing.hpp"
 #include "bio/synthetic.hpp"
 #include "cpu/fwd_filter.hpp"
 #include "cpu/generic.hpp"
 #include "cpu/msv_filter.hpp"
+#include "cpu/msv_group.hpp"
 #include "cpu/msv_scalar.hpp"
 #include "cpu/posterior.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
@@ -16,6 +20,7 @@
 #include "cpu/vit_scalar.hpp"
 #include "gpu/search.hpp"
 #include "hmm/generator.hpp"
+#include "hmm/model_group.hpp"
 #include "hmm/sampler.hpp"
 #include "pipeline/batch_scanner.hpp"
 
@@ -150,6 +155,99 @@ void BM_SsvStriped(benchmark::State& state) {
   set_cell_rate(state, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_SsvStriped)->Arg(100)->Arg(400);
+
+// Per-tier SSV: range(1) is the SimdTier, as in BM_MsvStripedTier.
+void BM_SsvStripedTier(benchmark::State& state) {
+  auto& f = fixture(static_cast<int>(state.range(0)));
+  const auto tier = static_cast<cpu::SimdTier>(state.range(1));
+  if (!cpu::simd_tier_supported(tier)) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  cpu::MsvFilter filter(f.msv, tier);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(filter.ssv(f.seq.codes.data(), f.seq.length()));
+  set_cell_rate(state, static_cast<int>(state.range(0)));
+  state.SetLabel(cpu::simd_tier_name(filter.tier()));
+}
+BENCHMARK(BM_SsvStripedTier)
+    ->Args({400, 0})
+    ->Args({400, 1})
+    ->Args({400, 2})
+    ->Args({400, 3});
+
+/// The 32-short-model library of bench_throughput's fused-sweep guard
+/// (M = 50 + 6*(i%8), seeds 4200+i), planned for the active tier.
+struct LibraryFixture {
+  std::vector<hmm::Plan7Hmm> models;
+  std::vector<hmm::SearchProfile> profs;
+  std::vector<profile::MsvProfile> msvs;
+  hmm::FusePlan plan;
+  std::vector<bio::Sequence> seqs;
+  double cells = 0;  // per sweep over seqs, summed over models
+
+  LibraryFixture() {
+    constexpr int kModels = 32;
+    std::vector<int> lengths;
+    for (int i = 0; i < kModels; ++i) {
+      lengths.push_back(50 + (i % 8) * 6);
+      models.push_back(hmm::generate_hmm(hmm::RandomHmmSpec{
+          lengths.back(), 4200 + static_cast<std::uint64_t>(i)}));
+    }
+    profs.reserve(kModels);
+    msvs.reserve(kModels);
+    for (const auto& model : models) {
+      profs.emplace_back(model, hmm::AlignMode::kLocalMultihit, 400);
+      msvs.emplace_back(profs.back());
+    }
+    const int lanes = cpu::backend::tier_kernels(
+                          cpu::resolve_simd_tier(cpu::active_simd_tier()))
+                          .u8_lanes;
+    plan = hmm::plan_model_groups(lengths, lanes);
+    Pcg32 rng(11);
+    for (int s = 0; s < 16; ++s) seqs.push_back(bio::random_sequence(350, rng));
+    for (int M : lengths) cells += 16.0 * 350.0 * M;
+  }
+};
+
+// Single-thread MSV over the guard's library: range(0) = 0 scores every
+// model with its own MsvFilter, 1 runs the planned fused groups (plus any
+// unfused model on its own).  The cells/s ratio of /1 over /0 is the
+// kernel-level margin behind the end-to-end fused >= 2x guard.
+void BM_MsvLibrary(benchmark::State& state) {
+  static LibraryFixture f;
+  const bool fused = state.range(0) != 0;
+  std::vector<cpu::MsvFilter> singles;
+  std::vector<std::unique_ptr<cpu::FusedMsvGroup>> tables;
+  std::vector<cpu::FusedMsvFilter> groups;
+  if (fused) {
+    for (const auto& shape : f.plan.groups) {
+      std::vector<const profile::MsvProfile*> members;
+      for (std::size_t m : shape.members) members.push_back(&f.msvs[m]);
+      tables.push_back(std::make_unique<cpu::FusedMsvGroup>(
+          std::move(members), f.plan.lane_width, shape.Q));
+      groups.emplace_back(*tables.back());
+    }
+    for (std::size_t m : f.plan.unfused) singles.emplace_back(f.msvs[m]);
+  } else {
+    for (const auto& msv : f.msvs) singles.emplace_back(msv);
+  }
+  std::vector<cpu::FilterResult> out(f.msvs.size());
+  for (auto _ : state) {
+    for (const auto& seq : f.seqs) {
+      for (auto& g : groups) g.msv(seq.codes.data(), seq.length(), out.data());
+      for (auto& s : singles)
+        benchmark::DoNotOptimize(s.score(seq.codes.data(), seq.length()));
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["cells/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * f.cells,
+      benchmark::Counter::kIsRate);
+  state.SetLabel(fused ? "fused" : "singles");
+}
+BENCHMARK(BM_MsvLibrary)->Arg(0)->Arg(1);
 
 void BM_FwdFilterStriped(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));

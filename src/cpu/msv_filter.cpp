@@ -25,4 +25,14 @@ FilterResult MsvFilter::score(bio::PackedResidues seq, std::size_t L) {
                           seq, L, row_.data());
 }
 
+FilterResult MsvFilter::ssv(const std::uint8_t* seq, std::size_t L) {
+  return ops_->ssv(prof_, stripes_->row(0), stripes_->segments(), seq, L,
+                   row_.data());
+}
+
+FilterResult MsvFilter::ssv(bio::PackedResidues seq, std::size_t L) {
+  return ops_->ssv_packed(prof_, stripes_->row(0), stripes_->segments(),
+                          seq, L, row_.data());
+}
+
 }  // namespace finehmm::cpu

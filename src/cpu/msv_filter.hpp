@@ -42,6 +42,10 @@ class MsvFilter {
   /// Zero-copy overload: scores a packed 5-bit residue view in place
   /// (bit-identical to the byte-code overload at every tier).
   FilterResult score(bio::PackedResidues seq, std::size_t L);
+  /// SSV (no J state) over the same table and row: bit-identical to
+  /// ssv_scalar at every tier.
+  FilterResult ssv(const std::uint8_t* seq, std::size_t L);
+  FilterResult ssv(bio::PackedResidues seq, std::size_t L);
 
   /// The tier score() actually runs (the requested tier clamped to what
   /// the host supports).

@@ -1,5 +1,7 @@
 #include "cpu/msv_group.hpp"
 
+#include <algorithm>
+
 #include "bio/alphabet.hpp"
 #include "util/error.hpp"
 
@@ -18,6 +20,9 @@ FusedMsvGroup::FusedMsvGroup(
   for (std::size_t m = 0; m < members_.size(); ++m) {
     const profile::MsvProfile& prof = *members_[m];
     FH_REQUIRE(prof.length() >= 1, "cannot fuse an empty model");
+    // One scale means one tjb_for(L) for the whole group (see begin()).
+    FH_REQUIRE(prof.scale() == members_[0]->scale(),
+               "fused members must share the byte score scale");
     simd_kernels::MsvGroupModel& md = models_[m];
     md.lane_lo = static_cast<std::uint8_t>(lane);
     md.lanes = static_cast<std::uint8_t>(prof.length() / Q_ + 1);
@@ -40,14 +45,14 @@ FusedMsvGroup::FusedMsvGroup(
     const profile::MsvProfile& prof = *members_[m];
     const simd_kernels::MsvGroupModel& md = models_[m];
     for (int j = 0; j < md.lanes; ++j) bias_[md.lane_lo + j] = md.bias;
+    // Position k = (j - lane_lo) * Q + q + 1 lives at stripe q, lane j.
     for (int x = 0; x < bio::kKp; ++x) {
       const std::uint8_t* lin = prof.linear_row(x);
-      for (int k = 1; k <= prof.length(); ++k) {
-        const int q = (k - 1) % Q_;
-        const int j = md.lane_lo + (k - 1) / Q_;
-        rows_[(static_cast<std::size_t>(x) * Q_ + q) * lanes_ + j] =
-            lin[k - 1];
-      }
+      std::uint8_t* dst =
+          rows_.data() + static_cast<std::size_t>(x) * Q_ * lanes_;
+      for (int k0 = 0, j = md.lane_lo; k0 < prof.length(); k0 += Q_, ++j)
+        for (int q = 0; q < Q_ && k0 + q < prof.length(); ++q)
+          dst[static_cast<std::size_t>(q) * lanes_ + j] = lin[k0 + q];
     }
   }
 
@@ -74,8 +79,9 @@ FusedMsvFilter::FusedMsvFilter(const FusedMsvGroup& group, SimdTier tier)
 }
 
 simd_kernels::MsvGroupState FusedMsvFilter::begin(std::size_t L) {
-  for (std::size_t m = 0; m < group_.size(); ++m)
-    tjb_[m] = group_.member(m).tjb_for(static_cast<int>(L));
+  // tjb_for(L) depends only on L and the scale the members share.
+  const std::uint8_t tjb = group_.member(0).tjb_for(static_cast<int>(L));
+  std::fill(tjb_.begin(), tjb_.end(), tjb);
   const std::size_t lanes = static_cast<std::size_t>(group_.lanes());
   simd_kernels::MsvGroupState st;
   st.xb = lanes_.data();
@@ -87,14 +93,14 @@ simd_kernels::MsvGroupState FusedMsvFilter::begin(std::size_t L) {
   return st;
 }
 
-void FusedMsvFilter::finish(std::size_t L, FilterResult* results) const {
+void FusedMsvFilter::finish(FilterResult* results) const {
   for (std::size_t m = 0; m < group_.size(); ++m) {
     if (overflowed_[m]) {
       results[m].score_nats = std::numeric_limits<float>::infinity();
       results[m].overflowed = true;
     } else {
       results[m].score_nats =
-          group_.member(m).score_from_bytes(xj_[m], static_cast<int>(L));
+          group_.member(m).score_from_bytes_tjb(xj_[m], tjb_[m]);
       results[m].overflowed = false;
     }
   }
@@ -108,7 +114,7 @@ void FusedMsvFilter::msv(const std::uint8_t* seq, std::size_t L,
     return;
   }
   ops_->msv_group(group_.view(), begin(L), seq, L, row_.data());
-  finish(L, results);
+  finish(results);
 }
 
 void FusedMsvFilter::msv(bio::PackedResidues seq, std::size_t L,
@@ -119,7 +125,7 @@ void FusedMsvFilter::msv(bio::PackedResidues seq, std::size_t L,
     return;
   }
   ops_->msv_group_packed(group_.view(), begin(L), seq, L, row_.data());
-  finish(L, results);
+  finish(results);
 }
 
 void FusedMsvFilter::ssv(const std::uint8_t* seq, std::size_t L,
@@ -130,7 +136,7 @@ void FusedMsvFilter::ssv(const std::uint8_t* seq, std::size_t L,
     return;
   }
   ops_->ssv_group(group_.view(), begin(L), seq, L, row_.data());
-  finish(L, results);
+  finish(results);
 }
 
 void FusedMsvFilter::ssv(bio::PackedResidues seq, std::size_t L,
@@ -141,7 +147,7 @@ void FusedMsvFilter::ssv(bio::PackedResidues seq, std::size_t L,
     return;
   }
   ops_->ssv_group_packed(group_.view(), begin(L), seq, L, row_.data());
-  finish(L, results);
+  finish(results);
 }
 
 }  // namespace finehmm::cpu

@@ -79,8 +79,9 @@ class FusedMsvFilter {
   /// Fill the per-model tjb_for(L) bytes and point the state at this
   /// object's scratch (recomputed per call so copies stay valid).
   simd_kernels::MsvGroupState begin(std::size_t L);
-  /// Convert the kernels' xJ/overflow bytes into FilterResults.
-  void finish(std::size_t L, FilterResult* results) const;
+  /// Convert the kernels' xJ/overflow bytes into FilterResults (with the
+  /// tjb bytes begin() filled).
+  void finish(FilterResult* results) const;
 
   const FusedMsvGroup& group_;
   const backend::TierKernels* ops_;

@@ -108,17 +108,18 @@ constexpr TierKernels make_tier_kernels(SimdTier tier) {
   k.u8_lanes = U8::kLanes;
   k.i16_lanes = I16::kLanes;
   k.f32_lanes = F32::kLanes;
+  constexpr auto kSsv = sk::ByteStage::kSsv;
   k.msv = &sk::msv_kernel<U8, Bytes>;
   k.msv_packed = &sk::msv_kernel<U8, Packed>;
-  k.ssv = &sk::ssv_kernel<U8, Bytes>;
-  k.ssv_packed = &sk::ssv_kernel<U8, Packed>;
+  k.ssv = &sk::msv_kernel<U8, Bytes, kSsv>;
+  k.ssv_packed = &sk::msv_kernel<U8, Packed, kSsv>;
   k.vit = &sk::vit_kernel<I16, Bytes>;
   k.fwd = &sk::fwd_kernel<F32, Bytes>;
   k.fwd_bwd = &sk::fwd_bwd_kernel<F32, Bytes>;
   k.msv_group = &sk::msv_group_kernel<U8, Bytes>;
   k.msv_group_packed = &sk::msv_group_kernel<U8, Packed>;
-  k.ssv_group = &sk::ssv_group_kernel<U8, Bytes>;
-  k.ssv_group_packed = &sk::ssv_group_kernel<U8, Packed>;
+  k.ssv_group = &sk::msv_group_kernel<U8, Bytes, kSsv>;
+  k.ssv_group_packed = &sk::msv_group_kernel<U8, Packed, kSsv>;
   k.forward_rows = &sk::forward_rows_kernel<F32>;
   k.trace_rows = &sk::trace_rows_kernel<F32>;
   return k;

@@ -2,8 +2,8 @@
 //
 // Each kernel is the single definition of its filter's inner loop,
 // templated on a vector class V that supplies the lane operations via
-// ADL-found friends (splat/load/store, max_u8/adds_u8/subs_u8/hmax_u8 for
-// bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
+// ADL-found friends (splat/load/store, max_u8/adds_u8/subs_u8/hmax_u8/
+// any_gt_u8 for bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
 // add_f/mul_f/hsum_f/shift_lanes_down for floats; shift_lanes_up for
 // all).  The portable classes (cpu/simd_vec.hpp, any width) and the
 // native SSE2/AVX2/AVX-512 wrappers (vec_sse2.hpp, vec_avx2.hpp,
@@ -36,32 +36,79 @@
 
 namespace finehmm::cpu::simd_kernels {
 
-/// Striped MSV over N = V::kLanes byte lanes.  `rows` is the striped
-/// emission table for this lane count (row of residue x at x*Q*N); `row`
-/// is caller-owned scratch of Q*N bytes.
-template <class V, class Seq>
+// ---- Byte stage: MSV and SSV, single-model and fused --------------------
+//
+// MSV's J state feeds a row's xE back into the next row's xB, but only
+// once xJ = sat_sub(xE, tec) passes base; below that xB stays at its
+// initial value and the recurrence is SSV's.  So the kernels keep xEv as
+// a running max over all rows (never reset) and end each row with one
+// vector compare against a trigger byte
+//
+//   trig = min(max(xJ, base) + tec, 254 - bias),
+//
+// doing the scalar epilogue only on a row where some lane exceeds it.
+// This is exact: sat_sub(., tec) is monotone, so xJ is always
+// sat_sub(hmax(xEv), tec); a row that does not fire leaves max(xJ, base),
+// hence xB, and the overflow flag where the per-row epilogue would; a
+// firing row runs that epilogue and raises trig to the new maximum, so
+// earlier rows can never fire again.  SSV is the same loop with trig
+// pinned at the overflow cap.  Under FINEHMM_CHECKS the kernels also
+// keep each row's own max and check, after every row, that the per-row
+// epilogue would have produced the same xB and overflow state.
+
+/// Which byte-stage recurrence a kernel instance runs: MSV (with the J
+/// state's feedback into xB) or SSV (constant xB, single segment).
+enum class ByteStage { kMsv, kSsv };
+
+/// xB's byte contribution to a row, sat_sub(sat_sub(max(xJ, base), tjb),
+/// tbm), from xj_base = max(xJ, base).
+inline std::uint8_t byte_entry(std::uint8_t xj_base, std::uint8_t tjb,
+                               std::uint8_t tbm) {
+  const std::uint8_t xB = xj_base > tjb ? std::uint8_t(xj_base - tjb) : 0;
+  return xB > tbm ? std::uint8_t(xB - tbm) : 0;
+}
+
+/// The trigger for xj_base = max(xJ, base): the largest xE that can neither
+/// move xB nor overflow (cap = 254 - bias).  SSV has no xB to move.
+template <ByteStage kStage>
+inline std::uint8_t byte_trigger(std::uint8_t xj_base, std::uint8_t tec,
+                                 std::uint8_t cap) {
+  if constexpr (kStage == ByteStage::kSsv) return cap;
+  const unsigned up = unsigned(xj_base) + tec;
+  return up > cap ? cap : std::uint8_t(up);
+}
+
+/// Striped MSV (or SSV) over N = V::kLanes byte lanes.  `rows` is the
+/// striped emission table for this lane count (row of residue x at
+/// x*Q*N); `row` is caller-owned scratch of Q*N bytes.
+template <class V, class Seq, ByteStage kStage = ByteStage::kMsv>
 FilterResult msv_kernel(const profile::MsvProfile& prof,
                         const std::uint8_t* rows, int Q, Seq seq,
                         std::size_t L, std::uint8_t* row) {
   constexpr int N = V::kLanes;
   FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
+  constexpr FilterResult kOverflowed{std::numeric_limits<float>::infinity(),
+                                     true};
+  // Bias 255 leaves no byte below the overflow threshold: row 0 overflows.
+  if (prof.bias() == 255) return kOverflowed;
   const V biasv = V::splat(prof.bias());
-  const std::uint8_t base = prof.base();
   const std::uint8_t tbm = prof.tbm();
   const std::uint8_t tec = prof.tec();
   const std::uint8_t tjb = prof.tjb_for(static_cast<int>(L));
+  const std::uint8_t cap = std::uint8_t(254 - prof.bias());
 
   std::memset(row, 0, static_cast<std::size_t>(Q) * N);
 
-  std::uint8_t xJ = 0;
-  std::uint8_t xB = base > tjb ? std::uint8_t(base - tjb) : 0;
+  std::uint8_t xj_base = prof.base();  // max(xJ, base) as of the last fire
+  V xBv = V::splat(byte_entry(xj_base, tjb, tbm));
+  V trigv = V::splat(byte_trigger<kStage>(xj_base, tec, cap));
+  V xEv = V::splat(0);
 
-  FilterResult out;
   for (std::size_t i = 0; i < L; ++i) {
     const std::uint8_t* rbv =
         rows + static_cast<std::size_t>(seq[i]) * Q * N;
-    const V xBv = V::splat(xB > tbm ? std::uint8_t(xB - tbm) : 0);
-    V xEv = V::splat(0);
+    FINEHMM_IF_CHECKS(V rowv = V::splat(0);
+                      const std::uint8_t xj_base_before = xj_base;)
 
     // Diagonal: previous row's last stripe, lanes shifted up by one.
     V mpv = shift_lanes_up(
@@ -72,81 +119,48 @@ FilterResult msv_kernel(const profile::MsvProfile& prof,
       sv = adds_u8(sv, biasv);
       sv = subs_u8(sv, V::load(rbv + static_cast<std::size_t>(q) * N));
       xEv = max_u8(xEv, sv);
+      FINEHMM_IF_CHECKS(rowv = max_u8(rowv, sv);)
       mpv = V::load(cell);  // previous-row value (double buffer)
       sv.store(cell);
     }
-    std::uint8_t xE = hmax_u8(xEv);
-    if (prof.overflowed(xE)) {
-      out.score_nats = std::numeric_limits<float>::infinity();
-      out.overflowed = true;
-      return out;
+    if (any_gt_u8(xEv, trigv)) {
+      const std::uint8_t xE = hmax_u8(xEv);
+      // Every earlier row sat at or under trig: the fire is this row's.
+      FINEHMM_DCHECK(hmax_u8(rowv) == xE,
+                     "byte-stage fire must come from the current row");
+      if (xE > cap) return kOverflowed;
+      FINEHMM_DCHECK(kStage == ByteStage::kMsv,
+                     "SSV fires only on overflow");
+      const std::uint8_t xJ = xE > tec ? std::uint8_t(xE - tec) : 0;
+      FINEHMM_DCHECK(xJ > xj_base, "an MSV fire must raise max(xJ, base)");
+      xj_base = xJ;
+      xBv = V::splat(byte_entry(xj_base, tjb, tbm));
+      trigv = V::splat(byte_trigger<kStage>(xj_base, tec, cap));
     }
-    xE = xE > tec ? std::uint8_t(xE - tec) : 0;
-    FINEHMM_IF_CHECKS(const std::uint8_t prev_xJ = xJ;)
-    if (xE > xJ) xJ = xE;
-    // Saturation monotonicity: xJ is a running max under saturating byte
-    // arithmetic, so it can never decrease across rows.
-    FINEHMM_DCHECK(xJ >= prev_xJ, "MSV xJ must be monotone non-decreasing");
-    xB = xJ > base ? xJ : base;
-    xB = xB > tjb ? std::uint8_t(xB - tjb) : 0;
+#if FINEHMM_CHECKS_ENABLED
+    {
+      // The per-row epilogue on this row's own max: no overflow, and
+      // max(xJ, base) (so xB) ends where the gated kernel left it.
+      const std::uint8_t r = hmax_u8(rowv);
+      const std::uint8_t rj = r > tec ? std::uint8_t(r - tec) : 0;
+      FINEHMM_DCHECK(r <= cap,
+                     "the row epilogue would overflow where the gated "
+                     "kernel did not");
+      FINEHMM_DCHECK(kStage == ByteStage::kSsv ||
+                         std::max(xj_base_before, rj) == xj_base,
+                     "gated MSV must leave xB where the row epilogue "
+                     "would");
+    }
+#endif
   }
-  out.score_nats = prof.score_from_bytes(xJ, static_cast<int>(L));
+  const std::uint8_t xE = hmax_u8(xEv);
+  FilterResult out;
+  out.score_nats =
+      prof.score_from_bytes_tjb(xE > tec ? std::uint8_t(xE - tec) : 0, tjb);
   return out;
 }
 
-/// Striped SSV (no J state) over N byte lanes; same parameter layout and
-/// scratch contract as msv_kernel.
-template <class V, class Seq>
-FilterResult ssv_kernel(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q, Seq seq,
-                        std::size_t L, std::uint8_t* row) {
-  constexpr int N = V::kLanes;
-  FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
-  const V biasv = V::splat(prof.bias());
-  const std::uint8_t tjb = prof.tjb_for(static_cast<int>(L));
-  const std::uint8_t base_less_tjb =
-      prof.base() > tjb ? std::uint8_t(prof.base() - tjb) : 0;
-  const V xBv = V::splat(base_less_tjb > prof.tbm()
-                             ? std::uint8_t(base_less_tjb - prof.tbm())
-                             : 0);
-
-  std::memset(row, 0, static_cast<std::size_t>(Q) * N);
-  V xEv = V::splat(0);
-
-  auto finish = [&prof, L](std::uint8_t xEmax, bool overflowed) {
-    FilterResult out;
-    if (overflowed) {
-      out.score_nats = std::numeric_limits<float>::infinity();
-      out.overflowed = true;
-      return out;
-    }
-    std::uint8_t xJ =
-        xEmax > prof.tec() ? std::uint8_t(xEmax - prof.tec()) : 0;
-    out.score_nats = prof.score_from_bytes(xJ, static_cast<int>(L));
-    return out;
-  };
-
-  for (std::size_t i = 0; i < L; ++i) {
-    const std::uint8_t* rbv =
-        rows + static_cast<std::size_t>(seq[i]) * Q * N;
-    V mpv = shift_lanes_up(
-        V::load(row + static_cast<std::size_t>(Q - 1) * N));
-    for (int q = 0; q < Q; ++q) {
-      std::uint8_t* cell = row + static_cast<std::size_t>(q) * N;
-      V sv = max_u8(mpv, xBv);
-      sv = adds_u8(sv, biasv);
-      sv = subs_u8(sv, V::load(rbv + static_cast<std::size_t>(q) * N));
-      xEv = max_u8(xEv, sv);
-      mpv = V::load(cell);
-      sv.store(cell);
-    }
-    if (prof.overflowed(hmax_u8(xEv)))
-      return finish(hmax_u8(xEv), /*overflowed=*/true);
-  }
-  return finish(hmax_u8(xEv), /*overflowed=*/false);
-}
-
-// ---- Fused multi-model MSV/SSV (lane-partitioned groups) ---------------
+// Fused multi-model MSV/SSV (lane-partitioned groups).
 //
 // Several short models share one N-lane sweep: model m owns the
 // contiguous lane span [lane_lo, lane_lo + lanes) and its position k
@@ -186,146 +200,76 @@ struct MsvGroupView {
 /// tjb must carry each member's tjb_for(L) before the call; xj and
 /// overflowed are outputs the caller converts to scores.
 struct MsvGroupState {
-  std::uint8_t* xb = nullptr;          // per lane: sat_sub(xB_m - tbm_m)
-  std::uint8_t* trigger = nullptr;     // per lane: slow-path threshold
+  std::uint8_t* xb = nullptr;          // per lane: xB's row contribution
+  std::uint8_t* trigger = nullptr;     // per lane: the member's trig
   std::uint8_t* xe = nullptr;          // per lane: xEv spill buffer
-  std::uint8_t* xj = nullptr;          // per model: running xJ byte (out)
+  std::uint8_t* xj = nullptr;          // per model: max(xJ, base); xJ out
   const std::uint8_t* tjb = nullptr;   // per model: tjb_for(L)
   std::uint8_t* overflowed = nullptr;  // per model: overflow flag (out)
 };
 
-/// Fused multi-model MSV: one N-lane sweep scores every member of the
-/// group.  Each model's xJ/xB feedback is exact — a per-lane trigger byte
-/// (min of the xJ-update threshold xJ+tec and the overflow threshold
-/// sat-1) lets the common no-change row skip the scalar epilogue with one
-/// vector compare, and the rare firing row replays the per-model updates
-/// exactly as msv_kernel would.  `row` is Q*N bytes of caller scratch.
-template <class V, class Seq>
+/// Largest byte in lanes [md.lane_lo, md.lane_lo + md.lanes) of `lanes`.
+inline std::uint8_t span_max(const MsvGroupModel& md,
+                             const std::uint8_t* lanes) {
+  std::uint8_t m = 0;
+  for (int j = 0; j < md.lanes; ++j)
+    if (lanes[md.lane_lo + j] > m) m = lanes[md.lane_lo + j];
+  return m;
+}
+
+/// Fused multi-model MSV (or SSV): one N-lane sweep scores every member
+/// of the group with msv_kernel's gated loop.  The trigger is a byte per
+/// lane, each member's trig over its span, so a row fires only when some
+/// member can move its xB or overflow; the firing row replays just those
+/// members' epilogues.  An overflowed member's span gets trigger 255 and
+/// never fires again; saturated cells cannot cross the forced-zero
+/// padding into the next span.  `row` is Q*N bytes of caller scratch.
+template <class V, class Seq, ByteStage kStage = ByteStage::kMsv>
 void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
                       Seq seq, std::size_t L, std::uint8_t* row) {
   constexpr int N = V::kLanes;
   FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
   const int Q = g.Q;
 
-  // Per-lane init.  Lanes owned by no model keep xb=0 / trigger=255: their
-  // cells are forced to zero by the 255 pad cost and can never fire.
+  // Writes member m's xb and trigger bytes from st.xj[m] = max(xJ, base).
+  const auto arm = [&g, &st](int m) {
+    const MsvGroupModel& md = g.models[m];
+    const std::uint8_t xb = byte_entry(st.xj[m], st.tjb[m], md.tbm);
+    const std::uint8_t trig =
+        st.overflowed[m]
+            ? std::uint8_t(255)
+            : byte_trigger<kStage>(st.xj[m], md.tec,
+                                   std::uint8_t(md.sat - 1));
+    for (int j = 0; j < md.lanes; ++j) {
+      st.xb[md.lane_lo + j] = xb;
+      st.trigger[md.lane_lo + j] = trig;
+    }
+  };
+
+  // Lanes owned by no model keep xb=0 / trigger=255: their cells are
+  // forced to zero by the 255 pad cost and can never fire.
   for (int j = 0; j < N; ++j) {
     st.xb[j] = 0;
     st.trigger[j] = 255;
   }
   for (int m = 0; m < g.n_models; ++m) {
-    const MsvGroupModel& md = g.models[m];
-    st.xj[m] = 0;
-    // sat == 0 (bias 255) overflows a single-model run on row 1 for any
-    // L >= 1; a byte trigger cannot express "always fire", so mark it now.
-    st.overflowed[m] = md.sat == 0 ? 1 : 0;
-    std::uint8_t xB =
-        md.base > st.tjb[m] ? std::uint8_t(md.base - st.tjb[m]) : 0;
-    const std::uint8_t xb = xB > md.tbm ? std::uint8_t(xB - md.tbm) : 0;
-    std::uint8_t trig = 255;
-    if (!st.overflowed[m]) {
-      const unsigned up = md.tec;  // xJ + tec at xJ = 0
-      const std::uint8_t cap = std::uint8_t(md.sat - 1);
-      trig = up > cap ? cap : std::uint8_t(up);
-    }
-    for (int j = 0; j < md.lanes; ++j) {
-      st.xb[md.lane_lo + j] = xb;
-      st.trigger[md.lane_lo + j] = trig;
-    }
+    st.xj[m] = g.models[m].base;
+    // sat == 0 (bias 255) overflows a single-model run on row 0; a byte
+    // trigger cannot express "always fire", so mark it now.
+    st.overflowed[m] = g.models[m].sat == 0 ? 1 : 0;
+    arm(m);
   }
 
   std::memset(row, 0, static_cast<std::size_t>(Q) * N);
   const V biasv = V::load(g.bias);
   V xBv = V::load(st.xb);
   V trigv = V::load(st.trigger);
-
-  for (std::size_t i = 0; i < L; ++i) {
-    const std::uint8_t* rbv =
-        g.rows + static_cast<std::size_t>(seq[i]) * Q * N;
-    V xEv = V::splat(0);
-    V mpv = shift_lanes_up(
-        V::load(row + static_cast<std::size_t>(Q - 1) * N));
-    for (int q = 0; q < Q; ++q) {
-      std::uint8_t* cell = row + static_cast<std::size_t>(q) * N;
-      V sv = max_u8(mpv, xBv);
-      sv = adds_u8(sv, biasv);
-      sv = subs_u8(sv, V::load(rbv + static_cast<std::size_t>(q) * N));
-      xEv = max_u8(xEv, sv);
-      mpv = V::load(cell);
-      sv.store(cell);
-    }
-    // Fast path: no lane beats its model's trigger, so no member can
-    // improve xJ and none overflowed — every epilogue is a no-op.
-    if (hmax_u8(subs_u8(xEv, trigv)) == 0) continue;
-
-    xEv.store(st.xe);
-    for (int m = 0; m < g.n_models; ++m) {
-      const MsvGroupModel& md = g.models[m];
-      if (st.overflowed[m]) continue;
-      std::uint8_t xE = 0;
-      for (int j = 0; j < md.lanes; ++j) {
-        const std::uint8_t e = st.xe[md.lane_lo + j];
-        if (e > xE) xE = e;
-      }
-      if (xE <= st.trigger[md.lane_lo]) continue;
-      if (xE >= md.sat) {
-        // Frozen: trigger 255 keeps the fast path quiet for this span,
-        // and saturated cells cannot cross the forced-zero padding into
-        // the next span's first lane.
-        st.overflowed[m] = 1;
-        for (int j = 0; j < md.lanes; ++j)
-          st.trigger[md.lane_lo + j] = 255;
-        continue;
-      }
-      xE = xE > md.tec ? std::uint8_t(xE - md.tec) : 0;
-      FINEHMM_DCHECK(xE > st.xj[m],
-                     "fused MSV trigger fired without an xJ improvement");
-      st.xj[m] = xE;
-      std::uint8_t xB = st.xj[m] > md.base ? st.xj[m] : md.base;
-      xB = xB > st.tjb[m] ? std::uint8_t(xB - st.tjb[m]) : 0;
-      const std::uint8_t xb = xB > md.tbm ? std::uint8_t(xB - md.tbm) : 0;
-      const unsigned up = unsigned(st.xj[m]) + md.tec;
-      const std::uint8_t cap = std::uint8_t(md.sat - 1);
-      const std::uint8_t trig = up > cap ? cap : std::uint8_t(up);
-      for (int j = 0; j < md.lanes; ++j) {
-        st.xb[md.lane_lo + j] = xb;
-        st.trigger[md.lane_lo + j] = trig;
-      }
-    }
-    xBv = V::load(st.xb);
-    trigv = V::load(st.trigger);
-  }
-}
-
-/// Fused multi-model SSV: like msv_group_kernel but with the constant
-/// per-model xB of the SSV recurrence and no per-row scalar work at all —
-/// xEv accumulates a running per-lane max across the whole sequence, and
-/// because that accumulation is monotone, the end-of-sequence segmented
-/// max and overflow test are equivalent to ssv_kernel's per-row checks.
-template <class V, class Seq>
-void ssv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
-                      Seq seq, std::size_t L, std::uint8_t* row) {
-  constexpr int N = V::kLanes;
-  FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
-  const int Q = g.Q;
-
-  for (int j = 0; j < N; ++j) st.xb[j] = 0;
-  for (int m = 0; m < g.n_models; ++m) {
-    const MsvGroupModel& md = g.models[m];
-    const std::uint8_t blt =
-        md.base > st.tjb[m] ? std::uint8_t(md.base - st.tjb[m]) : 0;
-    const std::uint8_t xb = blt > md.tbm ? std::uint8_t(blt - md.tbm) : 0;
-    for (int j = 0; j < md.lanes; ++j) st.xb[md.lane_lo + j] = xb;
-  }
-
-  std::memset(row, 0, static_cast<std::size_t>(Q) * N);
-  const V biasv = V::load(g.bias);
-  const V xBv = V::load(st.xb);
   V xEv = V::splat(0);
 
   for (std::size_t i = 0; i < L; ++i) {
     const std::uint8_t* rbv =
         g.rows + static_cast<std::size_t>(seq[i]) * Q * N;
+    FINEHMM_IF_CHECKS(V rowv = V::splat(0);)
     V mpv = shift_lanes_up(
         V::load(row + static_cast<std::size_t>(Q - 1) * N));
     for (int q = 0; q < Q; ++q) {
@@ -334,26 +278,64 @@ void ssv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
       sv = adds_u8(sv, biasv);
       sv = subs_u8(sv, V::load(rbv + static_cast<std::size_t>(q) * N));
       xEv = max_u8(xEv, sv);
+      FINEHMM_IF_CHECKS(rowv = max_u8(rowv, sv);)
       mpv = V::load(cell);
       sv.store(cell);
     }
+    FINEHMM_IF_CHECKS(std::uint8_t row_xe[N]; rowv.store(row_xe);)
+
+    if (any_gt_u8(xEv, trigv)) {
+      xEv.store(st.xe);
+      for (int m = 0; m < g.n_models; ++m) {
+        const MsvGroupModel& md = g.models[m];
+        if (st.overflowed[m]) continue;
+        const std::uint8_t xE = span_max(md, st.xe);
+        if (xE <= st.trigger[md.lane_lo]) continue;
+        FINEHMM_DCHECK(span_max(md, row_xe) == xE,
+                       "fused byte-stage fire must come from the current "
+                       "row");
+        if (xE >= md.sat) {
+          st.overflowed[m] = 1;
+        } else {
+          FINEHMM_DCHECK(kStage == ByteStage::kMsv,
+                         "SSV fires only on overflow");
+          const std::uint8_t xJ = xE > md.tec ? std::uint8_t(xE - md.tec) : 0;
+          FINEHMM_DCHECK(xJ > st.xj[m],
+                         "a fused MSV fire must raise max(xJ, base)");
+          st.xj[m] = xJ;
+        }
+        arm(m);
+      }
+      xBv = V::load(st.xb);
+      trigv = V::load(st.trigger);
+    }
+#if FINEHMM_CHECKS_ENABLED
+    // Per member, the per-row epilogue on this row's own span max: no
+    // overflow, and max(xJ, base) no higher than the gated kernel's (a
+    // fire set it from this very row, so the two agree exactly).
+    for (int m = 0; m < g.n_models; ++m) {
+      const MsvGroupModel& md = g.models[m];
+      if (st.overflowed[m]) continue;
+      const std::uint8_t r = span_max(md, row_xe);
+      const std::uint8_t rj = r > md.tec ? std::uint8_t(r - md.tec) : 0;
+      FINEHMM_DCHECK(r < md.sat,
+                     "the row epilogue would overflow a member the gated "
+                     "kernel did not");
+      FINEHMM_DCHECK(kStage == ByteStage::kSsv || rj <= st.xj[m],
+                     "gated fused MSV must leave xB where the row "
+                     "epilogue would");
+    }
+#endif
   }
 
+  // xJ from the running max (it may have risen while still <= base).
   xEv.store(st.xe);
   for (int m = 0; m < g.n_models; ++m) {
     const MsvGroupModel& md = g.models[m];
-    std::uint8_t xE = 0;
-    for (int j = 0; j < md.lanes; ++j) {
-      const std::uint8_t e = st.xe[md.lane_lo + j];
-      if (e > xE) xE = e;
-    }
-    if (xE >= md.sat) {
-      st.overflowed[m] = 1;
-      st.xj[m] = 0;
-    } else {
-      st.overflowed[m] = 0;
-      st.xj[m] = xE > md.tec ? std::uint8_t(xE - md.tec) : 0;
-    }
+    const std::uint8_t xE = span_max(md, st.xe);
+    st.xj[m] = st.overflowed[m] ? 0
+               : xE > md.tec   ? std::uint8_t(xE - md.tec)
+                               : 0;
   }
 }
 

@@ -57,6 +57,11 @@ struct AvxU8x32 {
     m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
     return static_cast<std::uint8_t>(_mm_cvtsi128_si32(m) & 0xff);
   }
+  /// a > b (unsigned) exactly where the saturating difference is nonzero.
+  friend bool any_gt_u8(AvxU8x32 a, AvxU8x32 b) {
+    const __m256i d = _mm256_subs_epu8(a.v, b.v);
+    return _mm256_testz_si256(d, d) == 0;
+  }
 };
 
 /// 16 signed words in one YMM register (ViterbiFilter lane type, AVX2).

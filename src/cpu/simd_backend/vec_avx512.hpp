@@ -61,6 +61,9 @@ struct Avx512U8x64 {
     m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
     return static_cast<std::uint8_t>(_mm_cvtsi128_si32(m) & 0xff);
   }
+  friend bool any_gt_u8(Avx512U8x64 a, Avx512U8x64 b) {
+    return _mm512_cmpgt_epu8_mask(a.v, b.v) != 0;
+  }
 };
 
 /// 32 signed words in one ZMM register (ViterbiFilter lane type, AVX-512).

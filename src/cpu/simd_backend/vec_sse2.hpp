@@ -55,6 +55,13 @@ struct SseU8x16 {
     m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
     return static_cast<std::uint8_t>(_mm_cvtsi128_si32(m) & 0xff);
   }
+  /// SSE2 has no unsigned byte compare: a > b exactly where the
+  /// saturating difference a - b is nonzero.
+  friend bool any_gt_u8(SseU8x16 a, SseU8x16 b) {
+    const __m128i zero = _mm_cmpeq_epi8(_mm_subs_epu8(a.v, b.v),
+                                        _mm_setzero_si128());
+    return _mm_movemask_epi8(zero) != 0xffff;
+  }
 };
 
 /// 8 signed words in one XMM register (ViterbiFilter lane type).

@@ -72,6 +72,13 @@ struct U8xN {
       if (e > m) m = e;
     return m;
   }
+  /// True if some lane of a is (unsigned, strictly) greater than b's.
+  /// Branch-free over the lanes so the loop vectorizes.
+  friend bool any_gt_u8(U8xN a, U8xN b) {
+    unsigned any = 0;
+    for (int i = 0; i < N; ++i) any |= a.v[i] > b.v[i] ? 1u : 0u;
+    return any != 0;
+  }
 };
 
 /// N signed words (ViterbiFilter lane type).

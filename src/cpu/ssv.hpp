@@ -6,8 +6,9 @@
 // the single best ungapped diagonal.  It shares the MSV byte-scoring
 // system, so SSV <= MSV holds cell-wise and the same profile drives both.
 //
-// This is the scalar reference; the striped SIMD filter runs at every
-// tier through the backend table (pipeline::BatchScanner::ssv, fused
+// This is the scalar reference; the striped SIMD filter is the SSV
+// instance of the byte-stage kernels and runs at every tier through the
+// backend table (cpu::MsvFilter::ssv, pipeline::BatchScanner::ssv, fused
 // groups through cpu::FusedMsvFilter) and the warp kernel lives in
 // gpu/ssv_kernel.  All agree bit-for-bit.
 #pragma once

@@ -39,9 +39,11 @@ class BatchScanner {
  public:
   /// State for `workers` concurrent scanners over one model's profiles.
   /// `fwd` may be nullptr when the caller never runs the Forward stage.
-  /// Forward state (the shared striping and each worker's rows)
-  /// is built on a worker's first fwd()/decode(), so a many-query sweep
-  /// pays for it only on queries that have a Viterbi survivor.  All
+  /// Byte-stage state (the shared MSV striping and the worker's row) is
+  /// built on a worker's first ssv()/msv(), so a many-query sweep that
+  /// scores a query through a fused group never builds it; Forward state
+  /// likewise on a worker's first fwd()/decode(), so the sweep pays for
+  /// it only on queries that have a Viterbi survivor.  All
   /// workers score through the same resolved SIMD tier, so results are
   /// identical regardless of which worker scored which sequence.
   BatchScanner(const profile::MsvProfile& msv, const profile::VitProfile& vit,
@@ -97,26 +99,32 @@ class BatchScanner {
   const WorkerLoad& load(std::size_t w) const { return workers_[w].load; }
 
  private:
-  template <class Seq>
-  cpu::FilterResult ssv_impl(std::size_t w, Seq seq, std::size_t L);
+  /// One stage's model side: the striping every worker's filter reads,
+  /// built once, by whichever worker asks first.
+  template <class Stripes, class Profile>
+  struct Shared {
+    const Profile* prof = nullptr;
+    std::once_flag once;
+    std::shared_ptr<const Stripes> stripes;
+  };
+  /// The filter in a worker's `slot`, built on its first use.
+  template <class Filter, class Stripes, class Profile>
+  Filter& filter(std::optional<Filter>& slot,
+                 Shared<Stripes, Profile>& shared, int lanes);
+  cpu::MsvFilter& msv_filter(std::size_t w);  // MSV and SSV
   cpu::FwdFilter& fwd_filter(std::size_t w);
 
   struct Worker {
-    cpu::MsvFilter msv;
+    std::optional<cpu::MsvFilter> msv;
     cpu::VitFilter vit;
     std::optional<cpu::FwdFilter> fwd;
-    std::vector<std::uint8_t> ssv_row;
     WorkerLoad load;
   };
 
-  const profile::MsvProfile& msv_;
-  const profile::FwdProfile* fwd_;
   cpu::SimdTier tier_;
   const cpu::backend::TierKernels* ops_;
-  // Shared emission table the MSV filters and the SSV path read.
-  std::shared_ptr<const cpu::MsvStripes> msv_stripes_;
-  std::once_flag fwd_once_;  // builds fwd_stripes_ on first Forward use
-  std::shared_ptr<const cpu::FwdStripes> fwd_stripes_;
+  Shared<cpu::MsvStripes, profile::MsvProfile> msv_;
+  Shared<cpu::FwdStripes, profile::FwdProfile> fwd_;
   std::vector<Worker> workers_;
 };
 

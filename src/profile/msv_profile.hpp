@@ -67,7 +67,11 @@ class MsvProfile {
   /// Convert the final xJ byte back to a raw score in nats, for a target
   /// of length L (the C->T move costs the same tjb as N/J -> B).
   float score_from_bytes(std::uint8_t xJ, int L) const {
-    return (static_cast<float>(xJ) - static_cast<float>(tjb_for(L)) -
+    return score_from_bytes_tjb(xJ, tjb_for(L));
+  }
+  /// score_from_bytes with the target's tjb_for(L) already in hand.
+  float score_from_bytes_tjb(std::uint8_t xJ, std::uint8_t tjb) const {
+    return (static_cast<float>(xJ) - static_cast<float>(tjb) -
             static_cast<float>(kBase)) /
                scale_ -
            3.0f;

@@ -1,8 +1,14 @@
 // Portable SIMD lane semantics, on the <16, 8, 4> instances the portable
-// tier runs.
+// tier runs, plus the SSE2 byte compare checked against its portable twin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cpu/simd_vec.hpp"
+#include "util/rng.hpp"
+#if defined(__SSE2__)
+#include "cpu/simd_backend/vec_sse2.hpp"
+#endif
 
 namespace {
 
@@ -34,6 +40,56 @@ TEST(U8x16, HorizontalMax) {
   EXPECT_EQ(hmax_u8(a), 42);
   EXPECT_EQ(hmax_u8(U8x16::splat(0)), 0);
 }
+
+TEST(U8x16, AnyGtIsStrictAndUnsigned) {
+  // Equal operands never compare greater, at any byte value.
+  for (int x : {0, 1, 0x7f, 0x80, 0xc1, 0xfe, 0xff})
+    EXPECT_FALSE(any_gt_u8(U8x16::splat(static_cast<std::uint8_t>(x)),
+                           U8x16::splat(static_cast<std::uint8_t>(x))))
+        << x;
+  // Bytes >= 0x80 are large, not negative: 0x80 > 0x7f and 0xff > 0xfe.
+  U8x16 a = U8x16::splat(0x7f);
+  const U8x16 b = U8x16::splat(0x7f);
+  EXPECT_FALSE(any_gt_u8(a, b));
+  a.v[9] = 0x80;
+  EXPECT_TRUE(any_gt_u8(a, b));
+  EXPECT_FALSE(any_gt_u8(b, a));
+  U8x16 hi = U8x16::splat(0xfe);
+  hi.v[15] = 0xff;
+  EXPECT_TRUE(any_gt_u8(hi, U8x16::splat(0xfe)));
+  EXPECT_FALSE(any_gt_u8(U8x16::splat(0xfe), hi));
+  // A single lane decides, wherever it sits.
+  for (int lane = 0; lane < 16; ++lane) {
+    U8x16 one = U8x16::splat(193);
+    one.v[lane] = 194;
+    EXPECT_TRUE(any_gt_u8(one, U8x16::splat(193))) << lane;
+  }
+}
+
+#if defined(__SSE2__)
+// SSE2 has no unsigned byte compare; its any_gt_u8 goes through a
+// saturating subtract and must agree with the portable loop everywhere,
+// high bytes and ties included.
+TEST(U8x16, SseAnyGtMatchesPortable) {
+  using finehmm::cpu::backend::SseU8x16;
+  finehmm::Pcg32 rng(17);
+  for (int rep = 0; rep < 2000; ++rep) {
+    std::uint8_t a[16], b[16];
+    for (int i = 0; i < 16; ++i) {
+      a[i] = static_cast<std::uint8_t>(rng.below(256));
+      // Mostly ties or near-ties, so single-lane decisions are common.
+      const int d = static_cast<int>(rng.below(5)) - 3;
+      b[i] = static_cast<std::uint8_t>(std::clamp(a[i] - d, 0, 255));
+    }
+    EXPECT_EQ(any_gt_u8(SseU8x16::load(a), SseU8x16::load(b)),
+              any_gt_u8(U8x16::load(a), U8x16::load(b)))
+        << rep;
+  }
+  EXPECT_FALSE(any_gt_u8(SseU8x16::splat(0xff), SseU8x16::splat(0xff)));
+  EXPECT_TRUE(any_gt_u8(SseU8x16::splat(0x80), SseU8x16::splat(0x7f)));
+  EXPECT_FALSE(any_gt_u8(SseU8x16::splat(0x7f), SseU8x16::splat(0x80)));
+}
+#endif
 
 TEST(U8x16, LoadStoreRoundTrip) {
   std::uint8_t buf[16];

@@ -6,12 +6,14 @@
 // the start of each row.  This mirrors HMMER 3.0's SSE p7_MSVFilter and
 // returns xJ bytes bit-identical to msv_scalar.
 //
-// The filter resolves the widest native SIMD tier the host supports
-// (portable / SSE2 / AVX2 / AVX-512; see cpu/simd_backend/simd_tier.hpp)
-// through the backend's per-tier kernel table, and stripes the emission
-// table once per (model, tier) for that tier's byte lane count; workers
-// scanning the same model share one MsvStripes.  Scores are
-// bit-identical at every tier.
+// A single model is a one-member cpu::FusedMsvGroup at Q = ceil(M/N),
+// which is exactly that layout, so MsvFilter is a thin wrapper over the
+// one byte-stage kernel (msv_group_kernel): it resolves the widest native
+// SIMD tier the host supports (portable / SSE2 / AVX2 / AVX-512; see
+// cpu/simd_backend/simd_tier.hpp), packs the model once per (model,
+// tier) for that tier's byte lane count, and scores through a
+// FusedMsvFilter.  Workers scanning the same model share one group.
+// Scores are bit-identical at every tier.
 #pragma once
 
 #include <cstddef>
@@ -20,11 +22,9 @@
 
 #include "bio/packed_seq.hpp"
 #include "cpu/filter_result.hpp"
-#include "cpu/simd_backend/backend.hpp"
+#include "cpu/msv_group.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
-#include "cpu/stripes.hpp"
 #include "profile/msv_profile.hpp"
-#include "util/aligned.hpp"
 
 namespace finehmm::cpu {
 
@@ -33,11 +33,12 @@ class MsvFilter {
  public:
   explicit MsvFilter(const profile::MsvProfile& prof,
                      SimdTier tier = active_simd_tier());
-  /// Share a prebuilt emission table between workers; its lane count must
-  /// match the resolved tier's.
+  /// Share a prebuilt one-member group of `prof` between workers; its lane
+  /// count must match the resolved tier's.
   MsvFilter(const profile::MsvProfile& prof, SimdTier tier,
-            std::shared_ptr<const MsvStripes> stripes);
+            std::shared_ptr<const FusedMsvGroup> group);
 
+  /// A zero-length sequence scores as the default no-hit result.
   FilterResult score(const std::uint8_t* seq, std::size_t L);
   /// Zero-copy overload: scores a packed 5-bit residue view in place
   /// (bit-identical to the byte-code overload at every tier).
@@ -49,14 +50,11 @@ class MsvFilter {
 
   /// The tier score() actually runs (the requested tier clamped to what
   /// the host supports).
-  SimdTier tier() const noexcept { return ops_->tier; }
+  SimdTier tier() const noexcept { return fused_.tier(); }
 
  private:
-  const profile::MsvProfile& prof_;
-  const backend::TierKernels* ops_;
-  std::shared_ptr<const MsvStripes> stripes_;
-  // Q stripes x lane-count bytes of the current DP row.
-  aligned_vector<std::uint8_t> row_;
+  std::shared_ptr<const FusedMsvGroup> group_;
+  FusedMsvFilter fused_;
 };
 
 }  // namespace finehmm::cpu

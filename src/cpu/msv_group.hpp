@@ -1,16 +1,20 @@
-// Fused multi-model MSV/SSV: several short models packed into one shared
-// striped table, scored together by a single N-lane sweep.
+// The byte stage's model side and per-worker scratch: one or more models
+// packed into one shared striped table, scored together by a single
+// N-lane MSV/SSV sweep.
 //
 // Lane-partitioned Farrar layout: model m owns the contiguous lane span
 // [lane_lo, lane_lo + lanes) of the N-lane vector; its position k
 // (1-based) lives in stripe (k-1) % Q, lane lane_lo + (k-1) / Q, with Q
 // shared by the whole group (the auto-tuner in hmm/model_group.hpp picks
-// members and Q).  Each span is sized M/Q + 1 so its last lane always
-// ends in at least one padding cell; padding carries emission cost 255,
-// which forces the cell to zero every row, so the lane shift at stripe 0
-// hands the next span exactly the zero a single-model run injects at its
-// first lane.  Scores are therefore bit-identical to running MsvFilter
-// once per member (docs/multi_model.md has the full argument).
+// members and Q).  Every member but the last spans M/Q + 1 lanes, so its
+// last lane always ends in at least one padding cell; padding carries
+// emission cost 255, which forces the cell to zero every row, so the lane
+// shift at stripe 0 hands the next span exactly the zero a lone model
+// gets at its first lane.  The last member's shifted-out cell reaches no
+// span, so it spans ceil(M/Q) lanes.  A single model is a one-member
+// group at Q = ceil(M/N), HMMER 3.0's striped layout, and every member's
+// scores are bit-identical to scoring it alone (docs/multi_model.md has
+// the full argument).
 #pragma once
 
 #include <cstddef>
@@ -26,16 +30,19 @@
 
 namespace finehmm::cpu {
 
-/// The shared striped emission table for one model group, built once and
-/// shared read-only between workers (like MsvStripes for one model).
-/// Member profiles must outlive the group.
+/// The shared striped emission table and per-lane constants for one
+/// model group, built once and shared read-only between workers.  Member
+/// profiles must outlive the group.
 class FusedMsvGroup {
  public:
   /// Pack `members` into one `lane_width`-lane table with stripe count Q.
-  /// Requires sum over members of (length/Q + 1) <= lane_width — the
-  /// shapes hmm::plan_model_groups emits satisfy this by construction.
+  /// Requires the spans (length/Q + 1 for every member but the last,
+  /// ceil(length/Q) for the last) to fit lane_width — the shapes
+  /// hmm::plan_model_groups emits satisfy this by construction.
   FusedMsvGroup(std::vector<const profile::MsvProfile*> members,
                 int lane_width, int Q);
+  /// `prof` alone: a one-member group at Q = ceil(M / lane_width).
+  FusedMsvGroup(const profile::MsvProfile& prof, int lane_width);
 
   std::size_t size() const { return members_.size(); }
   const profile::MsvProfile& member(std::size_t m) const {
@@ -43,24 +50,23 @@ class FusedMsvGroup {
   }
   int lanes() const { return lanes_; }
   int segments() const { return Q_; }
-  int lanes_used() const { return lanes_used_; }
   const simd_kernels::MsvGroupView& view() const { return view_; }
 
  private:
   std::vector<const profile::MsvProfile*> members_;
   int lanes_ = 0;
   int Q_ = 0;
-  int lanes_used_ = 0;
   aligned_vector<std::uint8_t> rows_;  // residue x at rows + x*Q*lanes
-  aligned_vector<std::uint8_t> bias_;  // per-lane bias bytes
+  // bias | base | tbm | MSV trigger | SSV trigger, `lanes` bytes each.
+  aligned_vector<std::uint8_t> lane_consts_;
   std::vector<simd_kernels::MsvGroupModel> models_;
   simd_kernels::MsvGroupView view_;
 };
 
 /// Per-worker scratch that scores every member of a FusedMsvGroup against
 /// one sequence in a single sweep.  results[m] corresponds to
-/// group.member(m) and is bit-identical to MsvFilter(member).score (MSV)
-/// or the SSV path at every tier; a zero-length sequence yields the
+/// group.member(m) and is bit-identical to msv_scalar (MSV) or
+/// ssv_scalar (SSV) at every tier; a zero-length sequence yields the
 /// default no-hit result for every member, matching BatchScanner.
 class FusedMsvFilter {
  public:
@@ -76,18 +82,20 @@ class FusedMsvFilter {
   SimdTier tier() const noexcept { return ops_->tier; }
 
  private:
-  /// Fill the per-model tjb_for(L) bytes and point the state at this
-  /// object's scratch (recomputed per call so copies stay valid).
-  simd_kernels::MsvGroupState begin(std::size_t L);
-  /// Convert the kernels' xJ/overflow bytes into FilterResults (with the
-  /// tjb bytes begin() filled).
-  void finish(FilterResult* results) const;
+  template <class Seq>
+  using Kernel = void (*)(const simd_kernels::MsvGroupView&,
+                          const simd_kernels::MsvGroupState&, Seq,
+                          std::size_t, std::uint8_t*);
+  /// One sweep of `kernel`, its xJ/overflow bytes converted into results.
+  template <class Seq>
+  void run(Kernel<Seq> kernel, Seq seq, std::size_t L,
+           FilterResult* results);
 
   const FusedMsvGroup& group_;
   const backend::TierKernels* ops_;
   aligned_vector<std::uint8_t> row_;    // Q * lanes DP row
   aligned_vector<std::uint8_t> lanes_;  // xb | trigger | xe, lanes each
-  std::vector<std::uint8_t> xj_, tjb_, overflowed_;  // per model
+  std::vector<std::uint8_t> xj_, overflowed_;  // per model
 };
 
 }  // namespace finehmm::cpu

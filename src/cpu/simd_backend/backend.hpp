@@ -11,11 +11,12 @@
 // <16, 8, 4> lane classes.  This header itself is plain C++ and safe to
 // include anywhere.
 //
-// Every row has the same signatures (HMMER4-style): msv/ssv take the
-// striped emission table of a cpu::MsvStripes built for the row's byte
-// lane count, vit a cpu::VitStripes view, fwd/fwd_bwd a cpu::FwdStripes
-// view; forward_rows/trace_rows are the exact row kernels of the
-// rescoring tail and read the SearchProfile's node-major rows directly.
+// Every row has the same signatures (HMMER4-style): the byte stage
+// (msv_group/ssv_group) takes a cpu::FusedMsvGroup view built for the
+// row's byte lane count — a single model is a one-member group — vit a
+// cpu::VitStripes view, fwd/fwd_bwd a cpu::FwdStripes view;
+// forward_rows/trace_rows are the exact row kernels of the rescoring
+// tail and read the SearchProfile's node-major rows directly.
 // All take caller-owned DP scratch and allocate nothing.
 //
 // Adding a kernel: declare its pointer in TierKernels and add one line to
@@ -31,7 +32,6 @@
 #include "cpu/simd_backend/row_kernels.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "profile/fwd_profile.hpp"
-#include "profile/msv_profile.hpp"
 #include "profile/vit_profile.hpp"
 
 namespace finehmm::cpu::backend {
@@ -47,18 +47,6 @@ struct TierKernels {
   int i16_lanes = 0;  // Viterbi word lanes
   int f32_lanes = 0;  // Forward/Backward float lanes
 
-  FilterResult (*msv)(const profile::MsvProfile&, const std::uint8_t*, int,
-                      const std::uint8_t*, std::size_t,
-                      std::uint8_t*) = nullptr;
-  FilterResult (*msv_packed)(const profile::MsvProfile&,
-                             const std::uint8_t*, int, bio::PackedResidues,
-                             std::size_t, std::uint8_t*) = nullptr;
-  FilterResult (*ssv)(const profile::MsvProfile&, const std::uint8_t*, int,
-                      const std::uint8_t*, std::size_t,
-                      std::uint8_t*) = nullptr;
-  FilterResult (*ssv_packed)(const profile::MsvProfile&,
-                             const std::uint8_t*, int, bio::PackedResidues,
-                             std::size_t, std::uint8_t*) = nullptr;
   FilterResult (*vit)(const profile::VitProfile&,
                       const simd_kernels::VitStripesView&,
                       const std::uint8_t*, std::size_t, std::int16_t*,
@@ -71,8 +59,8 @@ struct TierKernels {
                    const std::uint8_t*, std::size_t,
                    const simd_kernels::FwdBwdScratch&, float*) = nullptr;
 
-  // Fused multi-model sweeps: one call scores every member of a packed
-  // group (results come back through MsvGroupState's xj/overflowed).
+  // The byte stage: one call scores every member of a packed group
+  // (results come back through MsvGroupState's xj/overflowed).
   void (*msv_group)(const simd_kernels::MsvGroupView&,
                     const simd_kernels::MsvGroupState&, const std::uint8_t*,
                     std::size_t, std::uint8_t*) = nullptr;
@@ -109,10 +97,6 @@ constexpr TierKernels make_tier_kernels(SimdTier tier) {
   k.i16_lanes = I16::kLanes;
   k.f32_lanes = F32::kLanes;
   constexpr auto kSsv = sk::ByteStage::kSsv;
-  k.msv = &sk::msv_kernel<U8, Bytes>;
-  k.msv_packed = &sk::msv_kernel<U8, Packed>;
-  k.ssv = &sk::msv_kernel<U8, Bytes, kSsv>;
-  k.ssv_packed = &sk::msv_kernel<U8, Packed, kSsv>;
   k.vit = &sk::vit_kernel<I16, Bytes>;
   k.fwd = &sk::fwd_kernel<F32, Bytes>;
   k.fwd_bwd = &sk::fwd_bwd_kernel<F32, Bytes>;

@@ -25,23 +25,21 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 
 #include "cpu/filter_result.hpp"
 #include "profile/fwd_profile.hpp"
-#include "profile/msv_profile.hpp"
 #include "profile/vit_profile.hpp"
 #include "util/check.hpp"
 #include "util/logspace.hpp"
 
 namespace finehmm::cpu::simd_kernels {
 
-// ---- Byte stage: MSV and SSV, single-model and fused --------------------
+// ---- Byte stage: MSV and SSV, one lane-partitioned kernel ---------------
 //
 // MSV's J state feeds a row's xE back into the next row's xB, but only
 // once xJ = sat_sub(xE, tec) passes base; below that xB stays at its
-// initial value and the recurrence is SSV's.  So the kernels keep xEv as
-// a running max over all rows (never reset) and end each row with one
+// initial value and the recurrence is SSV's.  So the kernel keeps xEv as
+// a running max over all rows (never reset) and ends each row with one
 // vector compare against a trigger byte
 //
 //   trig = min(max(xJ, base) + tec, 254 - bias),
@@ -52,8 +50,8 @@ namespace finehmm::cpu::simd_kernels {
 // hence xB, and the overflow flag where the per-row epilogue would; a
 // firing row runs that epilogue and raises trig to the new maximum, so
 // earlier rows can never fire again.  SSV is the same loop with trig
-// pinned at the overflow cap.  Under FINEHMM_CHECKS the kernels also
-// keep each row's own max and check, after every row, that the per-row
+// pinned at the overflow cap.  Under FINEHMM_CHECKS the kernel also
+// keeps each row's own max and check, after every row, that the per-row
 // epilogue would have produced the same xB and overflow state.
 
 /// Which byte-stage recurrence a kernel instance runs: MSV (with the J
@@ -78,38 +76,129 @@ inline std::uint8_t byte_trigger(std::uint8_t xj_base, std::uint8_t tec,
   return up > cap ? cap : std::uint8_t(up);
 }
 
-/// Striped MSV (or SSV) over N = V::kLanes byte lanes.  `rows` is the
-/// striped emission table for this lane count (row of residue x at
-/// x*Q*N); `row` is caller-owned scratch of Q*N bytes.
+// Lane-partitioned groups.
+//
+// One N-lane sweep scores every member of a group: model m owns the
+// contiguous lane span [lane_lo, lane_lo + lanes) and its position k
+// (1-based) lives in stripe (k-1)%Q, lane lane_lo + (k-1)/Q, where Q is
+// the group's shared stripe count.  Every cell not owned by a model
+// carries emission cost 255, which forces it to zero each row
+// (sat_sub(sat_add(x, bias), 255) == 0 for any byte x).  Every member but
+// the last spans M/Q + 1 lanes, so its last lane ends in such a cell and
+// the lane shift at stripe 0 hands the next span exactly the zero a lone
+// model gets at its first lane; the last member's shifted-out cell has no
+// span to reach, so it spans ceil(M/Q) lanes.  Cell values, and therefore
+// scores, are bit-identical to independent runs (docs/multi_model.md).  A
+// single model is a one-member group at Q = ceil(M/N): position k at
+// stripe (k-1)%Q, lane (k-1)/Q, HMMER 3.0's striped layout.
+
+/// One member of a group: its lane span plus the byte constants its
+/// scalar epilogue needs.
+struct MsvGroupModel {
+  std::uint8_t lane_lo = 0;  // first lane of this model's span
+  std::uint8_t lanes = 0;    // lanes in the span (>= 1)
+  std::uint8_t tbm = 0;
+  std::uint8_t tec = 0;
+  std::uint8_t base = 0;
+  std::uint8_t sat = 0;  // overflow threshold: 255 - bias
+};
+
+/// Read-only view of one packed group (built by cpu::FusedMsvGroup): the
+/// shared striped emission table (residue x at rows + x*Q*N), the member
+/// table, and N bytes per lane of the owning member's constants and
+/// initial MSV / SSV trigger.  Lanes owned by no member hold bias 0,
+/// base 0, tbm 0 and trigger 255.
+struct MsvGroupView {
+  const std::uint8_t* rows = nullptr;
+  const std::uint8_t* bias = nullptr;
+  const std::uint8_t* base = nullptr;
+  const std::uint8_t* tbm = nullptr;
+  const std::uint8_t* trig_msv = nullptr;
+  const std::uint8_t* trig_ssv = nullptr;
+  const MsvGroupModel* models = nullptr;
+  int n_models = 0;
+  int Q = 0;
+};
+
+/// Caller-owned per-sequence scratch for the group kernel.  xb/trigger/xe
+/// hold N bytes each (per-lane spill space for firing rows and the final
+/// reduction); xj and overflowed hold n_models bytes each and are the
+/// outputs the caller converts to scores.  tjb is tjb_for(L), which the
+/// members share (they share one byte score scale).
+struct MsvGroupState {
+  std::uint8_t* xb = nullptr;          // per lane: xB's row contribution
+  std::uint8_t* trigger = nullptr;     // per lane: the member's trig
+  std::uint8_t* xe = nullptr;          // per lane: xEv spill buffer
+  std::uint8_t* xj = nullptr;          // per model: max(xJ, base); xJ out
+  std::uint8_t* overflowed = nullptr;  // per model: overflow flag (out)
+  std::uint8_t tjb = 0;
+};
+
+/// Largest byte in lanes [md.lane_lo, md.lane_lo + md.lanes) of `lanes`.
+inline std::uint8_t span_max(const MsvGroupModel& md,
+                             const std::uint8_t* lanes) {
+  std::uint8_t m = 0;
+  for (int j = 0; j < md.lanes; ++j)
+    if (lanes[md.lane_lo + j] > m) m = lanes[md.lane_lo + j];
+  return m;
+}
+
+/// Striped MSV (or SSV) over N = V::kLanes byte lanes: one sweep scores
+/// every member of the group with the gated loop above.  The trigger is
+/// a byte per lane, each member's trig over its span, so a row fires only
+/// when some member can move its xB or overflow; the firing row replays
+/// just those members' epilogues.  An overflowed member's span gets
+/// trigger 255 and never fires again; saturated cells cannot cross the
+/// forced-zero padding into the next span.  `row` is Q*N bytes of caller
+/// scratch.
 template <class V, class Seq, ByteStage kStage = ByteStage::kMsv>
-FilterResult msv_kernel(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q, Seq seq,
-                        std::size_t L, std::uint8_t* row) {
+void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
+                      Seq seq, std::size_t L, std::uint8_t* row) {
   constexpr int N = V::kLanes;
   FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
-  constexpr FilterResult kOverflowed{std::numeric_limits<float>::infinity(),
-                                     true};
-  // Bias 255 leaves no byte below the overflow threshold: row 0 overflows.
-  if (prof.bias() == 255) return kOverflowed;
-  const V biasv = V::splat(prof.bias());
-  const std::uint8_t tbm = prof.tbm();
-  const std::uint8_t tec = prof.tec();
-  const std::uint8_t tjb = prof.tjb_for(static_cast<int>(L));
-  const std::uint8_t cap = std::uint8_t(254 - prof.bias());
+  const int Q = g.Q;
+
+  // Writes member m's xb and trigger bytes from st.xj[m] = max(xJ, base).
+  const auto arm = [&g, &st](int m) {
+    const MsvGroupModel& md = g.models[m];
+    const std::uint8_t xb = byte_entry(st.xj[m], st.tjb, md.tbm);
+    const std::uint8_t trig =
+        st.overflowed[m]
+            ? std::uint8_t(255)
+            : byte_trigger<kStage>(st.xj[m], md.tec,
+                                   std::uint8_t(md.sat - 1));
+    for (int j = 0; j < md.lanes; ++j) {
+      st.xb[md.lane_lo + j] = xb;
+      st.trigger[md.lane_lo + j] = trig;
+    }
+  };
+  // xJ from a member's running max (it may have risen while <= base).
+  const auto final_xj = [&g, &st](int m, std::uint8_t xE) {
+    const std::uint8_t tec = g.models[m].tec;
+    st.xj[m] = st.overflowed[m] ? 0 : xE > tec ? std::uint8_t(xE - tec) : 0;
+  };
+
+  for (int m = 0; m < g.n_models; ++m) {
+    st.xj[m] = g.models[m].base;
+    // sat == 0 (bias 255) overflows on row 0; a byte trigger cannot
+    // express "always fire", so the view's trigger is 255 and the flag
+    // is set here.
+    st.overflowed[m] = g.models[m].sat == 0 ? 1 : 0;
+  }
 
   std::memset(row, 0, static_cast<std::size_t>(Q) * N);
-
-  std::uint8_t xj_base = prof.base();  // max(xJ, base) as of the last fire
-  V xBv = V::splat(byte_entry(xj_base, tjb, tbm));
-  V trigv = V::splat(byte_trigger<kStage>(xj_base, tec, cap));
+  const std::uint8_t* const rows = g.rows;  // hoisted past the row stores
+  const V biasv = V::load(g.bias);
+  // byte_entry(base, tjb, tbm) on every lane at once.
+  V xBv = subs_u8(subs_u8(V::load(g.base), V::splat(st.tjb)),
+                  V::load(g.tbm));
+  V trigv = V::load(kStage == ByteStage::kMsv ? g.trig_msv : g.trig_ssv);
   V xEv = V::splat(0);
 
   for (std::size_t i = 0; i < L; ++i) {
     const std::uint8_t* rbv =
         rows + static_cast<std::size_t>(seq[i]) * Q * N;
-    FINEHMM_IF_CHECKS(V rowv = V::splat(0);
-                      const std::uint8_t xj_base_before = xj_base;)
-
+    FINEHMM_IF_CHECKS(V rowv = V::splat(0);)
     // Diagonal: previous row's last stripe, lanes shifted up by one.
     V mpv = shift_lanes_up(
         V::load(row + static_cast<std::size_t>(Q - 1) * N));
@@ -123,177 +212,20 @@ FilterResult msv_kernel(const profile::MsvProfile& prof,
       mpv = V::load(cell);  // previous-row value (double buffer)
       sv.store(cell);
     }
-    if (any_gt_u8(xEv, trigv)) {
-      const std::uint8_t xE = hmax_u8(xEv);
-      // Every earlier row sat at or under trig: the fire is this row's.
-      FINEHMM_DCHECK(hmax_u8(rowv) == xE,
-                     "byte-stage fire must come from the current row");
-      if (xE > cap) return kOverflowed;
-      FINEHMM_DCHECK(kStage == ByteStage::kMsv,
-                     "SSV fires only on overflow");
-      const std::uint8_t xJ = xE > tec ? std::uint8_t(xE - tec) : 0;
-      FINEHMM_DCHECK(xJ > xj_base, "an MSV fire must raise max(xJ, base)");
-      xj_base = xJ;
-      xBv = V::splat(byte_entry(xj_base, tjb, tbm));
-      trigv = V::splat(byte_trigger<kStage>(xj_base, tec, cap));
-    }
-#if FINEHMM_CHECKS_ENABLED
-    {
-      // The per-row epilogue on this row's own max: no overflow, and
-      // max(xJ, base) (so xB) ends where the gated kernel left it.
-      const std::uint8_t r = hmax_u8(rowv);
-      const std::uint8_t rj = r > tec ? std::uint8_t(r - tec) : 0;
-      FINEHMM_DCHECK(r <= cap,
-                     "the row epilogue would overflow where the gated "
-                     "kernel did not");
-      FINEHMM_DCHECK(kStage == ByteStage::kSsv ||
-                         std::max(xj_base_before, rj) == xj_base,
-                     "gated MSV must leave xB where the row epilogue "
-                     "would");
-    }
-#endif
-  }
-  const std::uint8_t xE = hmax_u8(xEv);
-  FilterResult out;
-  out.score_nats =
-      prof.score_from_bytes_tjb(xE > tec ? std::uint8_t(xE - tec) : 0, tjb);
-  return out;
-}
-
-// Fused multi-model MSV/SSV (lane-partitioned groups).
-//
-// Several short models share one N-lane sweep: model m owns the
-// contiguous lane span [lane_lo, lane_lo + lanes) and its position k
-// (1-based) lives in stripe (k-1)%Q, lane lane_lo + (k-1)/Q, where Q is
-// the group's shared stripe count.  Every cell not owned by a model
-// carries emission cost 255, which forces it to zero each row
-// (sat_sub(sat_add(x, bias), 255) == 0 for any byte x), so the lane shift
-// at stripe 0 hands the next span exactly the zero a single-model run
-// injects at its first lane — cell values, and therefore scores, are
-// bit-identical to N independent runs (docs/multi_model.md).
-
-/// One member of a fused group: its lane span plus the per-model byte
-/// constants the scalar epilogue needs.
-struct MsvGroupModel {
-  std::uint8_t lane_lo = 0;  // first lane of this model's span
-  std::uint8_t lanes = 0;    // lanes in the span (>= 1, includes padding)
-  std::uint8_t bias = 0;
-  std::uint8_t tbm = 0;
-  std::uint8_t tec = 0;
-  std::uint8_t base = 0;
-  std::uint8_t sat = 0;  // overflow threshold: 255 - bias
-};
-
-/// Read-only view of one packed group (built by cpu::FusedMsvGroup):
-/// the shared striped emission table (residue x at rows + x*Q*N), the
-/// per-lane bias bytes, and the member table.
-struct MsvGroupView {
-  const std::uint8_t* rows = nullptr;
-  const std::uint8_t* bias = nullptr;  // N per-lane bias bytes
-  const MsvGroupModel* models = nullptr;
-  int n_models = 0;
-  int Q = 0;
-};
-
-/// Caller-owned per-sequence scratch for the group kernels.  xb/trigger/xe
-/// hold N bytes each (per lane); xj/tjb/overflowed hold n_models bytes.
-/// tjb must carry each member's tjb_for(L) before the call; xj and
-/// overflowed are outputs the caller converts to scores.
-struct MsvGroupState {
-  std::uint8_t* xb = nullptr;          // per lane: xB's row contribution
-  std::uint8_t* trigger = nullptr;     // per lane: the member's trig
-  std::uint8_t* xe = nullptr;          // per lane: xEv spill buffer
-  std::uint8_t* xj = nullptr;          // per model: max(xJ, base); xJ out
-  const std::uint8_t* tjb = nullptr;   // per model: tjb_for(L)
-  std::uint8_t* overflowed = nullptr;  // per model: overflow flag (out)
-};
-
-/// Largest byte in lanes [md.lane_lo, md.lane_lo + md.lanes) of `lanes`.
-inline std::uint8_t span_max(const MsvGroupModel& md,
-                             const std::uint8_t* lanes) {
-  std::uint8_t m = 0;
-  for (int j = 0; j < md.lanes; ++j)
-    if (lanes[md.lane_lo + j] > m) m = lanes[md.lane_lo + j];
-  return m;
-}
-
-/// Fused multi-model MSV (or SSV): one N-lane sweep scores every member
-/// of the group with msv_kernel's gated loop.  The trigger is a byte per
-/// lane, each member's trig over its span, so a row fires only when some
-/// member can move its xB or overflow; the firing row replays just those
-/// members' epilogues.  An overflowed member's span gets trigger 255 and
-/// never fires again; saturated cells cannot cross the forced-zero
-/// padding into the next span.  `row` is Q*N bytes of caller scratch.
-template <class V, class Seq, ByteStage kStage = ByteStage::kMsv>
-void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
-                      Seq seq, std::size_t L, std::uint8_t* row) {
-  constexpr int N = V::kLanes;
-  FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
-  const int Q = g.Q;
-
-  // Writes member m's xb and trigger bytes from st.xj[m] = max(xJ, base).
-  const auto arm = [&g, &st](int m) {
-    const MsvGroupModel& md = g.models[m];
-    const std::uint8_t xb = byte_entry(st.xj[m], st.tjb[m], md.tbm);
-    const std::uint8_t trig =
-        st.overflowed[m]
-            ? std::uint8_t(255)
-            : byte_trigger<kStage>(st.xj[m], md.tec,
-                                   std::uint8_t(md.sat - 1));
-    for (int j = 0; j < md.lanes; ++j) {
-      st.xb[md.lane_lo + j] = xb;
-      st.trigger[md.lane_lo + j] = trig;
-    }
-  };
-
-  // Lanes owned by no model keep xb=0 / trigger=255: their cells are
-  // forced to zero by the 255 pad cost and can never fire.
-  for (int j = 0; j < N; ++j) {
-    st.xb[j] = 0;
-    st.trigger[j] = 255;
-  }
-  for (int m = 0; m < g.n_models; ++m) {
-    st.xj[m] = g.models[m].base;
-    // sat == 0 (bias 255) overflows a single-model run on row 0; a byte
-    // trigger cannot express "always fire", so mark it now.
-    st.overflowed[m] = g.models[m].sat == 0 ? 1 : 0;
-    arm(m);
-  }
-
-  std::memset(row, 0, static_cast<std::size_t>(Q) * N);
-  const V biasv = V::load(g.bias);
-  V xBv = V::load(st.xb);
-  V trigv = V::load(st.trigger);
-  V xEv = V::splat(0);
-
-  for (std::size_t i = 0; i < L; ++i) {
-    const std::uint8_t* rbv =
-        g.rows + static_cast<std::size_t>(seq[i]) * Q * N;
-    FINEHMM_IF_CHECKS(V rowv = V::splat(0);)
-    V mpv = shift_lanes_up(
-        V::load(row + static_cast<std::size_t>(Q - 1) * N));
-    for (int q = 0; q < Q; ++q) {
-      std::uint8_t* cell = row + static_cast<std::size_t>(q) * N;
-      V sv = max_u8(mpv, xBv);
-      sv = adds_u8(sv, biasv);
-      sv = subs_u8(sv, V::load(rbv + static_cast<std::size_t>(q) * N));
-      xEv = max_u8(xEv, sv);
-      FINEHMM_IF_CHECKS(rowv = max_u8(rowv, sv);)
-      mpv = V::load(cell);
-      sv.store(cell);
-    }
     FINEHMM_IF_CHECKS(std::uint8_t row_xe[N]; rowv.store(row_xe);)
 
     if (any_gt_u8(xEv, trigv)) {
       xEv.store(st.xe);
+      xBv.store(st.xb);
+      trigv.store(st.trigger);
       for (int m = 0; m < g.n_models; ++m) {
         const MsvGroupModel& md = g.models[m];
         if (st.overflowed[m]) continue;
         const std::uint8_t xE = span_max(md, st.xe);
         if (xE <= st.trigger[md.lane_lo]) continue;
+        // Every earlier row sat at or under trig: the fire is this row's.
         FINEHMM_DCHECK(span_max(md, row_xe) == xE,
-                       "fused byte-stage fire must come from the current "
-                       "row");
+                       "byte-stage fire must come from the current row");
         if (xE >= md.sat) {
           st.overflowed[m] = 1;
         } else {
@@ -301,7 +233,7 @@ void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
                          "SSV fires only on overflow");
           const std::uint8_t xJ = xE > md.tec ? std::uint8_t(xE - md.tec) : 0;
           FINEHMM_DCHECK(xJ > st.xj[m],
-                         "a fused MSV fire must raise max(xJ, base)");
+                         "an MSV fire must raise max(xJ, base)");
           st.xj[m] = xJ;
         }
         arm(m);
@@ -322,21 +254,25 @@ void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
                      "the row epilogue would overflow a member the gated "
                      "kernel did not");
       FINEHMM_DCHECK(kStage == ByteStage::kSsv || rj <= st.xj[m],
-                     "gated fused MSV must leave xB where the row "
-                     "epilogue would");
+                     "gated MSV must leave xB where the row epilogue "
+                     "would");
     }
 #endif
   }
 
-  // xJ from the running max (it may have risen while still <= base).
-  xEv.store(st.xe);
-  for (int m = 0; m < g.n_models; ++m) {
-    const MsvGroupModel& md = g.models[m];
-    const std::uint8_t xE = span_max(md, st.xe);
-    st.xj[m] = st.overflowed[m] ? 0
-               : xE > md.tec   ? std::uint8_t(xE - md.tec)
-                               : 0;
+  if (g.n_models == 1) {
+    // Every lane outside a lone member's span is forced to zero, so the
+    // horizontal max is its span max.
+    const std::uint8_t xE = hmax_u8(xEv);
+    FINEHMM_IF_CHECKS(xEv.store(st.xe);)
+    FINEHMM_DCHECK(span_max(g.models[0], st.xe) == xE,
+                   "lanes outside a lone member's span must stay zero");
+    final_xj(0, xE);
+    return;
   }
+  xEv.store(st.xe);
+  for (int m = 0; m < g.n_models; ++m)
+    final_xj(m, span_max(g.models[m], st.xe));
 }
 
 /// The eight striped parameter arrays the Viterbi kernel reads, laid out

@@ -7,10 +7,10 @@
 // system, so SSV <= MSV holds cell-wise and the same profile drives both.
 //
 // This is the scalar reference; the striped SIMD filter is the SSV
-// instance of the byte-stage kernels and runs at every tier through the
-// backend table (cpu::MsvFilter::ssv, pipeline::BatchScanner::ssv, fused
-// groups through cpu::FusedMsvFilter) and the warp kernel lives in
-// gpu/ssv_kernel.  All agree bit-for-bit.
+// instance of the one byte-stage kernel and runs at every tier through
+// the backend table (cpu::FusedMsvFilter::ssv, which cpu::MsvFilter::ssv
+// and pipeline::BatchScanner::ssv reach through a one-member group) and
+// the warp kernel lives in gpu/ssv_kernel.  All agree bit-for-bit.
 #pragma once
 
 #include <cstddef>

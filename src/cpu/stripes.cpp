@@ -39,12 +39,6 @@ void stripe_table(aligned_vector<T>& out, int M, int Q, int N, T pad,
 
 }  // namespace
 
-MsvStripes::MsvStripes(const profile::MsvProfile& prof, int lanes)
-    : N_(lanes), Q_(segments_for(prof.length(), lanes)) {
-  stripe_table<std::uint8_t>(rows_, prof.length(), Q_, N_, 255,
-                             [&](int x, int k) { return prof.cost(x, k); });
-}
-
 VitStripes::VitStripes(const profile::VitProfile& prof, int lanes)
     : N_(lanes), Q_(segments_for(prof.length(), lanes)) {
   using profile::kWordNegInf;

@@ -3,12 +3,14 @@
 // Every striped CPU kernel reads its model parameters in the Farrar
 // layout: with N lanes and Q = ceil(M/N) stripes, model position k
 // (1-based) lives in stripe (k-1)%Q, lane (k-1)/Q, and padding slots
-// hold the stage's inert value.  One builder per stage re-stripes the
-// profile's position-ordered parameters for the lane count the resolved
-// tier needs (MSV bytes 16/32/64, Viterbi words 8/16/32, Forward floats
+// hold the stage's inert value.  One builder per word/float stage
+// re-stripes the profile's position-ordered parameters for the lane
+// count the resolved tier needs (Viterbi words 8/16/32, Forward floats
 // 4/8/16 — or any power of two for the width-N spec tests), once per
-// (model, tier).  The result is immutable, so filters and BatchScanner
-// workers share it as shared_ptr<const …> and own only their DP rows.
+// (model, tier); the byte stage's table is a one-member
+// cpu::FusedMsvGroup (cpu/msv_group.hpp), the same layout.  The result is
+// immutable, so filters and BatchScanner workers share it as
+// shared_ptr<const …> and own only their DP rows.
 #pragma once
 
 #include <cstddef>
@@ -17,31 +19,11 @@
 
 #include "cpu/simd_backend/kernels.hpp"
 #include "profile/fwd_profile.hpp"
-#include "profile/msv_profile.hpp"
 #include "profile/vit_profile.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 
 namespace finehmm::cpu {
-
-/// MSV/SSV emission costs for N byte lanes (padding costs 255).
-class MsvStripes {
- public:
-  MsvStripes(const profile::MsvProfile& prof, int lanes);
-
-  int lanes() const noexcept { return N_; }
-  int segments() const noexcept { return Q_; }
-  /// Striped cost row of residue x (Q*N bytes; rows are contiguous, so
-  /// row(0) is the whole table the kernels index by residue).
-  const std::uint8_t* row(int x) const {
-    return rows_.data() + static_cast<std::size_t>(x) * Q_ * N_;
-  }
-
- private:
-  int N_;
-  int Q_;
-  aligned_vector<std::uint8_t> rows_;  // Kp x (Q*N)
-};
 
 /// The eight ViterbiFilter parameter arrays for N word lanes (padding
 /// holds -inf).
@@ -87,9 +69,9 @@ class FwdStripes {
   aligned_vector<float> tmm_out_, tim_out_, tdm_out_, tmd_out_, tdd_out_;
 };
 
-/// The stripes a filter reads: `shared` when given (built by a caller
-/// that hands one re-striping to many workers), else a fresh build.
-/// Either way the lane count must be the filter tier's.
+/// The stripes (or MSV group) a filter reads: `shared` when given (built
+/// by a caller that hands one re-striping to many workers), else a fresh
+/// build.  Either way the lane count must be the filter tier's.
 template <class Stripes, class Profile>
 std::shared_ptr<const Stripes> stripes_for(
     const Profile& prof, int lanes, std::shared_ptr<const Stripes> shared) {

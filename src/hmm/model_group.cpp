@@ -1,7 +1,6 @@
 #include "hmm/model_group.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "bio/alphabet.hpp"
@@ -14,8 +13,17 @@ namespace {
 // Lanes model length M claims at stripe count Q: the span holds the M
 // real cells plus at least one trailing pad (M/Q + 1 == ceil((M+1)/Q)
 // whenever M%Q < Q), so the group kernels' lane shift always crosses a
-// forced-zero cell between neighbouring models.
+// forced-zero cell between neighbouring models.  cpu::FusedMsvGroup
+// drops the last member's pad lane; counting it here too only
+// over-estimates demand, so every planned shape still fits.
 int lanes_for(int M, int Q) { return M / Q + 1; }
+
+// Groups smaller than this are not worth the demux overhead.
+constexpr std::size_t kMinModelsToFuse = 2;
+
+// A model longer than this many full-width stripes already keeps a
+// single-model sweep busy; fusing it would inflate every partner's Q.
+constexpr int kMaxFusedStripes = 32;
 
 }  // namespace
 
@@ -42,24 +50,6 @@ double FusePlan::lane_occupancy() const {
   return padded > 0.0 ? real / padded : 0.0;
 }
 
-FuseOptions fuse_options_from_env() {
-  FuseOptions opts;
-  const char* env = std::getenv("FINEHMM_FUSE");
-  if (env == nullptr) return opts;
-  const std::string s(env);
-  if (s == "off" || s == "0") {
-    opts.enabled = false;
-  } else if (s == "force") {
-    opts.forced = true;
-  } else if (s.rfind("force:", 0) == 0) {
-    opts.forced = true;
-    const long g = std::strtol(s.c_str() + 6, nullptr, 10);
-    if (g > 0 && g <= 64) opts.max_group_models = static_cast<int>(g);
-  }
-  // anything else ("auto", "on", "1", typos) keeps the defaults
-  return opts;
-}
-
 FusePlan plan_model_groups(const std::vector<int>& lengths, int lane_width,
                            const FuseOptions& opts) {
   FH_REQUIRE(lane_width == 16 || lane_width == 32 || lane_width == 64,
@@ -71,17 +61,14 @@ FusePlan plan_model_groups(const std::vector<int>& lengths, int lane_width,
   const std::size_t q_cap =
       opts.max_table_bytes /
       (static_cast<std::size_t>(bio::kKp) * static_cast<std::size_t>(lane_width));
-  if (!opts.enabled || q_cap == 0) {
+  if (q_cap == 0) {
     plan.unfused.resize(n);
     for (std::size_t i = 0; i < n; ++i) plan.unfused[i] = i;
     return plan;
   }
 
-  // A model longer than ~32 full-width stripes already keeps a
-  // single-model sweep busy; fusing it would inflate every partner's Q.
   const int max_len = opts.forced ? std::numeric_limits<int>::max()
-                      : opts.max_fused_length > 0 ? opts.max_fused_length
-                                                  : 32 * lane_width;
+                                  : kMaxFusedStripes * lane_width;
 
   std::vector<std::size_t> order;
   order.reserve(n);
@@ -103,16 +90,12 @@ FusePlan plan_model_groups(const std::vector<int>& lengths, int lane_width,
   if (opts.max_group_models > 0 &&
       static_cast<std::size_t>(opts.max_group_models) < group_cap)
     group_cap = static_cast<std::size_t>(opts.max_group_models);
-  const std::size_t min_fuse =
-      opts.min_models_to_fuse > 1
-          ? static_cast<std::size_t>(opts.min_models_to_fuse)
-          : 1;
 
   std::size_t pos = 0;
   while (pos < order.size()) {
     std::size_t take = std::min(group_cap, order.size() - pos);
     GroupShape g;
-    while (take >= min_fuse && take >= 2) {
+    while (take >= kMinModelsToFuse) {
       // Chunk is sorted ascending, so the last member is the longest.
       const int maxM = lengths[order[pos + take - 1]];
       // Lane demand is non-increasing in Q, so binary-search the minimal

@@ -14,13 +14,11 @@
 // chunk greedily up to the lane budget, and for each chunk binary-search
 // the minimal Q whose lane demand sum fits — minimal Q maximizes lane
 // occupancy (real cells / padded cells) and minimizes the per-row stripe
-// work.  Models too long to profit (default: longer than what a
-// single-model sweep already fills) stay unfused.  `FINEHMM_FUSE`
-// overrides the policy for benchmarking (docs/multi_model.md).
+// work.  Models too long to profit (longer than what a single-model
+// sweep already fills) stay unfused (docs/multi_model.md).
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace finehmm::hmm {
@@ -47,31 +45,17 @@ struct FusePlan {
   double lane_occupancy() const;
 };
 
-/// Tuner policy knobs.  Defaults implement the auto policy; FINEHMM_FUSE
-/// adjusts them (see fuse_options_from_env).
+/// Tuner policy knobs.  Defaults implement the auto policy.
 struct FuseOptions {
-  bool enabled = true;
   /// force mode: fuse every model regardless of length, for benchmarking.
   bool forced = false;
-  /// Cap on models per group; 0 means the lane width decides.
+  /// Cap on models per group; 0 means the lane width decides (1 fuses
+  /// nothing).
   int max_group_models = 0;
   /// Cap on one group's emission-table footprint (bio::kKp * Q * lanes
   /// bytes); keeps a group's working set L1/L2-resident.
   std::size_t max_table_bytes = 256 * 1024;
-  /// Groups smaller than this are not worth the demux overhead.
-  int min_models_to_fuse = 2;
-  /// Models longer than this stay unfused; 0 picks the auto threshold
-  /// (32 stripes' worth of a full-width single-model sweep).
-  int max_fused_length = 0;
 };
-
-/// Policy from the FINEHMM_FUSE environment variable:
-///   off | 0            -> fusion disabled (plan puts everything unfused)
-///   auto | on | 1      -> defaults (same as unset)
-///   force              -> fuse regardless of model length
-///   force:<G>          -> force, with at most G models per group
-/// Unknown values fall back to auto.
-FuseOptions fuse_options_from_env();
 
 /// Pick group shapes for a library of model lengths at one byte-lane
 /// width (16/32/64).  Deterministic: depends only on (lengths, lane

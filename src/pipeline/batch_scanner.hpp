@@ -10,10 +10,11 @@
 // which engine (serial, ThreadPool, or MultiSearch) drives it.
 //
 // The parameter stripings for the resolved tier are built once and shared
-// across all workers (cpu::MsvStripes / VitStripes / FwdStripes): model
-// parameters are immutable during a scan, only DP state is per-worker.
-// This mirrors the paper's GPU decomposition — one read-only model in
-// constant/shared memory, one DP slice per warp.
+// across all workers (the MSV model's one-member cpu::FusedMsvGroup,
+// cpu::VitStripes / FwdStripes): model parameters are immutable during a
+// scan, only DP state is per-worker.  This mirrors the paper's GPU
+// decomposition — one read-only model in constant/shared memory, one DP
+// slice per warp.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +40,7 @@ class BatchScanner {
  public:
   /// State for `workers` concurrent scanners over one model's profiles.
   /// `fwd` may be nullptr when the caller never runs the Forward stage.
-  /// Byte-stage state (the shared MSV striping and the worker's row) is
+  /// Byte-stage state (the shared MSV group and the worker's row) is
   /// built on a worker's first ssv()/msv(), so a many-query sweep that
   /// scores a query through a fused group never builds it; Forward state
   /// likewise on a worker's first fwd()/decode(), so the sweep pays for
@@ -123,7 +124,7 @@ class BatchScanner {
 
   cpu::SimdTier tier_;
   const cpu::backend::TierKernels* ops_;
-  Shared<cpu::MsvStripes, profile::MsvProfile> msv_;
+  Shared<cpu::FusedMsvGroup, profile::MsvProfile> msv_;
   Shared<cpu::FwdStripes, profile::FwdProfile> fwd_;
   std::vector<Worker> workers_;
 };

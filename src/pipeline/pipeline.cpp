@@ -435,8 +435,7 @@ hmm::FusePlan plan_fusion(const std::vector<const HmmSearch*>& searches) {
   lengths.reserve(searches.size());
   for (const HmmSearch* hs : searches)
     lengths.push_back(hs->msv_profile().length());
-  return hmm::plan_model_groups(lengths, active_u8_lanes(),
-                                hmm::fuse_options_from_env());
+  return hmm::plan_model_groups(lengths, active_u8_lanes());
 }
 
 HmmSearch::CoalescedScan HmmSearch::sweep(

@@ -194,7 +194,8 @@ class HmmSearch {
   /// (docs/server.md) — and, with a `plan`, the hmmscan dual: short
   /// models lane-packed into shared group tables (cpu::FusedMsvGroup) so
   /// one SSV/MSV sweep scores a whole group per sequence (see
-  /// plan_fusion).  `schedule` may pass a cached length-bucketed order
+  /// plan_fusion); an unfused query's byte stage is the same kernel on a
+  /// one-member group.  `schedule` may pass a cached length-bucketed order
   /// for `src`; null builds it.  `rec` attaches span tracing; the
   /// telemetry snapshot is filled either way.
   static CoalescedScan run_cpu_coalesced(
@@ -242,8 +243,8 @@ class HmmSearch {
 };
 
 /// The fuse plan for `searches` (index order) at the active SIMD tier's
-/// byte lane width under FINEHMM_FUSE (hmm::plan_model_groups): the one
-/// place the daemon, MultiSearch and the tools derive a plan for
+/// byte lane width under the default policy (hmm::plan_model_groups):
+/// the one place the daemon, MultiSearch and the tools derive a plan for
 /// HmmSearch::run_cpu_coalesced.
 hmm::FusePlan plan_fusion(const std::vector<const HmmSearch*>& searches);
 

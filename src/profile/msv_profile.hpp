@@ -9,8 +9,9 @@
 // recovery.
 //
 // The profile holds the linear layout cost[x][k], what the GPU kernels
-// stream ("global memory"); the CPU SIMD filters re-stripe it once per
-// (model, tier) for their lane count (cpu/stripes.hpp).
+// stream ("global memory"); the CPU byte stage packs it once per (model,
+// tier) for its lane count into a lane-partitioned group table — one
+// model alone is a one-member group (cpu/msv_group.hpp).
 #pragma once
 
 #include <cstdint>

@@ -9,10 +9,11 @@
 // mid-sequence, or exactly at the 255 - bias rail (and stops one byte
 // short of it); and so that bias is 255.  Each case is scored through
 // every byte-stage path — every supported tier, the portable lane widths,
-// byte and packed residues, single-model and fused — and compared bit for
-// bit with msv_scalar / ssv_scalar.  A scalar replay of the per-row
-// epilogue (Replay below) first checks that the sequence really produces
-// the case it is named for.
+// byte and packed residues, one-member and two-member groups (the last
+// member with no pad lane) — and compared bit for bit with msv_scalar /
+// ssv_scalar.  A scalar replay of the per-row epilogue (Replay below)
+// first checks that the sequence really produces the case it is named
+// for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,9 +31,8 @@
 #include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/kernels.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
-#include "cpu/simd_vec.hpp"
 #include "cpu/ssv.hpp"
-#include "cpu/stripes.hpp"
+#include "group_sweep.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/profile.hpp"
 #include "profile/msv_profile.hpp"
@@ -164,35 +164,39 @@ void expect_same(const cpu::FilterResult& ref, const cpu::FilterResult& got,
   EXPECT_EQ(ref.score_nats, got.score_nats) << what;
 }
 
-/// The portable N-lane kernel, byte and packed residues.
+/// The portable N-lane kernel over `group` (packed for N lanes): every
+/// member's result for byte and packed residues, byte results first.
 template <int N>
-void check_portable_width(const profile::MsvProfile& prof,
-                          const bio::Sequence& seq, ByteStage stage,
-                          const cpu::FilterResult& ref) {
-  namespace sk = cpu::simd_kernels;
-  using V = cpu::U8xN<N>;
-  cpu::MsvStripes stripes(prof, N);
-  std::vector<std::uint8_t> row(
-      static_cast<std::size_t>(stripes.segments()) * N);
+std::vector<cpu::FilterResult> portable_sweep(const cpu::FusedMsvGroup& group,
+                                              const bio::Sequence& seq,
+                                              ByteStage stage) {
   const auto words = bio::pack_residues(seq.codes);
   const bio::PackedResidues packed(words.data());
   const std::uint8_t* codes = seq.codes.data();
   const std::size_t L = seq.length();
-  const int Q = stripes.segments();
-  cpu::FilterResult by_code, by_word;
+  std::vector<cpu::FilterResult> by_code, by_word;
   if (stage == ByteStage::kMsv) {
-    by_code = sk::msv_kernel<V>(prof, stripes.row(0), Q, codes, L, row.data());
-    by_word = sk::msv_kernel<V>(prof, stripes.row(0), Q, packed, L, row.data());
+    by_code = test::sweep_width<N, ByteStage::kMsv>(group, codes, L);
+    by_word = test::sweep_width<N, ByteStage::kMsv>(group, packed, L);
   } else {
-    by_code = sk::msv_kernel<V, const std::uint8_t*, ByteStage::kSsv>(
-        prof, stripes.row(0), Q, codes, L, row.data());
-    by_word = sk::msv_kernel<V, bio::PackedResidues, ByteStage::kSsv>(
-        prof, stripes.row(0), Q, packed, L, row.data());
+    by_code = test::sweep_width<N, ByteStage::kSsv>(group, codes, L);
+    by_word = test::sweep_width<N, ByteStage::kSsv>(group, packed, L);
   }
+  by_code.insert(by_code.end(), by_word.begin(), by_word.end());
+  return by_code;
+}
+
+/// The portable N-lane kernel on a one-member group, byte and packed
+/// residues.
+template <int N>
+void check_portable_width(const profile::MsvProfile& prof,
+                          const bio::Sequence& seq, ByteStage stage,
+                          const cpu::FilterResult& ref) {
+  const auto got = portable_sweep<N>(cpu::FusedMsvGroup(prof, N), seq, stage);
   const std::string what =
       std::string(stage_name(stage)) + " portable N=" + std::to_string(N);
-  expect_same(ref, by_code, what);
-  expect_same(ref, by_word, what + " packed");
+  expect_same(ref, got[0], what);
+  expect_same(ref, got[1], what + " packed");
 }
 
 /// Every byte-stage path for one model and sequence against the scalar
@@ -405,6 +409,72 @@ TEST(ByteStageTrigger, FusedMemberOverflowsWhileAnotherKeepsFiring) {
   EXPECT_EQ(r.overflow_row, -1);
   for (ByteStage stage : {ByteStage::kMsv, ByteStage::kSsv})
     check_every_path(first.msv, second.msv, seq, stage);
+}
+
+/// A W-lane group whose last member ends on lane W - 1 with no pad lane:
+/// at Q = 4, a 40-position first member spans 40/4 + 1 = 11 lanes and a
+/// last member of 4 * (W - 11) positions fills the other W - 11 exactly
+/// (no pad cell either).  Every tier with W byte lanes and the portable
+/// W-lane kernel must score both members like the scalar reference.
+template <int W>
+void check_last_member_on_last_lane() {
+  const Crafted first(40, 1.5f, 0.5f, 11);
+  const Crafted last(4 * (W - 11), 16.0f, 3.0f);
+  const cpu::FusedMsvGroup group({&first.msv, &last.msv}, W, 4);
+  const auto& span = group.view().models[1];
+  ASSERT_EQ(span.lane_lo + span.lanes, W);
+  ASSERT_EQ(last.msv.length(), group.segments() * span.lanes);
+
+  Pcg32 rng(21);
+  const std::vector<bio::Sequence> seqs = {
+      make_seq(cat({run(20, kCold), run(1, kWarm), run(20, kCold)})),
+      make_seq(cat({run(1, kHot), run(30, kCold)})),
+      make_seq(cat({run(20, kCold), run(6, kWarm), run(20, kCold)})),
+      bio::random_sequence(120, rng)};
+  // The last member: no overflow, overflow at row 0, overflow mid-way.
+  EXPECT_EQ(replay(last.msv, seqs[0], ByteStage::kMsv).overflow_row, -1);
+  EXPECT_EQ(replay(last.msv, seqs[1], ByteStage::kMsv).overflow_row, 0);
+  EXPECT_GT(replay(last.msv, seqs[2], ByteStage::kMsv).overflow_row, 20);
+
+  for (const auto& seq : seqs)
+    for (ByteStage stage : {ByteStage::kMsv, ByteStage::kSsv}) {
+      const cpu::FilterResult ref[2] = {reference(first.msv, seq, stage),
+                                        reference(last.msv, seq, stage)};
+      const auto words = bio::pack_residues(seq.codes);
+      const bio::PackedResidues packed(words.data());
+      const bool msv = stage == ByteStage::kMsv;
+      const std::size_t L = seq.length();
+      const std::string what = std::string(stage_name(stage)) +
+                               " W=" + std::to_string(W) +
+                               " L=" + std::to_string(L);
+      for (cpu::SimdTier tier : cpu::supported_simd_tiers()) {
+        if (cpu::backend::tier_kernels(cpu::resolve_simd_tier(tier))
+                .u8_lanes != W)
+          continue;
+        cpu::FusedMsvFilter fused(group, tier);
+        std::vector<cpu::FilterResult> out(2);
+        const std::string at = what + " tier=" + cpu::simd_tier_name(tier);
+        msv ? fused.msv(seq.codes.data(), L, out.data())
+            : fused.ssv(seq.codes.data(), L, out.data());
+        expect_same(ref[0], out[0], at + " first");
+        expect_same(ref[1], out[1], at + " last");
+        msv ? fused.msv(packed, L, out.data())
+            : fused.ssv(packed, L, out.data());
+        expect_same(ref[0], out[0], at + " packed first");
+        expect_same(ref[1], out[1], at + " packed last");
+      }
+      const auto got = portable_sweep<W>(group, seq, stage);
+      expect_same(ref[0], got[0], what + " portable first");
+      expect_same(ref[1], got[1], what + " portable last");
+      expect_same(ref[0], got[2], what + " portable packed first");
+      expect_same(ref[1], got[3], what + " portable packed last");
+    }
+}
+
+TEST(ByteStageTrigger, LastMemberEndsOnTheLastLaneWithoutPad) {
+  check_last_member_on_last_lane<16>();
+  check_last_member_on_last_lane<32>();
+  check_last_member_on_last_lane<64>();
 }
 
 TEST(ByteStageTrigger, SsvGroupDetectsOverflowPerRow) {

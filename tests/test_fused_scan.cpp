@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -20,8 +19,8 @@
 
 #include "bio/seq_db_io.hpp"
 #include "bio/synthetic.hpp"
-#include "cpu/msv_filter.hpp"
 #include "cpu/msv_group.hpp"
+#include "cpu/msv_scalar.hpp"
 #include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "cpu/ssv.hpp"
@@ -32,6 +31,7 @@
 #include "pipeline/multi_search.hpp"
 #include "pipeline/report.hpp"
 #include "profile/msv_profile.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -110,8 +110,9 @@ TEST(FusePlanner, LongModelsStayUnfusedUnlessForced) {
 }
 
 TEST(FusePlanner, DisabledPutsEverythingUnfused) {
+  // Groups of at most one model: nothing is worth fusing.
   hmm::FuseOptions opts;
-  opts.enabled = false;
+  opts.max_group_models = 1;
   auto plan = hmm::plan_model_groups({50, 60, 70, 80}, 32, opts);
   EXPECT_TRUE(plan.groups.empty());
   EXPECT_EQ(plan.unfused.size(), 4u);
@@ -141,27 +142,6 @@ TEST(FusePlanner, MaxGroupModelsCapsChunkSize) {
   EXPECT_EQ(plan.fused_models(), 20u);
 }
 
-TEST(FusePlanner, EnvVariableControlsPolicy) {
-  ::setenv("FINEHMM_FUSE", "off", 1);
-  EXPECT_FALSE(hmm::fuse_options_from_env().enabled);
-  ::setenv("FINEHMM_FUSE", "force", 1);
-  EXPECT_TRUE(hmm::fuse_options_from_env().forced);
-  ::setenv("FINEHMM_FUSE", "force:8", 1);
-  {
-    auto opts = hmm::fuse_options_from_env();
-    EXPECT_TRUE(opts.forced);
-    EXPECT_EQ(opts.max_group_models, 8);
-  }
-  ::setenv("FINEHMM_FUSE", "auto", 1);
-  {
-    auto opts = hmm::fuse_options_from_env();
-    EXPECT_TRUE(opts.enabled);
-    EXPECT_FALSE(opts.forced);
-  }
-  ::unsetenv("FINEHMM_FUSE");
-  EXPECT_TRUE(hmm::fuse_options_from_env().enabled);
-}
-
 TEST(FusePlanner, LengthHistogramDoublesBucketWidths) {
   const std::vector<int> lengths = {5, 17, 40, 45, 80, 300, 300, 2000};
   auto buckets = hmm::length_histogram(lengths);
@@ -179,7 +159,7 @@ TEST(FusePlanner, LengthHistogramDoublesBucketWidths) {
 }
 
 // ---------------------------------------------------------------------
-// Kernel parity: fused group sweep vs. single-model MsvFilter / SSV.
+// Kernel parity: fused group sweep vs. the scalar MSV / SSV references.
 // ---------------------------------------------------------------------
 
 struct ModelFx {
@@ -250,8 +230,8 @@ void check_group_parity(const std::vector<std::unique_ptr<ModelFx>>& fxs,
   for (const auto& seq : seqs) {
     filter.msv(seq.codes.data(), seq.length(), fused.data());
     for (std::size_t i = 0; i < members.size(); ++i) {
-      cpu::MsvFilter single(fxs[members[i]]->msv, tier);
-      auto ref = single.score(seq.codes.data(), seq.length());
+      auto ref = cpu::msv_scalar(fxs[members[i]]->msv, seq.codes.data(),
+                                 seq.length());
       EXPECT_EQ(ref.overflowed, fused[i].overflowed)
           << "msv tier=" << cpu::simd_tier_name(tier) << " Q=" << Q
           << " member=" << i << " L=" << seq.length();
@@ -304,6 +284,19 @@ TEST(FusedKernels, MultiLaneSpansMatchSingleModel) {
     // Q=13: demand 3 + 7 + 5 = 15, still within the narrowest tier.
     check_group_parity(fxs, {0, 1, 2}, 13, tier, lane_width, seqs);
   }
+}
+
+TEST(FusedKernels, SpanWiderThanTheLaneBudgetThrows) {
+  // M/Q + 1 = 257 lanes (or 256 for a last member) must be refused
+  // before it is narrowed to a byte span, not packed past the table.
+  auto fxs = make_models({256, 10});
+  EXPECT_THROW(cpu::FusedMsvGroup({&fxs[0]->msv}, 16, 1), Error);
+  EXPECT_THROW(cpu::FusedMsvGroup({&fxs[0]->msv, &fxs[1]->msv}, 64, 1),
+               Error);
+  // The lane total, too: 6 + 5 lanes exceed 8.
+  EXPECT_THROW(cpu::FusedMsvGroup({&fxs[1]->msv, &fxs[1]->msv}, 8, 2),
+               Error);
+  EXPECT_NO_THROW(cpu::FusedMsvGroup({&fxs[1]->msv, &fxs[1]->msv}, 16, 2));
 }
 
 TEST(FusedKernels, ZeroLengthSequenceYieldsDefaultNoHit) {
@@ -444,10 +437,14 @@ TEST(FusedPipeline, EnvOffFallsBackToUnfusedAndStillMatches) {
   auto db = scan_db(25, 17);
   auto serial = multi.run_cpu(db);
 
-  ::setenv("FINEHMM_FUSE", "off", 1);
+  // A plan with every model unfused: the sweep scores each on its own.
+  hmm::FusePlan plan;
+  plan.lane_width = cpu::backend::tier_kernels(cpu::resolve_simd_tier(
+                                                   cpu::active_simd_tier()))
+                        .u8_lanes;
+  for (std::size_t m = 0; m < 6; ++m) plan.unfused.push_back(m);
   obs::ScanTelemetry telemetry;
-  auto fused = multi.run_cpu_fused(db, 2, nullptr, &telemetry);
-  ::unsetenv("FINEHMM_FUSE");
+  auto fused = multi.run_cpu_fused(db, 2, &plan, &telemetry);
 
   expect_results_identical(serial, fused);
   for (const auto& st : telemetry.stages) {

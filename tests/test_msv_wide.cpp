@@ -1,18 +1,19 @@
-// Striped MSV at every lane count: the width-N template kernel with the
-// portable lane class, and the MsvFilter of every supported native tier,
-// must reproduce the scalar reference byte-exactly.  The model lengths
-// sit on the stripe edges of the 16/32/64-byte geometries.
+// Striped MSV at every lane count: the one byte-stage kernel with the
+// portable lane class on a one-member group, and the MsvFilter of every
+// supported native tier, must reproduce the scalar reference
+// byte-exactly.  The model lengths sit on the stripe edges of the
+// 16/32/64-byte geometries (16 and 64 fill M = N*Q with no pad).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "bio/synthetic.hpp"
 #include "cpu/msv_filter.hpp"
+#include "cpu/msv_group.hpp"
 #include "cpu/msv_scalar.hpp"
 #include "cpu/simd_backend/kernels.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
-#include "cpu/simd_vec.hpp"
-#include "cpu/stripes.hpp"
+#include "group_sweep.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/sampler.hpp"
 
@@ -20,16 +21,13 @@ namespace {
 
 using namespace finehmm;
 
-/// Portable N-lane MSV through the shared template kernel.
+/// Portable N-lane MSV of a one-member group through the shared
+/// template kernel.
 template <int N>
-cpu::FilterResult msv_width(const profile::MsvProfile& msv,
-                            const cpu::MsvStripes& stripes,
+cpu::FilterResult msv_width(const cpu::FusedMsvGroup& group,
                             const bio::Sequence& seq) {
-  std::vector<std::uint8_t> row(
-      static_cast<std::size_t>(stripes.segments()) * N);
-  return cpu::simd_kernels::msv_kernel<cpu::U8xN<N>>(
-      msv, stripes.row(0), stripes.segments(), seq.codes.data(),
-      seq.length(), row.data());
+  return test::sweep_width<N, cpu::simd_kernels::ByteStage::kMsv>(
+      group, seq.codes.data(), seq.length())[0];
 }
 
 /// Runs `score(msv, seq)` on homologs and random draws of one model and
@@ -57,8 +55,8 @@ template <int N>
 void check_width(int M, std::uint64_t seed) {
   check_against_scalar(M, seed, "portable width", [](const auto& msv,
                                                      const auto& seq) {
-    cpu::MsvStripes stripes(msv, N);
-    return msv_width<N>(msv, stripes, seq);
+    const cpu::FusedMsvGroup group(msv, N);
+    return msv_width<N>(group, seq);
   });
 }
 
@@ -87,14 +85,14 @@ TEST(WideMsv, AllWidthsAgreeWithEachOther) {
   auto model = hmm::paper_model(100);
   hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 400);
   profile::MsvProfile msv(prof);
-  cpu::MsvStripes s16(msv, 16);
-  cpu::MsvStripes s32(msv, 32);
-  cpu::MsvStripes s64(msv, 64);
+  const cpu::FusedMsvGroup s16(msv, 16);
+  const cpu::FusedMsvGroup s32(msv, 32);
+  const cpu::FusedMsvGroup s64(msv, 64);
   Pcg32 rng(7);
   auto seq = bio::random_sequence(333, rng);
-  auto a = msv_width<16>(msv, s16, seq);
-  auto b = msv_width<32>(msv, s32, seq);
-  auto c = msv_width<64>(msv, s64, seq);
+  auto a = msv_width<16>(s16, seq);
+  auto b = msv_width<32>(s32, seq);
+  auto c = msv_width<64>(s64, seq);
   EXPECT_FLOAT_EQ(a.score_nats, b.score_nats);
   EXPECT_FLOAT_EQ(b.score_nats, c.score_nats);
 }

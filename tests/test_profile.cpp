@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "cpu/msv_group.hpp"
 #include "cpu/stripes.hpp"
 #include "hmm/generator.hpp"
 #include "profile/fwd_profile.hpp"
@@ -64,15 +65,17 @@ TEST_P(ProfileQuantization, WordScoresInvertWithinHalfUnit) {
 
 // One stripes builder serves every tier: at each lane count, position k
 // must land in stripe (k-1)%Q, lane (k-1)/Q, and padding must be inert.
+// The byte stage's is a one-member group, which must be that layout.
 TEST_P(ProfileQuantization, StripedLayoutPermutesLinear) {
   ProfFixture fx(GetParam());
   const int M = fx.prof.length();
   for (int lanes : {4, 16, 32, 64}) {
-    cpu::MsvStripes st(fx.msv, lanes);
+    const cpu::FusedMsvGroup st(fx.msv, lanes);
     const int Q = st.segments();
     ASSERT_EQ(Q, (M + lanes - 1) / lanes);
     for (int x = 0; x < bio::kKp; ++x) {
-      const std::uint8_t* striped = st.row(x);
+      const std::uint8_t* striped =
+          st.view().rows + static_cast<std::size_t>(x) * Q * lanes;
       for (int k = 1; k <= M; ++k)
         EXPECT_EQ(striped[(k - 1) % Q * lanes + (k - 1) / Q],
                   fx.msv.cost(x, k))

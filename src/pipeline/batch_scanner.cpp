@@ -13,20 +13,12 @@ BatchScanner::BatchScanner(const profile::MsvProfile& msv,
                            const profile::FwdProfile* fwd,
                            std::size_t workers, cpu::SimdTier tier)
     : tier_(cpu::resolve_simd_tier(tier)),
-      ops_(&cpu::backend::tier_kernels(tier_)) {
+      ops_(&cpu::backend::tier_kernels(tier_)),
+      workers_(workers) {
   FH_REQUIRE(workers >= 1, "need at least one worker");
   msv_.prof = &msv;
+  vit_.prof = &vit;
   fwd_.prof = fwd;
-
-  // The Viterbi striping for the resolved tier, built once and shared by
-  // every worker.
-  auto vit_stripes =
-      std::make_shared<const cpu::VitStripes>(vit, ops_->i16_lanes);
-  workers_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    workers_.push_back(Worker{std::nullopt,
-                              cpu::VitFilter(vit, tier_, vit_stripes),
-                              std::nullopt, WorkerLoad{}});
 }
 
 template <class Filter, class Stripes, class Profile>
@@ -47,6 +39,11 @@ cpu::MsvFilter& BatchScanner::msv_filter(std::size_t w) {
   return filter(workers_[w].msv, msv_, ops_->u8_lanes);
 }
 
+cpu::VitFilter& BatchScanner::vit_filter(std::size_t w) {
+  FINEHMM_CHECK(w < workers_.size(), "worker id out of range");
+  return filter(workers_[w].vit, vit_, ops_->i16_lanes);
+}
+
 cpu::FwdFilter& BatchScanner::fwd_filter(std::size_t w) {
   FINEHMM_CHECK(w < workers_.size(), "worker id out of range");
   FH_REQUIRE(fwd_.prof != nullptr,
@@ -62,57 +59,38 @@ constexpr bool empty_no_hit(std::size_t L) { return L == 0; }
 
 }  // namespace
 
+// The byte filters score a zero-length sequence as a no-hit themselves.
 cpu::FilterResult BatchScanner::ssv(std::size_t w, const std::uint8_t* seq,
                                     std::size_t L) {
-  cpu::MsvFilter& f = msv_filter(w);
-  if (empty_no_hit(L)) return {};
-  ++workers_[w].load.ssv_calls;
-  workers_[w].load.residues += L;
-  return f.ssv(seq, L);
+  return msv_filter(w).ssv(seq, L);
 }
 
 cpu::FilterResult BatchScanner::ssv(std::size_t w, bio::PackedResidues seq,
                                     std::size_t L) {
-  cpu::MsvFilter& f = msv_filter(w);
-  if (empty_no_hit(L)) return {};
-  ++workers_[w].load.ssv_calls;
-  workers_[w].load.residues += L;
-  return f.ssv(seq, L);
+  return msv_filter(w).ssv(seq, L);
 }
 
 cpu::FilterResult BatchScanner::msv(std::size_t w, const std::uint8_t* seq,
                                     std::size_t L) {
-  cpu::MsvFilter& f = msv_filter(w);
-  if (empty_no_hit(L)) return {};
-  ++workers_[w].load.msv_calls;
-  workers_[w].load.residues += L;
-  return f.score(seq, L);
+  return msv_filter(w).score(seq, L);
 }
 
 cpu::FilterResult BatchScanner::msv(std::size_t w, bio::PackedResidues seq,
                                     std::size_t L) {
-  cpu::MsvFilter& f = msv_filter(w);
-  if (empty_no_hit(L)) return {};
-  ++workers_[w].load.msv_calls;
-  workers_[w].load.residues += L;
-  return f.score(seq, L);
+  return msv_filter(w).score(seq, L);
 }
 
 cpu::FilterResult BatchScanner::vit(std::size_t w, const std::uint8_t* seq,
                                     std::size_t L) {
-  FINEHMM_CHECK(w < workers_.size(), "worker id out of range");
+  cpu::VitFilter& f = vit_filter(w);
   if (empty_no_hit(L)) return {};
-  ++workers_[w].load.vit_calls;
-  workers_[w].load.residues += L;
-  return workers_[w].vit.score(seq, L);
+  return f.score(seq, L);
 }
 
 float BatchScanner::fwd(std::size_t w, const std::uint8_t* seq,
                         std::size_t L) {
   cpu::FwdFilter& f = fwd_filter(w);
   if (empty_no_hit(L)) return cpu::FilterResult{}.score_nats;
-  ++workers_[w].load.fwd_calls;
-  workers_[w].load.residues += L;
   return f.score(seq, L);
 }
 
@@ -123,8 +101,6 @@ float BatchScanner::decode(std::size_t w, const std::uint8_t* seq,
     mocc.clear();
     return cpu::FilterResult{}.score_nats;
   }
-  ++workers_[w].load.bwd_calls;
-  workers_[w].load.residues += L;
   return f.decode(seq, L, mocc);
 }
 

@@ -5,16 +5,19 @@
 // serializes threads in the allocator.  BatchScanner owns, per worker,
 // every piece of mutable filter state the cascade needs — MSV/SSV byte
 // rows, Viterbi word stripes, Forward float stripes and the checkpointed
-// Backward workspace — sized once at construction (decode workspace grown
-// monotonically), so scoring a sequence is allocation-free no matter
-// which engine (serial, ThreadPool, or MultiSearch) drives it.
+// Backward workspace — built on the worker's first call of that stage
+// (decode workspace grown monotonically), so scoring a sequence is
+// allocation-free once a stage is warm, no matter which engine (serial,
+// ThreadPool, or MultiSearch) drives it.
 //
-// The parameter stripings for the resolved tier are built once and shared
-// across all workers (the MSV model's one-member cpu::FusedMsvGroup,
-// cpu::VitStripes / FwdStripes): model parameters are immutable during a
-// scan, only DP state is per-worker.  This mirrors the paper's GPU
-// decomposition — one read-only model in constant/shared memory, one DP
-// slice per warp.
+// The parameter stripings for the resolved tier are built once, by
+// whichever worker asks first, and shared across all workers (the MSV
+// model's one-member cpu::FusedMsvGroup, cpu::VitStripes / FwdStripes):
+// model parameters are immutable during a scan, only DP state is
+// per-worker.  This mirrors the paper's GPU decomposition — one
+// read-only model in constant/shared memory, one DP slice per warp.
+// Work accounting is the driving engine's job: BatchScanner counts
+// nothing.
 #pragma once
 
 #include <cstddef>
@@ -40,11 +43,12 @@ class BatchScanner {
  public:
   /// State for `workers` concurrent scanners over one model's profiles.
   /// `fwd` may be nullptr when the caller never runs the Forward stage.
-  /// Byte-stage state (the shared MSV group and the worker's row) is
-  /// built on a worker's first ssv()/msv(), so a many-query sweep that
-  /// scores a query through a fused group never builds it; Forward state
-  /// likewise on a worker's first fwd()/decode(), so the sweep pays for
-  /// it only on queries that have a Viterbi survivor.  All
+  /// Every stage follows one rule: its shared striping and the worker's
+  /// filter are built on that worker's first call of the stage.  The
+  /// byte stage on the first ssv()/msv() (a sweep that scores queries
+  /// through its own fuse groups never builds it), Viterbi on the first
+  /// vit(), Forward on the first fwd()/decode() — so a many-query sweep
+  /// pays for the word stages only on queries that have a survivor.  All
   /// workers score through the same resolved SIMD tier, so results are
   /// identical regardless of which worker scored which sequence.
   BatchScanner(const profile::MsvProfile& msv, const profile::VitProfile& vit,
@@ -85,20 +89,6 @@ class BatchScanner {
   cpu::FilterResult msv(std::size_t w, bio::PackedResidues seq,
                         std::size_t L);
 
-  /// Per-worker scoring workload, counted unconditionally (two integer
-  /// bumps per call — each worker only ever touches its own slot, so
-  /// there is no contention and nothing to synchronize).  The obs
-  /// telemetry layer reads these at drain to attribute work to threads.
-  struct WorkerLoad {
-    std::uint64_t ssv_calls = 0, msv_calls = 0, vit_calls = 0, fwd_calls = 0;
-    std::uint64_t bwd_calls = 0;  // checkpointed decode() invocations
-    std::uint64_t residues = 0;   // summed over every call, all stages
-    std::uint64_t calls() const {
-      return ssv_calls + msv_calls + vit_calls + fwd_calls + bwd_calls;
-    }
-  };
-  const WorkerLoad& load(std::size_t w) const { return workers_[w].load; }
-
  private:
   /// One stage's model side: the striping every worker's filter reads,
   /// built once, by whichever worker asks first.
@@ -113,18 +103,19 @@ class BatchScanner {
   Filter& filter(std::optional<Filter>& slot,
                  Shared<Stripes, Profile>& shared, int lanes);
   cpu::MsvFilter& msv_filter(std::size_t w);  // MSV and SSV
+  cpu::VitFilter& vit_filter(std::size_t w);
   cpu::FwdFilter& fwd_filter(std::size_t w);
 
   struct Worker {
     std::optional<cpu::MsvFilter> msv;
-    cpu::VitFilter vit;
+    std::optional<cpu::VitFilter> vit;
     std::optional<cpu::FwdFilter> fwd;
-    WorkerLoad load;
   };
 
   cpu::SimdTier tier_;
   const cpu::backend::TierKernels* ops_;
   Shared<cpu::FusedMsvGroup, profile::MsvProfile> msv_;
+  Shared<cpu::VitStripes, profile::VitProfile> vit_;
   Shared<cpu::FwdStripes, profile::FwdProfile> fwd_;
   std::vector<Worker> workers_;
 };

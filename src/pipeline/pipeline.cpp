@@ -73,9 +73,9 @@ bool byte_gate(const stats::Gumbel& null, double p_max, cpu::FilterResult r,
              p_max;
 }
 
-// The byte filters consume either representation without a decode: the
-// packed overloads instantiate the identical kernel loop, so the branch
-// here cannot change a score.
+// run_cpu's byte filters consume either representation without a
+// decode: the packed overloads instantiate the identical kernel loop, so
+// the branch here cannot change a score.
 cpu::FilterResult ssv_score(BatchScanner& scanner, std::size_t w,
                             ScanSource src, std::size_t s, std::size_t L) {
   return src.zero_copy() ? scanner.ssv(w, src.packed(s), L)
@@ -178,6 +178,8 @@ bool rescore_survivor(const HmmSearch& hs, BatchScanner& scanner,
 
 struct alignas(64) WorkerClock {
   double stage_s[obs::kStageCount] = {};
+  /// (query, non-empty sequence) pairs this worker scored, per stage.
+  std::uint64_t items[obs::kStageCount] = {};
   std::uint64_t rescues = 0;        // help-first rescores (full ring)
   std::uint64_t decoded_bytes = 0;  // residues unpacked for word stages
 };
@@ -194,7 +196,8 @@ std::uint64_t packed_stream_bytes(const ScanSource& src) {
 /// byte accounting, and one row per active stage totalled over the
 /// scan's `k` queries (wall == busy; the sweep core zeroes the walls).
 /// The byte stages are one pass shared by every query, so their row
-/// takes the common per-query time; the word stages sum.
+/// takes that pass's time, the largest per-query time (a query without
+/// SSV reads 0 there); the word stages sum.
 obs::ScanTelemetry make_telemetry(const ScanSource& src, std::size_t threads,
                                   const SearchResult* results, std::size_t k,
                                   double wall_s, bool use_ssv, bool use_bwd) {
@@ -217,9 +220,9 @@ obs::ScanTelemetry make_telemetry(const ScanSource& src, std::size_t threads,
       st.n_in += s.n_in;
       st.n_passed += s.n_passed;
       st.cells += s.cells;
-      if (!shared) st.busy_seconds += s.seconds;
+      st.busy_seconds = shared ? std::max(st.busy_seconds, s.seconds)
+                               : st.busy_seconds + s.seconds;
     }
-    if (shared) st.busy_seconds = (results[0].*stage).seconds;
     st.wall_seconds = st.busy_seconds;
     t.stages.push_back(std::move(st));
   };
@@ -231,29 +234,21 @@ obs::ScanTelemetry make_telemetry(const ScanSource& src, std::size_t threads,
   return t;
 }
 
-/// Per-thread rows from the engine clocks, the scanners' per-worker call
-/// counts, and (when tracing) the recorder's span tallies.
+/// Per-thread rows from the engine clocks and (when tracing) the
+/// recorder's span tallies.
 void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
-                  const WorkerClock* clocks,
-                  const std::vector<const BatchScanner*>& scanners,
-                  const obs::Recorder* rec) {
+                  const WorkerClock* clocks, const obs::Recorder* rec) {
   t.per_thread.resize(crew);
   for (std::size_t w = 0; w < crew; ++w) {
     obs::ThreadTelemetry& row = t.per_thread[w];
     row.thread = static_cast<std::uint32_t>(w);
-    for (int s = 0; s < obs::kStageCount; ++s)
+    for (int s = 0; s < obs::kStageCount; ++s) {
       row.stage_busy_seconds[s] = clocks[w].stage_s[s];
+      row.stage_items[s] = clocks[w].items[s];
+      row.sequences_scored += clocks[w].items[s];
+    }
     row.help_first_rescues = clocks[w].rescues;
     row.decoded_bytes = clocks[w].decoded_bytes;
-    for (const BatchScanner* scanner : scanners) {
-      const auto& load = scanner->load(w);
-      row.sequences_scored += load.calls();
-      row.stage_items[kSsv] += load.ssv_calls;
-      row.stage_items[kMsv] += load.msv_calls;
-      row.stage_items[kVit] += load.vit_calls;
-      row.stage_items[kFwd] += load.fwd_calls;
-      row.stage_items[kBwd] += load.bwd_calls;
-    }
     if (rec != nullptr && w < rec->threads()) {
       row.spans = rec->log_at(w).events().size();
       row.spans_dropped =
@@ -265,10 +260,10 @@ void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
 
 // --- Sweep core state ----------------------------------------------------
 
-/// One fuse group of the plan: a shared lane-packed table plus one
-/// filter (DP state) per worker.
+/// One byte-stage group of queries: a shared lane-packed table plus one
+/// filter (DP state) per worker.  A plan's fuse group, or one query alone.
 struct FuseGroup {
-  const std::vector<std::size_t>* members = nullptr;
+  std::vector<std::size_t> members;  // query indices, table member order
   std::unique_ptr<cpu::FusedMsvGroup> table;
   std::vector<std::unique_ptr<cpu::FusedMsvFilter>> filters;
   bool any_ssv = false;
@@ -300,6 +295,7 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
   Timer total;
   Timer timer;
   BatchScanner scanner(msv_, vit_, &fwd_, /*workers=*/1);
+  WorkerClock clock;  // the one worker's busy time and items
 
   // ---- Stage 0 (optional): SSV pre-filter ----
   // Zero-length sequences cannot match; every engine counts them into the
@@ -311,6 +307,7 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
     for (std::size_t s = 0; s < src.size(); ++s) {
       const std::size_t L = src.length(s);
       if (L == 0) continue;
+      ++clock.items[kSsv];
       out.ssv.cells += static_cast<double>(L) * msv_.length();
       if (byte_gate(stats_.ssv, thr_.ssv_p, ssv_score(scanner, 0, src, s, L),
                     L))
@@ -332,6 +329,7 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
     for (std::size_t s : candidates) {
       const std::size_t L = src.length(s);
       if (L == 0) continue;
+      ++clock.items[kMsv];
       out.msv.cells += static_cast<double>(L) * msv_.length();
       if (byte_gate(stats_.msv, thr_.msv_p, msv_score(scanner, 0, src, s, L),
                     L))
@@ -372,14 +370,17 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
                                    thr_.use_ssv_prefilter,
                                    thr_.define_domains);
     out.telemetry->engine = "cpu_serial";
-    // Serial engine: one thread, busy == wall per stage.
-    WorkerClock clock;
+    // Serial engine: one thread, busy == wall per stage.  Every word-stage
+    // entrant is one scored (non-empty) sequence.
+    clock.items[kVit] = out.vit.n_in;
+    clock.items[kFwd] = out.fwd.n_in;
+    clock.items[kBwd] = out.bwd.n_in;
     clock.stage_s[kSsv] = out.ssv.seconds;
     clock.stage_s[kMsv] = out.msv.seconds;
     clock.stage_s[kVit] = out.vit.seconds;
     clock.stage_s[kFwd] = out.fwd.seconds;
     clock.stage_s[kBwd] = out.bwd.seconds;
-    fill_threads(*out.telemetry, 1, &clock, {&scanner}, rec);
+    fill_threads(*out.telemetry, 1, &clock, rec);
   }
   return out;
 }
@@ -457,28 +458,45 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
   FH_REQUIRE(schedule->order.size() == n,
              "scan schedule built for a different database");
 
-  // Per-query scanners own each query's DP state per worker; model
-  // parameters are immutable and shared across the crew.  Every worker
-  // can run any stage of any query; the Forward state is built on a
-  // worker's first Forward call, so queries without survivors skip it.
+  // Per-query scanners own each query's word-stage DP state per worker;
+  // model parameters are immutable and shared across the crew.  Every
+  // worker can run any stage of any query; Viterbi and Forward state are
+  // built on a worker's first call, so queries without survivors skip it.
   std::vector<std::unique_ptr<BatchScanner>> scanners;
-  std::vector<const BatchScanner*> scanner_views;
   bool any_ssv = false, any_domains = false;
   for (const HmmSearch* hs : queries) {
     scanners.push_back(
         std::make_unique<BatchScanner>(hs->msv_, hs->vit_, &hs->fwd_, crew));
-    scanner_views.push_back(scanners.back().get());
     any_ssv = any_ssv || hs->thr_.use_ssv_prefilter;
     any_domains = any_domains || hs->thr_.define_domains;
   }
 
-  // Byte-stage routing: each fuse group scores its members through one
-  // shared lane-packed table; every other query through its own scanner.
+  // Byte-stage routing: every query's SSV/MSV runs through one fuse
+  // group — the plan's groups as planned, every other query as a
+  // one-member group (the single-model striped layout) — so one loop per
+  // stage scores them all through the one byte-stage kernel.
+  const int lane_width = active_u8_lanes();
   std::vector<FuseGroup> groups;
-  std::vector<std::size_t> solo;
   std::vector<SweepWorker> workers(crew);
+  const auto add_group = [&](std::vector<std::size_t> members,
+                             std::unique_ptr<cpu::FusedMsvGroup> table) {
+    FuseGroup& g = groups.emplace_back();
+    g.members = std::move(members);
+    g.table = std::move(table);
+    for (std::size_t w = 0; w < crew; ++w)
+      g.filters.push_back(std::make_unique<cpu::FusedMsvFilter>(*g.table));
+    for (std::size_t q : g.members)
+      g.any_ssv = g.any_ssv || queries[q]->thr_.use_ssv_prefilter;
+    for (SweepWorker& me : workers)
+      if (me.group_scores.size() < g.members.size())
+        me.group_scores.resize(g.members.size());
+  };
+  const auto add_alone = [&](std::size_t q) {
+    add_group({q}, std::make_unique<cpu::FusedMsvGroup>(queries[q]->msv_,
+                                                        lane_width));
+  };
   if (plan != nullptr) {
-    FH_REQUIRE(plan->lane_width == active_u8_lanes(),
+    FH_REQUIRE(plan->lane_width == lane_width,
                "fuse plan built for a different lane width");
     std::vector<std::uint8_t> seen(k, 0);
     const auto mark = [&](std::size_t q) {
@@ -487,30 +505,22 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
       seen[q] = 1;
     };
     for (const hmm::GroupShape& shape : plan->groups) {
-      FuseGroup g;
-      g.members = &shape.members;
       std::vector<const profile::MsvProfile*> profs;
       for (std::size_t q : shape.members) {
         mark(q);
         profs.push_back(&queries[q]->msv_);
-        g.any_ssv = g.any_ssv || queries[q]->thr_.use_ssv_prefilter;
       }
-      g.table = std::make_unique<cpu::FusedMsvGroup>(
-          std::move(profs), plan->lane_width, shape.Q);
-      for (std::size_t w = 0; w < crew; ++w)
-        g.filters.push_back(std::make_unique<cpu::FusedMsvFilter>(*g.table));
-      for (SweepWorker& me : workers)
-        if (me.group_scores.size() < shape.members.size())
-          me.group_scores.resize(shape.members.size());
-      groups.push_back(std::move(g));
+      add_group(shape.members, std::make_unique<cpu::FusedMsvGroup>(
+                                   std::move(profs), lane_width, shape.Q));
     }
-    for (std::size_t q : plan->unfused) mark(q);
+    for (std::size_t q : plan->unfused) {
+      mark(q);
+      add_alone(q);
+    }
     FH_REQUIRE(std::find(seen.begin(), seen.end(), 0) == seen.end(),
                "fuse plan misses a model");
-    solo = plan->unfused;
   } else {
-    solo.resize(k);
-    std::iota(solo.begin(), solo.end(), std::size_t{0});
+    for (std::size_t q = 0; q < k; ++q) add_alone(q);
   }
   for (SweepWorker& me : workers) {
     me.passed.reserve(k);
@@ -547,30 +557,38 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
     const HmmSearch& hs = *queries[q];
     BatchScanner& scanner = *scanners[q];
     SweepWorker& me = workers[w];
+    WorkerClock& clock = clocks[w];
     const std::size_t L = src.length(s);
     const std::uint8_t* codes = src.fetch_codes(s, me.words.codes.data());
-    if (src.zero_copy()) clocks[w].decoded_bytes += L;
+    if (src.zero_copy()) clock.decoded_bytes += L;
     Survivor& sv = me.found.emplace_back();
     sv.key = key;
     Timer t;
     const cpu::FilterResult r = scanner.vit(w, codes, L);
     sv.stage_s[kVit] = t.seconds();
+    ++clock.items[kVit];
     const float bits = hmm::nats_to_bits(r.score_nats, static_cast<int>(L));
     if (hs.stats_.vit_pvalue(bits) <= hs.thr_.vit_p) {
       sv.vit_pass = true;
       sv.hit.vit_bits = bits;
       sv.reported = rescore_survivor(hs, scanner, w, me.words, src, s, codes,
                                      sv.hit, sv.stage_s);
+      ++clock.items[kFwd];
+      // rescore_survivor decodes exactly the reported hits of a query
+      // that defines domains.
+      if (sv.reported && hs.thr_.define_domains) ++clock.items[kBwd];
     }
     for (int st = 0; st < obs::kStageCount; ++st)
-      clocks[w].stage_s[st] += sv.stage_s[st];
+      clock.stage_s[st] += sv.stage_s[st];
   };
 
   // The byte stage of sequence s for every query: SSV for all queries
-  // that use it, then MSV for every query SSV kept.  Per query the gate
-  // decisions are exactly run_cpu's, so the replay reproduces its hits.
+  // that use it, then MSV for every query SSV kept, one fuse group at a
+  // time.  Per query the gate decisions are exactly run_cpu's, so the
+  // replay reproduces its hits.
   const auto byte_stage = [&](std::size_t w, std::size_t s) {
     SweepWorker& me = workers[w];
+    WorkerClock& clock = clocks[w];
     const std::size_t L = src.length(s);
     if (L == 0) {
       // Zero-length sequences fail the first active stage unscored.
@@ -588,47 +606,45 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
     };
     Timer t;
     if (any_ssv) {
-      const auto gate = [&](std::size_t q, cpu::FilterResult r) {
-        const HmmSearch& hs = *queries[q];
-        if (!byte_gate(hs.stats_.ssv, hs.thr_.ssv_p, r, L))
-          ssv_keep[q * n + s] = 0;
-      };
       for (FuseGroup& g : groups) {
         if (!g.any_ssv) continue;
         const cpu::FilterResult* r = fused(*g.filters[w], true);
-        for (std::size_t i = 0; i < g.members->size(); ++i)
-          if (ssv_on((*g.members)[i])) gate((*g.members)[i], r[i]);
+        for (std::size_t i = 0; i < g.members.size(); ++i) {
+          const std::size_t q = g.members[i];
+          if (!ssv_on(q)) continue;
+          ++clock.items[kSsv];
+          const HmmSearch& hs = *queries[q];
+          if (!byte_gate(hs.stats_.ssv, hs.thr_.ssv_p, r[i], L))
+            ssv_keep[q * n + s] = 0;
+        }
       }
-      for (std::size_t q : solo)
-        if (ssv_on(q)) gate(q, ssv_score(*scanners[q], w, src, s, L));
-      clocks[w].stage_s[kSsv] += t.seconds();
+      clock.stage_s[kSsv] += t.seconds();
       t.reset();
     }
     me.passed.clear();
     const auto live = [&](std::size_t q) { return ssv_keep[q * n + s] != 0; };
-    const auto gate = [&](std::size_t q, cpu::FilterResult r) {
-      const HmmSearch& hs = *queries[q];
-      if (!byte_gate(hs.stats_.msv, hs.thr_.msv_p, r, L)) return;
-      msv_keep[q * n + s] = 1;
-      me.passed.push_back(static_cast<std::uint32_t>(q));
-    };
     for (FuseGroup& g : groups) {
-      if (std::none_of(g.members->begin(), g.members->end(), live))
+      if (std::none_of(g.members.begin(), g.members.end(), live))
         continue;  // every member shed by SSV
       const cpu::FilterResult* r = fused(*g.filters[w], false);
-      for (std::size_t i = 0; i < g.members->size(); ++i)
-        if (live((*g.members)[i])) gate((*g.members)[i], r[i]);
+      for (std::size_t i = 0; i < g.members.size(); ++i) {
+        const std::size_t q = g.members[i];
+        if (!live(q)) continue;
+        ++clock.items[kMsv];
+        const HmmSearch& hs = *queries[q];
+        if (!byte_gate(hs.stats_.msv, hs.thr_.msv_p, r[i], L)) continue;
+        msv_keep[q * n + s] = 1;
+        me.passed.push_back(static_cast<std::uint32_t>(q));
+      }
     }
-    for (std::size_t q : solo)
-      if (live(q)) gate(q, msv_score(*scanners[q], w, src, s, L));
-    clocks[w].stage_s[kMsv] += t.seconds();
+    clock.stage_s[kMsv] += t.seconds();
 
     for (std::uint32_t q : me.passed) {
       const std::uint64_t key = std::uint64_t{q} << 32 | s;
       while (!queue.try_push(key)) {
         std::uint64_t other;
         if (queue.try_pop(other)) {
-          ++clocks[w].rescues;
+          ++clock.rescues;
           rescore(w, other);
         }
       }
@@ -751,7 +767,7 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
   for (std::size_t b = 0; b < schedule->bucket_sequences.size(); ++b)
     t.buckets.push_back(obs::BucketTelemetry{schedule->bucket_sequences[b],
                                              schedule->bucket_residues[b]});
-  fill_threads(t, crew, clocks.data(), scanner_views, rec);
+  fill_threads(t, crew, clocks.data(), rec);
   return out;
 }
 

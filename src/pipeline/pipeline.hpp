@@ -194,10 +194,12 @@ class HmmSearch {
   /// (docs/server.md) — and, with a `plan`, the hmmscan dual: short
   /// models lane-packed into shared group tables (cpu::FusedMsvGroup) so
   /// one SSV/MSV sweep scores a whole group per sequence (see
-  /// plan_fusion); an unfused query's byte stage is the same kernel on a
-  /// one-member group.  `schedule` may pass a cached length-bucketed order
+  /// plan_fusion).  Every other query (every query, without a plan) rides
+  /// the same byte-stage loop as a one-member group, so the sweep has one
+  /// SSV/MSV path.  `schedule` may pass a cached length-bucketed order
   /// for `src`; null builds it.  `rec` attaches span tracing; the
-  /// telemetry snapshot is filled either way.
+  /// telemetry snapshot is filled either way, its per-thread rows counting
+  /// the (query, sequence) pairs each worker scored per stage.
   static CoalescedScan run_cpu_coalesced(
       const std::vector<const HmmSearch*>& searches, ScanSource src,
       ThreadPool& pool, const hmm::FusePlan* plan = nullptr,
@@ -218,7 +220,9 @@ class HmmSearch {
       std::optional<gpu::ParamPlacement> placement = std::nullopt) const;
 
  private:
-  /// The sweep core behind run_cpu_overlapped and run_cpu_coalesced.
+  /// The sweep core behind run_cpu_overlapped and run_cpu_coalesced: the
+  /// byte stage over fuse groups (one-member groups for unfused queries),
+  /// the word stages through one BatchScanner per query.
   static CoalescedScan sweep(const std::vector<const HmmSearch*>& queries,
                              ScanSource src, ThreadPool& pool,
                              const hmm::FusePlan* plan,

@@ -28,6 +28,8 @@
 #include "hmm/model_group.hpp"
 #include "hmm/profile.hpp"
 #include "hmm/sampler.hpp"
+#include "obs/recorder.hpp"
+#include "obs/telemetry.hpp"
 #include "pipeline/multi_search.hpp"
 #include "pipeline/report.hpp"
 #include "profile/msv_profile.hpp"
@@ -621,6 +623,42 @@ TEST_P(CoalescedDifferential, EveryQueryMatchesRunCpu) {
   EXPECT_GT(reported, 0u);
   EXPECT_GT(alignments, 0u);
   EXPECT_GT(domains, 0u);
+
+  // Per-thread items count every (query, non-empty sequence) pair a stage
+  // scored on that worker — fused members as much as one-member groups —
+  // so they sum back to the stage counts.  Zero-length sequences enter
+  // the first active stage unscored.
+  std::size_t empties = 0;
+  for (std::size_t s = 0; s < src.size(); ++s)
+    empties += src.length(s) == 0 ? 1 : 0;
+  constexpr int kSsv = static_cast<int>(obs::Stage::kSsv);
+  constexpr int kMsv = static_cast<int>(obs::Stage::kMsv);
+  constexpr int kVit = static_cast<int>(obs::Stage::kVit);
+  constexpr int kFwd = static_cast<int>(obs::Stage::kFwd);
+  constexpr int kBwd = static_cast<int>(obs::Stage::kBwd);
+  std::uint64_t want[obs::kStageCount] = {};
+  for (std::size_t q = 0; q < ptrs.size(); ++q) {
+    const pipeline::SearchResult& got = scan.per_model[q];
+    const bool ssv = ptrs[q]->thresholds().use_ssv_prefilter;
+    if (ssv) want[kSsv] += got.ssv.n_in - empties;
+    want[kMsv] += got.msv.n_in - (ssv ? 0 : empties);
+    want[kVit] += got.vit.n_in;
+    want[kFwd] += got.fwd.n_in;
+    want[kBwd] += got.bwd.n_in;
+  }
+  const auto& rows = scan.telemetry.per_thread;
+  ASSERT_EQ(rows.size(), pool.workers());
+  std::uint64_t items[obs::kStageCount] = {};
+  for (const obs::ThreadTelemetry& row : rows) {
+    std::uint64_t row_items = 0;
+    for (int st = 0; st < obs::kStageCount; ++st) {
+      items[st] += row.stage_items[st];
+      row_items += row.stage_items[st];
+    }
+    EXPECT_EQ(row.sequences_scored, row_items) << "thread " << row.thread;
+  }
+  for (int st : {kSsv, kMsv, kVit, kFwd, kBwd})
+    EXPECT_EQ(items[st], want[st]) << "stage " << st;
   if (mapped) std::remove(path.c_str());
 }
 

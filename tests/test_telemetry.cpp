@@ -501,6 +501,30 @@ TEST(EngineTelemetry, PerThreadMergeMatchesGlobalTotals) {
   EXPECT_GT(t.wall_seconds, 0.0);
 }
 
+TEST(EngineTelemetry, SharedByteRowsReadTheSweepWhicheverQueryComesFirst) {
+  // Query 0 skips SSV, query 1 runs it: the shared ssv row is the one
+  // pass's busy time, not query 0's zero.
+  TelemetryFixture fx(120, 2000);
+  pipeline::Thresholds off, on;
+  on.use_ssv_prefilter = true;
+  const pipeline::HmmSearch first(fx.model, off);
+  const pipeline::HmmSearch second(fx.model, first.model_stats(), on);
+  ThreadPool pool(3);
+  const auto scan =
+      pipeline::HmmSearch::run_cpu_coalesced({&first, &second}, fx.db, pool);
+  for (const obs::Stage stage : {obs::Stage::kSsv, obs::Stage::kMsv}) {
+    const auto* row = scan.telemetry.stage(obs::stage_name(stage));
+    ASSERT_NE(row, nullptr);
+    double per_thread_sum = 0.0;
+    for (const auto& th : scan.telemetry.per_thread)
+      per_thread_sum += th.stage_busy_seconds[static_cast<int>(stage)];
+    EXPECT_GT(row->busy_seconds, 0.0) << row->stage;
+    EXPECT_NEAR(row->busy_seconds, per_thread_sum,
+                1e-9 * (1.0 + per_thread_sum))
+        << row->stage;
+  }
+}
+
 TEST(EngineTelemetry, OverlappedHitsMatchSerialWithRecorderAttached) {
   TelemetryFixture fx;
   pipeline::HmmSearch search(fx.model);

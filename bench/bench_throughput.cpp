@@ -122,17 +122,17 @@ void check_hits_match(const pipeline::SearchResult& a,
 }
 
 /// Telemetry sections of the emitted JSON: one ScanTelemetry snapshot of
-/// the overlapped scan, plus the disabled-recorder overhead measurement.
+/// the overlapped scan, plus the span-tracing overhead measurement.
 struct TelemetryReport {
   std::optional<obs::ScanTelemetry> snapshot;  // overlapped, max threads
-  double baseline_seconds = 0;  // no recorder attached (best-of-3)
-  double disabled_seconds = 0;  // disabled recorder attached (best-of-3)
-  /// Fractional slowdown of the disabled-telemetry path; the roadmap's
-  /// guard is < 2%.  Negative values are measurement noise.
-  double disabled_overhead() const {
-    return obs::valid_rate(disabled_seconds, baseline_seconds)
+  double baseline_seconds = 0;  // no recorder attached (best-of-5)
+  double tracing_seconds = 0;   // tracing recorder attached (best-of-5)
+  /// Fractional slowdown of span tracing; the roadmap's guard is < 2%.
+  /// Negative values are measurement noise.
+  double tracing_overhead() const {
+    return obs::valid_rate(tracing_seconds, baseline_seconds)
                // finehmm-lint: allow(unguarded-rate) -- valid_rate-guarded
-               ? disabled_seconds / baseline_seconds - 1.0
+               ? tracing_seconds / baseline_seconds - 1.0
                : 0.0;
   }
 };
@@ -219,46 +219,41 @@ std::vector<PipelineRecord> bench_pipeline(double scale, int M,
                 obs::safe_rate(heap.seconds, stream.seconds), stream.hits);
   }
 
-  // Telemetry overhead guard: the overlapped scan at max threads with no
-  // recorder vs. a disabled recorder attached — the disabled path must
-  // cost < 2% (the instrumentation reduces to one pointer test per
-  // site).  Then one enabled run captures the snapshot for the report.
+  // Span-tracing overhead guard: the overlapped scan at max threads with
+  // no recorder vs. a tracing recorder attached must cost < 2%.  Each
+  // traced run gets a fresh recorder whose logs are built before the
+  // clock starts, so the timed region holds only the span recording.
+  // Every engine fills its telemetry either way; the last traced run's
+  // snapshot goes into the report.
   {
     const std::size_t threads = thread_counts.back();
     bio::MappedSeqDb mapped(path);
-    obs::RecorderConfig rcfg;
-    rcfg.enabled = false;
-    obs::Recorder disabled(rcfg);
     auto timed_run = [&](obs::Recorder* rec) {
       search.set_recorder(rec);
       Timer t;
       auto r = search.run_cpu_overlapped(mapped, threads);
       const double s = t.seconds();
       search.set_recorder(nullptr);
-      (void)r;
+      tel.snapshot = std::move(r.telemetry);
       return s;
     };
     // Interleaved pairs (first is warm-up): clock ramp and cache drift
     // hit both arms equally, so the smoke-scale comparison isn't
     // dominated by which arm happened to run first.
-    double base_best = 0, dis_best = 0;
+    double base_best = 0, trace_best = 0;
     for (int rep = 0; rep < 6; ++rep) {
       const double b = timed_run(nullptr);
-      const double d = timed_run(&disabled);
+      obs::Recorder rec;
+      rec.reserve_threads(threads + 1);  // the crew: pool + caller
+      const double d = timed_run(&rec);
       if (rep == 0) continue;
       if (base_best == 0 || b < base_best) base_best = b;
-      if (dis_best == 0 || d < dis_best) dis_best = d;
+      if (trace_best == 0 || d < trace_best) trace_best = d;
     }
     tel.baseline_seconds = base_best;
-    tel.disabled_seconds = dis_best;
-
-    obs::Recorder enabled;
-    search.set_recorder(&enabled);
-    auto traced = search.run_cpu_overlapped(mapped, threads);
-    tel.snapshot = traced.telemetry;
-    search.set_recorder(nullptr);
-    std::printf("telemetry overhead (disabled recorder): %+.2f%%\n",
-                tel.disabled_overhead() * 100.0);
+    tel.tracing_seconds = trace_best;
+    std::printf("telemetry overhead (tracing recorder): %+.2f%%\n",
+                tel.tracing_overhead() * 100.0);
   }
 
   // Always-on histogram guard: the same overlapped scan, with and
@@ -571,12 +566,12 @@ int main(int argc, char** argv) {
   out << "    \"speedup\": " << multi.speedup()
       << ", \"hits_match\": true\n";
   out << "  },\n";
-  // Overhead of the compiled-in-but-disabled telemetry path (roadmap
-  // guard: < 2%), and the overlapped scan's unified snapshot.
+  // Overhead of span tracing (roadmap guard: < 2%), and the overlapped
+  // scan's unified snapshot.
   out << "  \"telemetry_overhead\": {\"baseline_seconds\": "
       << tel.baseline_seconds
-      << ", \"disabled_recorder_seconds\": " << tel.disabled_seconds
-      << ", \"overhead_fraction\": " << tel.disabled_overhead() << "},\n";
+      << ", \"tracing_recorder_seconds\": " << tel.tracing_seconds
+      << ", \"overhead_fraction\": " << tel.tracing_overhead() << "},\n";
   // Per-request histogram + trace-ring bookkeeping (always on in the
   // daemon; roadmap guard: < 2%).
   out << "  \"histogram_overhead\": {\"baseline_seconds\": "

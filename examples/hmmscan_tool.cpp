@@ -11,6 +11,9 @@
 // CPU path lane-packs short models into fused groups (docs/multi_model.md)
 // so one MSV/SSV sweep scores a whole group per sequence; --sequential
 // scans one model at a time (the pre-fusion behaviour, same hits).
+// --threads n sizes the fused sweep's pool: n pool threads (0, the
+// default, = hardware concurrency) plus the calling thread, so n + 1
+// workers.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

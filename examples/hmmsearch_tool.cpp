@@ -13,7 +13,8 @@
 //   -E <evalue>      report threshold (default 10.0)
 //   --max-hits <n>   print at most n hits (default 50)
 //   --threads <n>    scan with the multi-threaded CPU engine (the
-//                    overlapped sweep core) on n threads
+//                    overlapped sweep core): n pool threads plus the
+//                    calling thread, so n + 1 workers
 //   --telemetry <f>  write the unified ScanTelemetry JSON snapshot
 //                    (docs/observability.md) to f
 //   --trace <f>      write a Chrome trace_event JSON (chrome://tracing,
@@ -348,14 +349,10 @@ int main(int argc, char** argv) {
         file_stats ? pipeline::HmmSearch(model, *file_stats, thr)
                    : pipeline::HmmSearch(model, thr);
 
-    // Any observability output wants the recorder attached; span tracing
-    // is only needed for the Chrome trace.
-    const bool want_obs = !telemetry_path.empty() || !trace_path.empty() ||
-                          !stats_json_path.empty();
-    obs::RecorderConfig rcfg;
-    rcfg.tracing = !trace_path.empty();
-    obs::Recorder recorder(rcfg);
-    if (want_obs) search.set_recorder(&recorder);
+    // Every engine fills the telemetry snapshot; only the Chrome trace
+    // needs the span recorder.
+    obs::Recorder recorder;
+    if (!trace_path.empty()) search.set_recorder(&recorder);
 
     pipeline::SearchResult result;
     if (use_gpu) {

@@ -26,20 +26,24 @@ float add_scores(float a, float b) {
   return a + b;
 }
 
-/// Shared MSV dynamic program; loop/move costs supplied by the caller so
-/// the exact and filter-simulation variants share one implementation.
-float msv_dp(const hmm::SearchProfile& prof, const std::uint8_t* seq,
-             std::size_t L, float tloop, float tmove, float final_corr) {
+}  // namespace
+
+float generic_msv_filtersim(const hmm::SearchProfile& prof,
+                            const std::uint8_t* seq, std::size_t L) {
+  FH_REQUIRE(L >= 1, "cannot score an empty sequence");
   const int M = prof.length();
   const float tbm = prof.tsc(0, kPTBM);
   const float tec = std::log(0.5f);
+  // Byte filter: loops are free, -3 nats restored at the end; the N->B
+  // move is charged (tjb) and so is C->T, matching score_from_bytes.
+  // With free loops N stays 0 and C tracks J exactly, so J alone carries
+  // the row-to-row state.
+  const float lf = static_cast<float>(L);
+  const float tmove = std::log(3.0f / (lf + 3.0f));
 
   std::vector<float> mrow(M + 1, kNegInf);
-  float xN = 0.0f;
-  float xB = xN + tmove;
+  float xB = tmove;
   float xJ = kNegInf;
-  float xC = kNegInf;
-
   for (std::size_t i = 0; i < L; ++i) {
     float xE = kNegInf;
     float diag = kNegInf;  // previous row's M(i-1, k-1)
@@ -51,34 +55,10 @@ float msv_dp(const hmm::SearchProfile& prof, const std::uint8_t* seq,
       mrow[k] = sv;
       xE = std::max(xE, sv);
     }
-    xJ = std::max(add_scores(xJ, tloop), add_scores(xE, tec));
-    xC = std::max(add_scores(xC, tloop), add_scores(xE, tec));
-    xN = add_scores(xN, tloop);
-    xB = std::max(add_scores(xN, tmove), add_scores(xJ, tmove));
+    xJ = std::max(xJ, add_scores(xE, tec));
+    xB = std::max(tmove, add_scores(xJ, tmove));
   }
-  return add_scores(xC, tmove) + final_corr;
-}
-
-}  // namespace
-
-float generic_msv(const hmm::SearchProfile& prof, const std::uint8_t* seq,
-                  std::size_t L) {
-  FH_REQUIRE(L >= 1, "cannot score an empty sequence");
-  FH_REQUIRE(hmm::is_local(prof.mode()), "MSV is a local-mode heuristic");
-  float lf = static_cast<float>(L);
-  float tloop = std::log(lf / (lf + 3.0f));
-  float tmove = std::log(3.0f / (lf + 3.0f));
-  return msv_dp(prof, seq, L, tloop, tmove, 0.0f);
-}
-
-float generic_msv_filtersim(const hmm::SearchProfile& prof,
-                            const std::uint8_t* seq, std::size_t L) {
-  FH_REQUIRE(L >= 1, "cannot score an empty sequence");
-  float lf = static_cast<float>(L);
-  float tmove = std::log(3.0f / (lf + 3.0f));
-  // Byte filter: loops are free, -3 nats restored at the end; the N->B
-  // move is charged (tjb) and so is C->T, matching score_from_bytes.
-  return msv_dp(prof, seq, L, 0.0f, tmove, -3.0f);
+  return add_scores(xJ, tmove) - 3.0f;
 }
 
 float generic_viterbi(const hmm::SearchProfile& prof, const std::uint8_t* seq,

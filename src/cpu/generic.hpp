@@ -21,10 +21,6 @@
 
 namespace finehmm::cpu {
 
-/// Exact float MSV score (nats) with the real N/C/J loop costs.
-float generic_msv(const hmm::SearchProfile& prof, const std::uint8_t* seq,
-                  std::size_t L);
-
 /// Float mirror of the *byte* MSV semantics: loop costs treated as free and
 /// the constant -3 nat correction applied, exactly like the 8-bit filter.
 /// The byte filter must approximate this to within quantization error.

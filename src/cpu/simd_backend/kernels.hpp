@@ -149,8 +149,9 @@ inline std::uint8_t span_max(const MsvGroupModel& md,
 /// when some member can move its xB or overflow; the firing row replays
 /// just those members' epilogues.  An overflowed member's span gets
 /// trigger 255 and never fires again; saturated cells cannot cross the
-/// forced-zero padding into the next span.  `row` is Q*N bytes of caller
-/// scratch.
+/// forced-zero padding into the next span.  Once a fire overflows the
+/// last live member no row can fire again, so the sweep stops there.
+/// `row` is Q*N bytes of caller scratch.
 template <class V, class Seq, ByteStage kStage = ByteStage::kMsv>
 void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
                       Seq seq, std::size_t L, std::uint8_t* row) {
@@ -218,10 +219,14 @@ void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
       xEv.store(st.xe);
       xBv.store(st.xb);
       trigv.store(st.trigger);
+      // Members still scoring after this row.  Counted here, not carried
+      // across rows, so the row loop keeps its registers.
+      int live = 0;
       for (int m = 0; m < g.n_models; ++m) {
         const MsvGroupModel& md = g.models[m];
         if (st.overflowed[m]) continue;
         const std::uint8_t xE = span_max(md, st.xe);
+        if (xE < md.sat) ++live;
         if (xE <= st.trigger[md.lane_lo]) continue;
         // Every earlier row sat at or under trig: the fire is this row's.
         FINEHMM_DCHECK(span_max(md, row_xe) == xE,
@@ -238,6 +243,9 @@ void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
         }
         arm(m);
       }
+      // Every member overflowed: no row can fire again, the scores are
+      // settled.
+      if (live == 0) break;
       xBv = V::load(st.xb);
       trigv = V::load(st.trigger);
     }

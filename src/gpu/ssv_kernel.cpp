@@ -66,7 +66,7 @@ void SsvWarpKernel::operator()(WarpContext& ctx, std::size_t item) const {
   bool overflowed = false;
   WarpReg<std::uint8_t> xEv = zerov;
 
-  for (std::uint32_t i = 0; i < L && !overflowed; ++i) {
+  for (std::uint32_t i = 0; i < L; ++i) {
     std::uint32_t sub = i % bio::kResiduesPerWord;
     if (sub == 0) packed = ctx.gmem_read_scalar(&words[i / 6]);
     std::uint8_t res = static_cast<std::uint8_t>(
@@ -93,10 +93,14 @@ void SsvWarpKernel::operator()(WarpContext& ctx, std::size_t item) const {
     }
     // Only the overflow check needs the row maximum (no J feedback).
     std::uint8_t xE = ctx.reduce_max(xEv);
-    if (prof_.overflowed(xE)) overflowed = true;
     ctx.tick_alu(1);
     ctx.counters().residues += 1;
     ctx.counters().cells += static_cast<std::uint64_t>(prof_.length());
+    if (prof_.overflowed(xE)) {
+      // The score is settled: stop scanning, as MsvWarpKernel does.
+      overflowed = true;
+      break;
+    }
   }
 
   float score;

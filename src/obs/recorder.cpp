@@ -1,7 +1,6 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ostream>
 
 namespace finehmm::obs {
@@ -18,60 +17,11 @@ const char* stage_name(Stage s) {
   return "?";
 }
 
-const char* counter_name(Counter c) {
-  switch (c) {
-    case Counter::kSequencesScored: return "sequences_scored";
-    case Counter::kEnqueueStalls: return "enqueue_stalls";
-    case Counter::kHelpFirstRescues: return "help_first_rescues";
-    case Counter::kDecodedBytes: return "decoded_bytes";
-    case Counter::kSpansDropped: return "spans_dropped";
-    case Counter::kCount: break;
-  }
-  return "?";
-}
-
-namespace {
-
-bool env_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("FINEHMM_OBS");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
-  return on;
-}
-
-}  // namespace
-
-Recorder::Recorder(RecorderConfig cfg)
-    : cfg_(cfg),
-      enabled_(cfg.enabled && env_enabled()),
-      epoch_(Clock::now()) {}
-
 void Recorder::reserve_threads(std::size_t n) {
-  if (!enabled_) return;
   while (logs_.size() < n) {
     const auto tid = static_cast<std::uint32_t>(logs_.size());
-    logs_.emplace_back(std::unique_ptr<ThreadLog>(
-        new ThreadLog(tid, cfg_.tracing, cfg_.max_events_per_thread)));
+    logs_.emplace_back(std::unique_ptr<ThreadLog>(new ThreadLog(tid)));
   }
-}
-
-double Recorder::stage_seconds(Stage s) const {
-  double total = 0.0;
-  for (const auto& log : logs_) total += log->stage_seconds(s);
-  return total;
-}
-
-std::uint64_t Recorder::stage_items(Stage s) const {
-  std::uint64_t total = 0;
-  for (const auto& log : logs_) total += log->stage_items(s);
-  return total;
-}
-
-std::uint64_t Recorder::counter(Counter c) const {
-  std::uint64_t total = 0;
-  for (const auto& log : logs_) total += log->counter(c);
-  return total;
 }
 
 std::vector<SpanEvent> Recorder::merged_events() const {
@@ -111,18 +61,6 @@ void Recorder::write_chrome_trace(std::ostream& os) const {
        << ", \"dur\": " << static_cast<double>(e.dur_ns) * 1e-3 << "}";
   }
   os << "\n]}\n";
-}
-
-void Recorder::clear() {
-  for (auto& log : logs_) {
-    for (int s = 0; s < kStageCount; ++s) {
-      log->stage_seconds_[s] = 0.0;
-      log->stage_items_[s] = 0;
-    }
-    for (int c = 0; c < kCounterCount; ++c) log->counters_[c] = 0;
-    log->events_.clear();
-  }
-  epoch_ = Clock::now();
 }
 
 }  // namespace finehmm::obs

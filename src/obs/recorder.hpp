@@ -1,22 +1,18 @@
-// Low-overhead scan telemetry: per-thread span tracing and stage timing.
+// Low-overhead scan tracing: per-thread span logs.
 //
 // The paper's argument is built on fine-grained performance accounting
 // (Fig. 1's stage breakdown, Fig. 9's per-stage speedups, the kernel
-// counter analysis of §V); this module gives the host pipeline the same
-// discipline.  A Recorder owns one ThreadLog per dense worker id.  Each
-// log is written only by its owning worker — no atomics, no locks on the
-// recording path — and merged serially after the crew joins, so per-run
-// aggregates are deterministic regardless of scheduling.
+// counter analysis of §V).  The engines count that work themselves —
+// stage busy time and items land in every SearchResult::telemetry —
+// and this module adds the one thing they do not keep: a timeline.  A
+// Recorder owns one ThreadLog per dense worker id.  Each log is written
+// only by its owning worker — no atomics, no locks on the recording
+// path — and merged serially after the crew joins.
 //
-// Two independent gates keep the cost at zero when unused:
-//   * compile time: building with -DFINEHMM_OBS_ENABLED=0 turns OBS_SPAN
-//     into a no-op statement (nothing is even constructed);
-//   * run time: engines carry a `Recorder*` that defaults to null, and a
-//     constructed Recorder can itself be disabled (or force-disabled via
-//     the FINEHMM_OBS=0 environment variable), in which case log()
-//     returns null and every instrumentation site reduces to one
-//     pointer test.  The disabled path performs no heap allocation,
-//     which tests/test_telemetry.cpp measures rather than asserts.
+// The only switch is whether a recorder is attached: engines carry a
+// `Recorder*` that defaults to null, and every instrumentation site then
+// reduces to one pointer test with no heap allocation, which
+// tests/test_telemetry.cpp measures rather than asserts.
 //
 // Concurrency contract: thread-compatible by partitioning, not by
 // locking — each ThreadLog has exactly one writer (its dense worker id)
@@ -35,10 +31,6 @@
 
 #include "util/check.hpp"
 
-#ifndef FINEHMM_OBS_ENABLED
-#define FINEHMM_OBS_ENABLED 1
-#endif
-
 namespace finehmm::obs {
 
 /// Pipeline stages a worker can bank busy time against.  kBwd is the
@@ -55,17 +47,9 @@ enum class Stage : int {
 inline constexpr int kStageCount = 6;
 const char* stage_name(Stage s);
 
-/// Free-running per-thread counters merged alongside the stage clocks.
-enum class Counter : int {
-  kSequencesScored = 0,  // sequences this worker pushed through any filter
-  kEnqueueStalls,        // try_push rejections this worker observed
-  kHelpFirstRescues,     // survivors rescored by their producer (full ring)
-  kDecodedBytes,         // residues unpacked into scratch for word stages
-  kSpansDropped,         // spans discarded after max_events_per_thread
-  kCount
-};
-inline constexpr int kCounterCount = static_cast<int>(Counter::kCount);
-const char* counter_name(Counter c);
+/// Spans one worker may log per Recorder; later ones are dropped and
+/// counted, so a runaway scan cannot grow the log without bound.
+inline constexpr std::size_t kMaxSpansPerThread = std::size_t{1} << 15;
 
 /// One completed span: a named interval on one worker's timeline, in
 /// nanoseconds since the owning Recorder's epoch.  `name` must outlive
@@ -77,92 +61,51 @@ struct SpanEvent {
   std::int64_t dur_ns = 0;
 };
 
-/// Per-worker telemetry sink.  Only the owning worker may call the
-/// mutating methods; the Recorder reads it after the crew joins.
-/// Cacheline-aligned so adjacent workers' hot counters never share a
-/// line.
+/// Per-worker span log.  Only the owning worker may record into it; the
+/// Recorder reads it after the crew joins.  Cacheline-aligned so
+/// adjacent workers' logs never share a line.
 class alignas(64) ThreadLog {
  public:
-  void add_stage(Stage s, double seconds, std::uint64_t items = 0) {
-    stage_seconds_[static_cast<int>(s)] += seconds;
-    stage_items_[static_cast<int>(s)] += items;
-  }
-  void add(Counter c, std::uint64_t v = 1) {
-    counters_[static_cast<int>(c)] += v;
-  }
-  /// Append a completed span; drops (and counts the drop) beyond the
-  /// configured per-thread event budget, so a runaway scan cannot grow
-  /// the log without bound.
   void record_span(const char* name, std::int64_t start_ns,
                    std::int64_t dur_ns) {
-    if (!tracing_) return;
-    if (events_.size() >= max_events_) {
-      add(Counter::kSpansDropped);
+    if (events_.size() >= kMaxSpansPerThread) {
+      ++spans_dropped_;
       return;
     }
     events_.push_back(SpanEvent{name, thread_, start_ns, dur_ns});
   }
 
   std::uint32_t thread() const noexcept { return thread_; }
-  double stage_seconds(Stage s) const {
-    return stage_seconds_[static_cast<int>(s)];
-  }
-  std::uint64_t stage_items(Stage s) const {
-    return stage_items_[static_cast<int>(s)];
-  }
-  std::uint64_t counter(Counter c) const {
-    return counters_[static_cast<int>(c)];
-  }
   const std::vector<SpanEvent>& events() const noexcept { return events_; }
+  /// Spans discarded past kMaxSpansPerThread.
+  std::uint64_t spans_dropped() const noexcept { return spans_dropped_; }
 
  private:
   friend class Recorder;
-  ThreadLog(std::uint32_t thread, bool tracing, std::size_t max_events)
-      : thread_(thread), tracing_(tracing), max_events_(max_events) {
-    if (tracing_) events_.reserve(std::min<std::size_t>(max_events_, 1024));
+  explicit ThreadLog(std::uint32_t thread) : thread_(thread) {
+    events_.reserve(1024);
   }
 
   std::uint32_t thread_;
-  bool tracing_;
-  std::size_t max_events_;
-  double stage_seconds_[kStageCount] = {};
-  std::uint64_t stage_items_[kStageCount] = {};
-  std::uint64_t counters_[kCounterCount] = {};
+  std::uint64_t spans_dropped_ = 0;
   std::vector<SpanEvent> events_;
 };
 
-struct RecorderConfig {
-  /// Collect SpanEvents (the Chrome trace).  Stage clocks and counters
-  /// are collected either way; tracing only adds the per-span log.
-  bool tracing = true;
-  /// Per-thread span budget; spans past it are dropped and counted.
-  std::size_t max_events_per_thread = std::size_t{1} << 15;
-  /// Master runtime switch; a disabled Recorder hands out null logs.
-  bool enabled = true;
-};
-
-/// Owns the per-thread logs of one or more scans.  Thread-compatible by
-/// construction rather than by locking: reserve_threads() and the
+/// Owns the per-thread span logs of one or more scans.  Thread-compatible
+/// by construction rather than by locking: reserve_threads() and the
 /// merging accessors must be called at serial points (before the crew
 /// starts / after it joins); log(w) is then safe to use concurrently
 /// because distinct workers touch distinct logs.
 class Recorder {
  public:
-  explicit Recorder(RecorderConfig cfg = {});
-
-  /// False when the config disabled it or FINEHMM_OBS=0 is set in the
-  /// environment (checked once per process).
-  bool enabled() const noexcept { return enabled_; }
-  bool tracing() const noexcept { return enabled_ && cfg_.tracing; }
+  Recorder() : epoch_(Clock::now()) {}
 
   /// Ensure logs for workers [0, n) exist.  Serial-point only.
   void reserve_threads(std::size_t n);
   std::size_t threads() const noexcept { return logs_.size(); }
 
-  /// Worker w's log, or null when disabled (every instrumentation site
-  /// must tolerate null).  reserve_threads(w + 1) must have happened.
+  /// Worker w's log; reserve_threads(w + 1) must have happened.
   ThreadLog* log(std::size_t w) {
-    if (!enabled_) return nullptr;
     FINEHMM_CHECK(w < logs_.size(),
                   "worker log requested before reserve_threads covered it");
     return logs_[w].get();
@@ -176,24 +119,16 @@ class Recorder {
         .count();
   }
 
-  // --- Serial-point merges (deterministic: index order, plain sums) ---
-  double stage_seconds(Stage s) const;
-  std::uint64_t stage_items(Stage s) const;
-  std::uint64_t counter(Counter c) const;
-  /// All spans from all threads, sorted by (start, thread).
+  /// All spans from all threads, sorted by (start, thread).  Serial-point
+  /// only.
   std::vector<SpanEvent> merged_events() const;
 
   /// Chrome trace_event JSON ("X" complete events, microsecond
   /// timestamps) — load in chrome://tracing or https://ui.perfetto.dev.
   void write_chrome_trace(std::ostream& os) const;
 
-  /// Drop all collected data but keep the thread slots and the epoch.
-  void clear();
-
  private:
   using Clock = std::chrono::steady_clock;
-  RecorderConfig cfg_;
-  bool enabled_;
   Clock::time_point epoch_;
   // unique_ptr slots: ThreadLog addresses stay stable across
   // reserve_threads growth, so a worker's cached pointer never dangles.
@@ -201,62 +136,36 @@ class Recorder {
 };
 
 /// RAII span: records one SpanEvent on worker `thread` when it goes out
-/// of scope, and optionally banks the elapsed time against a Stage.
-/// Constructing one against a null Recorder (or a disabled one) is a
-/// no-op that touches no memory beyond the object itself.
+/// of scope.  Constructing one against a null Recorder is a no-op that
+/// touches no memory beyond the object itself.
 class ScopedSpan {
  public:
-  ScopedSpan(Recorder* rec, std::size_t thread, const char* name)
-      : ScopedSpan(rec, thread, name, /*stage=*/nullptr) {}
-  ScopedSpan(Recorder* rec, std::size_t thread, const char* name, Stage stage)
-      : ScopedSpan(rec, thread, name, &stage) {}
+  ScopedSpan(Recorder* rec, std::size_t thread, const char* name) {
+    if (rec == nullptr) return;
+    rec_ = rec;
+    log_ = rec->log(thread);
+    name_ = name;
+    start_ns_ = rec->now_ns();
+  }
   ~ScopedSpan() {
     if (!rec_) return;
-    const std::int64_t end = rec_->now_ns();
-    if (has_stage_)
-      log_->add_stage(stage_, static_cast<double>(end - start_ns_) * 1e-9,
-                      items_);
-    log_->record_span(name_, start_ns_, end - start_ns_);
+    log_->record_span(name_, start_ns_, rec_->now_ns() - start_ns_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Work items the span covered (merged into the stage item count).
-  void set_items(std::uint64_t n) { items_ = n; }
-
  private:
-  ScopedSpan(Recorder* rec, std::size_t thread, const char* name,
-             const Stage* stage) {
-    if (rec == nullptr || !rec->enabled()) return;
-    rec_ = rec;
-    log_ = rec->log(thread);
-    name_ = name;
-    if (stage != nullptr) {
-      has_stage_ = true;
-      stage_ = *stage;
-    }
-    start_ns_ = rec->now_ns();
-  }
-
   Recorder* rec_ = nullptr;
   ThreadLog* log_ = nullptr;
   const char* name_ = "";
-  Stage stage_ = Stage::kOther;
-  bool has_stage_ = false;
-  std::uint64_t items_ = 0;
   std::int64_t start_ns_ = 0;
 };
 
 }  // namespace finehmm::obs
 
-// OBS_SPAN(rec, thread, "name"[, stage]): scoped trace span on worker
-// `thread`.  Compiles to nothing under -DFINEHMM_OBS_ENABLED=0.
-#if FINEHMM_OBS_ENABLED
+// OBS_SPAN(rec, thread, "name"): scoped trace span on worker `thread`.
 #define FINEHMM_OBS_CONCAT_(a, b) a##b
 #define FINEHMM_OBS_CONCAT(a, b) FINEHMM_OBS_CONCAT_(a, b)
-#define OBS_SPAN(rec, thread, ...)                                  \
+#define OBS_SPAN(rec, thread, name)                                 \
   ::finehmm::obs::ScopedSpan FINEHMM_OBS_CONCAT(obs_span_, __LINE__)( \
-      (rec), (thread), __VA_ARGS__)
-#else
-#define OBS_SPAN(rec, thread, ...) ((void)0)
-#endif
+      (rec), (thread), (name))

@@ -38,8 +38,9 @@ class MultiSearch {
   /// The multi-threaded many-model scan: short models lane-packed into
   /// shared striped group tables so one MSV/SSV sweep scores a whole
   /// group per sequence (HmmSearch::run_cpu_coalesced with a plan).  Hits
-  /// are bit-identical to run_cpu per model.  `threads` = 0 picks
-  /// hardware concurrency.  `plan` may pass a cached group shape (null
+  /// are bit-identical to run_cpu per model.  The sweep runs `threads`
+  /// pool threads (0 = hardware concurrency) plus the calling thread, so
+  /// threads + 1 workers.  `plan` may pass a cached group shape (null
   /// auto-tunes through plan_fusion); `telemetry`, when non-null,
   /// receives the batch snapshot with the fuse.* counters.
   std::vector<ModelResult> run_cpu_fused(

@@ -52,10 +52,6 @@ constexpr int kVit = static_cast<int>(obs::Stage::kVit);
 constexpr int kFwd = static_cast<int>(obs::Stage::kFwd);
 constexpr int kBwd = static_cast<int>(obs::Stage::kBwd);
 
-obs::Recorder* enabled(obs::Recorder* rec) {
-  return rec != nullptr && rec->enabled() ? rec : nullptr;
-}
-
 /// Byte lanes of the active SIMD tier: the width fuse plans pack into.
 int active_u8_lanes() {
   return cpu::backend::tier_kernels(
@@ -170,11 +166,11 @@ bool rescore_survivor(const HmmSearch& hs, BatchScanner& scanner,
 
 // --- Telemetry plumbing -------------------------------------------------
 //
-// Stage busy time is accumulated into per-worker slots (cacheline-sized,
-// written only by the owning worker, merged serially after the crew
-// joins) whether or not a recorder is attached: the sweep core's
-// StageStats::seconds are exactly this merge, so they must not depend on
-// observability being switched on.  The recorder only adds trace spans.
+// Stage busy time and items are accumulated into per-worker slots
+// (cacheline-sized, written only by the owning worker, merged serially
+// after the crew joins) on every run: the sweep core's StageStats::seconds
+// are exactly this merge, and every engine's telemetry reads it.  A
+// recorder only adds trace spans.
 
 struct alignas(64) WorkerClock {
   double stage_s[obs::kStageCount] = {};
@@ -234,8 +230,8 @@ obs::ScanTelemetry make_telemetry(const ScanSource& src, std::size_t threads,
   return t;
 }
 
-/// Per-thread rows from the engine clocks and (when tracing) the
-/// recorder's span tallies.
+/// Per-thread rows from the engine clocks and, with a recorder attached,
+/// its span tallies.
 void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
                   const WorkerClock* clocks, const obs::Recorder* rec) {
   t.per_thread.resize(crew);
@@ -251,8 +247,7 @@ void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
     row.decoded_bytes = clocks[w].decoded_bytes;
     if (rec != nullptr && w < rec->threads()) {
       row.spans = rec->log_at(w).events().size();
-      row.spans_dropped =
-          rec->log_at(w).counter(obs::Counter::kSpansDropped);
+      row.spans_dropped = rec->log_at(w).spans_dropped();
     }
     t.decoded_bytes += row.decoded_bytes;
   }
@@ -290,7 +285,7 @@ struct SweepWorker {
 
 SearchResult HmmSearch::run_cpu(ScanSource src) const {
   SearchResult out;
-  obs::Recorder* rec = enabled(recorder_);
+  obs::Recorder* rec = recorder_;
   if (rec) rec->reserve_threads(1);
   Timer total;
   Timer timer;
@@ -365,23 +360,20 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
 
   forward_stage(src, scanner, vit_pass, vit_bits_pass, out);
 
-  if (rec) {
-    out.telemetry = make_telemetry(src, 1, &out, 1, total.seconds(),
-                                   thr_.use_ssv_prefilter,
-                                   thr_.define_domains);
-    out.telemetry->engine = "cpu_serial";
-    // Serial engine: one thread, busy == wall per stage.  Every word-stage
-    // entrant is one scored (non-empty) sequence.
-    clock.items[kVit] = out.vit.n_in;
-    clock.items[kFwd] = out.fwd.n_in;
-    clock.items[kBwd] = out.bwd.n_in;
-    clock.stage_s[kSsv] = out.ssv.seconds;
-    clock.stage_s[kMsv] = out.msv.seconds;
-    clock.stage_s[kVit] = out.vit.seconds;
-    clock.stage_s[kFwd] = out.fwd.seconds;
-    clock.stage_s[kBwd] = out.bwd.seconds;
-    fill_threads(*out.telemetry, 1, &clock, rec);
-  }
+  out.telemetry = make_telemetry(src, 1, &out, 1, total.seconds(),
+                                 thr_.use_ssv_prefilter, thr_.define_domains);
+  out.telemetry->engine = "cpu_serial";
+  // Serial engine: one thread, busy == wall per stage.  Every word-stage
+  // entrant is one scored (non-empty) sequence.
+  clock.items[kVit] = out.vit.n_in;
+  clock.items[kFwd] = out.fwd.n_in;
+  clock.items[kBwd] = out.bwd.n_in;
+  clock.stage_s[kSsv] = out.ssv.seconds;
+  clock.stage_s[kMsv] = out.msv.seconds;
+  clock.stage_s[kVit] = out.vit.seconds;
+  clock.stage_s[kFwd] = out.fwd.seconds;
+  clock.stage_s[kBwd] = out.bwd.seconds;
+  fill_threads(*out.telemetry, 1, &clock, rec);
   return out;
 }
 
@@ -393,13 +385,10 @@ SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
 
 SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
                                           ThreadPool& pool) const {
-  obs::Recorder* rec = enabled(recorder_);
-  CoalescedScan scan = sweep({this}, src, pool, nullptr, nullptr, rec);
+  CoalescedScan scan = sweep({this}, src, pool, nullptr, nullptr, recorder_);
   SearchResult out = std::move(scan.per_model[0]);
-  if (rec) {
-    scan.telemetry.engine = "cpu_overlapped";
-    out.telemetry = std::move(scan.telemetry);
-  }
+  scan.telemetry.engine = "cpu_overlapped";
+  out.telemetry = std::move(scan.telemetry);
   return out;
 }
 
@@ -410,8 +399,7 @@ HmmSearch::CoalescedScan HmmSearch::run_cpu_coalesced(
   FH_REQUIRE(!searches.empty(), "coalesced scan needs at least one query");
   for (const HmmSearch* hs : searches)
     FH_REQUIRE(hs != nullptr, "coalesced scan given a null query");
-  CoalescedScan out =
-      sweep(searches, src, pool, plan, schedule, enabled(rec));
+  CoalescedScan out = sweep(searches, src, pool, plan, schedule, rec);
   obs::ScanTelemetry& t = out.telemetry;
   t.engine = plan != nullptr ? "cpu_fused" : "cpu_coalesced";
   for (auto& st : t.stages) {
@@ -819,7 +807,7 @@ SearchResult HmmSearch::run_gpu(
   FH_REQUIRE(!devs.empty(), "need at least one device");
   FH_REQUIRE(packed.size() == db.size(), "packed database mismatch");
   SearchResult out;
-  obs::Recorder* rec = enabled(recorder_);
+  obs::Recorder* rec = recorder_;
   if (rec) rec->reserve_threads(1);
   std::vector<std::pair<const char*, simt::PerfCounters>> simt_rows;
   Timer total;
@@ -890,17 +878,14 @@ SearchResult HmmSearch::run_gpu(
   BatchScanner scanner(msv_, vit_, &fwd_, /*workers=*/1);
   forward_stage(db, scanner, vit_pass, vit_bits, out);
 
-  if (rec) {
-    out.telemetry = make_telemetry(db, 1, &out, 1, total.seconds(),
-                                   thr_.use_ssv_prefilter,
-                                   thr_.define_domains);
-    out.telemetry->engine = "gpu_sim";
-    // The SIMT counters ride on the shared stage rows, so device runs
-    // read through the same schema.
-    for (auto& st : out.telemetry->stages)
-      for (const auto& [row, c] : simt_rows)
-        if (st.stage == row) st.counters = obs::counters_kv(c);
-  }
+  out.telemetry = make_telemetry(db, 1, &out, 1, total.seconds(),
+                                 thr_.use_ssv_prefilter, thr_.define_domains);
+  out.telemetry->engine = "gpu_sim";
+  // The SIMT counters ride on the shared stage rows, so device runs read
+  // through the same schema.
+  for (auto& st : out.telemetry->stages)
+    for (const auto& [row, c] : simt_rows)
+      if (st.stage == row) st.counters = obs::counters_kv(c);
   return out;
 }
 
@@ -908,8 +893,7 @@ void HmmSearch::forward_stage(ScanSource src, BatchScanner& scanner,
                               const std::vector<std::size_t>& survivors,
                               const std::vector<float>& vit_bits,
                               SearchResult& out) const {
-  obs::Recorder* rec = enabled(recorder_);
-  OBS_SPAN(rec, 0, "fwd");
+  OBS_SPAN(recorder_, 0, "fwd");
   out.fwd.n_in = survivors.size();
   WordScratch ws;
   if (src.zero_copy()) ws.codes.resize(src.max_length());

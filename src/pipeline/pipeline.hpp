@@ -111,9 +111,9 @@ struct SearchResult {
   /// checkpointed Forward internally, so its time is banked here, not
   /// under fwd.
   StageStats bwd;
-  /// Unified performance snapshot (docs/observability.md), filled when a
-  /// recorder is attached to the HmmSearch (set_recorder); every engine
-  /// reports through the same schema.
+  /// Unified performance snapshot (docs/observability.md).  Every engine
+  /// fills it on every run, through the same schema; an attached recorder
+  /// (set_recorder) only adds its span tallies to the per-thread rows.
   std::optional<obs::ScanTelemetry> telemetry;
 };
 
@@ -132,11 +132,10 @@ class HmmSearch {
   HmmSearch(const hmm::Plan7Hmm& model, const stats::ModelStats& model_stats,
             Thresholds thresholds = {});
 
-  /// Attach a telemetry recorder: subsequent runs trace spans into it
-  /// and attach a ScanTelemetry snapshot to their SearchResult.  Null
-  /// (the default) or a disabled recorder reduces every instrumentation
-  /// site to one pointer test.  The recorder must outlive the runs and
-  /// must not be shared by concurrent scans.
+  /// Attach a span recorder: subsequent runs trace spans into it.  Null
+  /// (the default) reduces every instrumentation site to one pointer
+  /// test; the telemetry snapshot is filled either way.  The recorder
+  /// must outlive the runs and must not be shared by concurrent scans.
   void set_recorder(obs::Recorder* rec) noexcept { recorder_ = rec; }
   obs::Recorder* recorder() const noexcept { return recorder_; }
 
@@ -162,9 +161,10 @@ class HmmSearch {
   /// and stage counts/cells are bit-identical to run_cpu.  Stage
   /// `seconds` are busy time merged at drain (stages overlap, so no
   /// per-stage wall clock exists; the end-to-end wall clock lands in
-  /// SearchResult::telemetry when a recorder is attached).  `threads` = 0
-  /// picks hardware concurrency; the pool overload reuses a caller-owned
-  /// crew across scans.
+  /// SearchResult::telemetry).  The crew is the pool's threads plus the
+  /// calling thread (pool.workers()): `threads` pool threads (0 =
+  /// hardware concurrency) make threads + 1 workers.  The pool overload
+  /// reuses a caller-owned crew across scans.
   SearchResult run_cpu_overlapped(ScanSource src,
                                   std::size_t threads = 0) const;
   SearchResult run_cpu_overlapped(ScanSource src, ThreadPool& pool) const;

@@ -47,10 +47,6 @@ SearchServer::SearchServer(ServerConfig cfg)
     : Frontend(PingInfo{kWireRevision, cfg.role, cfg.shard_id}),
       cfg_(cfg),
       pool_(cfg.scan_threads),
-      // Stage clocks and telemetry only: nothing reads a span log here.
-      recorder_(obs::RecorderConfig{/*tracing=*/false,
-                                    /*max_events_per_thread=*/1 << 15,
-                                    /*enabled=*/true}),
       queue_(cfg.admission_capacity == 0 ? 1 : cfg.admission_capacity),
       trace_ring_(cfg.trace_ring_capacity) {
   paused_ = cfg.start_paused;
@@ -336,7 +332,7 @@ void SearchServer::run_sweep(
   const auto sweep_start = SteadyClock::now();
   try {
     sweep = pipeline::HmmSearch::run_cpu_coalesced(
-        searches, db.view(), pool_, plan, &db.schedule, &recorder_);
+        searches, db.view(), pool_, plan, &db.schedule);
   } catch (const Error& e) {
     {
       MutexLock lock(stats_mu_);

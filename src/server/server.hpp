@@ -46,7 +46,6 @@
 #include "bio/seq_db_io.hpp"
 #include "hmm/model_db.hpp"
 #include "obs/histogram.hpp"
-#include "obs/recorder.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/telemetry.hpp"
 #include "pipeline/pipeline.hpp"
@@ -60,7 +59,9 @@
 namespace finehmm::server {
 
 struct ServerConfig {
-  /// Workers in the shared scan pool (0 = hardware concurrency).
+  /// Threads in the shared scan pool (0 = hardware concurrency).  Each
+  /// sweep also runs on the scheduler thread, so it has scan_threads + 1
+  /// workers (a scan_threads=1 shard sweeps on 2).
   std::size_t scan_threads = 0;
   /// Admission queue capacity: requests queued beyond this are shed with
   /// an OVERLOAD reply instead of blocking the client.
@@ -248,7 +249,6 @@ class SearchServer final : public Frontend {
 
   ServerConfig cfg_;
   ThreadPool pool_;
-  obs::Recorder recorder_;
   BoundedMpmcQueue<std::shared_ptr<Pending>> queue_;
 
   std::vector<Db> dbs_;

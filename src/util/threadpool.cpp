@@ -82,51 +82,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for_chunked(
-    std::size_t count, std::size_t chunk,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (count == 0) return;
-  if (chunk == 0) chunk = 1;
-
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> next_worker{0};
-  std::exception_ptr first_error = nullptr;
-  Mutex error_mutex;  // guards first_error (locals can't carry GUARDED_BY)
-
-  std::size_t n_workers = workers_.size() + 1;  // pool + calling thread
-  const std::size_t n_chunks = (count + chunk - 1) / chunk;
-  if (n_workers > n_chunks) n_workers = n_chunks;
-
-  CompletionLatch done(n_workers);
-
-  auto body = [&] {
-    const std::size_t worker =
-        next_worker.fetch_add(1, std::memory_order_relaxed);
-    for (;;) {
-      std::size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= count) break;
-      std::size_t end = std::min(begin + chunk, count);
-      try {
-        fn(worker, begin, end);
-      } catch (...) {
-        MutexLock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    done.count_down();
-  };
-
-  {
-    MutexLock lock(mutex_);
-    for (std::size_t i = 0; i + 1 < n_workers; ++i) tasks_.push(body);
-  }
-  cv_.notify_all();
-  body();  // caller participates
-
-  done.wait();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 void ThreadPool::run_workers(
     std::size_t n, const std::function<void(std::size_t)>& body) {
   if (n == 0) n = 1;
@@ -160,45 +115,32 @@ void ThreadPool::run_workers(
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void ThreadPool::parallel_for_chunked(
+    std::size_t count, std::size_t chunk,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+  if (count == 0) return;
+  if (chunk == 0) chunk = 1;
+  // Dynamic scheduling: every participant pulls the next chunk from one
+  // shared cursor, so uneven per-item cost (sequence-length imbalance)
+  // still balances.
+  std::atomic<std::size_t> cursor{0};
+  const std::size_t n_chunks = (count + chunk - 1) / chunk;  // clamped
+  run_workers(n_chunks, [&](std::size_t worker) {
+    for (;;) {
+      const std::size_t begin =
+          cursor.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= count) break;
+      fn(worker, begin, std::min(begin + chunk, count));
+    }
+  });
+}
+
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  // Chunked dynamic scheduling: workers pull the next index from a shared
-  // atomic counter, so uneven per-item cost (sequence-length imbalance)
-  // still balances.
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error = nullptr;
-  Mutex error_mutex;  // guards first_error (locals can't carry GUARDED_BY)
-
-  std::size_t n_workers = workers_.size();
-  if (n_workers > count) n_workers = count;
-
-  CompletionLatch done(n_workers);
-
-  auto body = [&] {
-    for (;;) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      try {
-        fn(i);
-      } catch (...) {
-        MutexLock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    done.count_down();
-  };
-
-  {
-    MutexLock lock(mutex_);
-    // n_workers - 1 tasks for the pool; the calling thread also works.
-    for (std::size_t i = 0; i + 1 < n_workers; ++i) tasks_.push(body);
-  }
-  cv_.notify_all();
-  body();  // caller participates
-
-  done.wait();
-  if (first_error) std::rethrow_exception(first_error);
+  parallel_for_chunked(count, 1,
+                       [&fn](std::size_t, std::size_t i, std::size_t) {
+                         fn(i);
+                       });
 }
 
 }  // namespace finehmm

@@ -8,7 +8,9 @@
 // the blocking entry points are EXCLUDES(mutex_) — they enqueue under the
 // lock, then participate in the work themselves, and must never be
 // entered with the pool lock already held (the enqueued bodies would
-// deadlock against it).  See docs/static_analysis.md.
+// deadlock against it).  All three are one fork-join body: run_workers,
+// with the two parallel_for forms as shared-cursor loops on top of it.
+// See docs/static_analysis.md.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +35,11 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Run fn(i) for i in [0, count), distributing chunks over the pool.
-  /// Blocks until every index completed.  Exceptions from fn propagate to
-  /// the caller (first one wins).
+  /// Run fn(i) for i in [0, count) on up to workers() participants (the
+  /// pool threads and the caller), each pulling the next index from a
+  /// shared cursor.  Blocks until every participant finished.  Exceptions
+  /// from fn propagate to the caller (first one wins); the participant
+  /// that threw takes no further indices.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn)
       FINEHMM_EXCLUDES(mutex_);
@@ -50,16 +54,17 @@ class ThreadPool {
   /// CPU analogue of the paper's per-warp work queue.  `chunk` == 0 is
   /// treated as 1.  Small chunks keep long-sequence imbalance from
   /// serializing the tail; large chunks amortize the atomic traffic.
-  /// Blocks until every index completed; exceptions propagate (first one
-  /// wins).
+  /// Blocks until every participant finished; exceptions propagate (first
+  /// one wins, and the participant that threw takes no further chunks).
   void parallel_for_chunked(
       std::size_t count, std::size_t chunk,
       const std::function<void(std::size_t worker, std::size_t begin,
                                std::size_t end)>& fn)
       FINEHMM_EXCLUDES(mutex_);
 
-  /// Upper bound on the `worker` ids parallel_for_chunked passes to fn
-  /// (pool threads + the participating caller).
+  /// Participants of every blocking entry point and the upper bound on
+  /// the `worker` ids they hand out: the pool threads + the calling
+  /// thread, so ThreadPool(n) runs crews of n + 1.
   std::size_t workers() const noexcept { return workers_.size() + 1; }
 
   /// Run body(worker) exactly once on each of `n` participants (the caller

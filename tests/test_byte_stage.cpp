@@ -6,8 +6,9 @@
 // These tests build profiles whose emission scores are chosen so that the
 // first fire lands at row 0, at row L-1, or never; so that xJ rises while
 // still at or below base; so that the filter overflows at row 0,
-// mid-sequence, or exactly at the 255 - bias rail (and stops one byte
-// short of it); and so that bias is 255.  Each case is scored through
+// mid-sequence, by row 1 ahead of a long tail (the sweep stops once
+// every member has overflowed), or exactly at the 255 - bias rail (and
+// stops one byte short of it); and so that bias is 255.  Each case is scored through
 // every byte-stage path — every supported tier, the portable lane widths,
 // byte and packed residues, one-member and two-member groups (the last
 // member with no pad lane) — and compared bit for bit with msv_scalar /
@@ -347,6 +348,37 @@ TEST(ByteStageTrigger, OverflowMidSequence) {
   const Replay r = replay(c.msv, seq, ByteStage::kMsv);
   ASSERT_GE(r.fires.size(), 2u);
   EXPECT_LT(static_cast<long>(r.fires.front()), r.overflow_row);
+}
+
+TEST(ByteStageTrigger, OverflowEarlyLongTail) {
+  // Overflow by row 1, then thousands of rows of hot, warm and cold
+  // residues: a sweep whose every member has overflowed stops early, and
+  // its scores must still match the scalar references bit for bit — for
+  // a one-member group, a mixed group (the partner never overflows) and
+  // a group whose members all overflow.
+  const auto& c = overflow_model();
+  const Crafted also(33, 13.0f, 3.0f, 9);
+  std::vector<std::vector<std::uint8_t>> parts = {run(2, kHot)};
+  for (int rep = 0; rep < 200; ++rep) {
+    parts.push_back(run(7, kCold));
+    parts.push_back(run(1, kHot));
+    parts.push_back(run(3, kCold));
+    parts.push_back(run(2, kWarm));
+  }
+  const auto seq = make_seq(cat(parts));
+  ASSERT_GT(seq.length(), 2000u);
+  for (ByteStage stage : {ByteStage::kMsv, ByteStage::kSsv}) {
+    for (const profile::MsvProfile* early : {&c.msv, &also.msv}) {
+      const long row = replay(*early, seq, stage).overflow_row;
+      EXPECT_GE(row, 0) << stage_name(stage);
+      EXPECT_LE(row, 1) << stage_name(stage);
+    }
+    ASSERT_EQ(replay(partner(), seq, stage).overflow_row, -1)
+        << stage_name(stage);
+    check_every_path(c.msv, partner(), seq, stage);
+    check_every_path(partner(), c.msv, seq, stage);
+    check_every_path(c.msv, also.msv, seq, stage);
+  }
 }
 
 TEST(ByteStageTrigger, OverflowExactlyAtTheRail) {

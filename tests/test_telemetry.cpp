@@ -1,7 +1,8 @@
-// The obs telemetry subsystem: span recording and nesting, disabled-mode
-// zero-allocation, Chrome trace schema, rate guards, the structured JSON
-// logger, Prometheus exposition hygiene, and the sweep core's
-// telemetry invariants (queue accounting, per-thread merge).
+// The obs telemetry subsystem: span recording and nesting, the span
+// budget, null-recorder zero-allocation, Chrome trace schema, rate
+// guards, the structured JSON logger, Prometheus exposition hygiene, and
+// the engines' telemetry invariants (every engine reports, queue
+// accounting, per-thread merge).
 //
 // This file lives in its own test binary (finehmm_obs_tests): it replaces
 // the global operator new/delete to count allocations, which must not
@@ -14,9 +15,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "hmm/generator.hpp"
 #include "obs/histogram.hpp"
@@ -93,66 +96,30 @@ TEST(Recorder, NestedSpansStayWithinParent) {
   }
 }
 
-TEST(Recorder, SpanBanksStageTimeAndItems) {
+TEST(Recorder, SpanBudgetDropsAreCounted) {
   obs::Recorder rec;
   rec.reserve_threads(2);
-  {
-    obs::ScopedSpan s(&rec, 1, "msv.chunk", obs::Stage::kMsv);
-    s.set_items(17);
-  }
-  EXPECT_GT(rec.stage_seconds(obs::Stage::kMsv), 0.0);
-  EXPECT_EQ(rec.stage_items(obs::Stage::kMsv), 17u);
-  EXPECT_EQ(rec.stage_items(obs::Stage::kVit), 0u);
+  const std::size_t over = 6;
+  for (std::size_t i = 0; i < obs::kMaxSpansPerThread + over; ++i)
+    OBS_SPAN(&rec, 1, "tick");
+  EXPECT_EQ(rec.log_at(1).events().size(), obs::kMaxSpansPerThread);
+  EXPECT_EQ(rec.log_at(1).spans_dropped(), over);
+  EXPECT_EQ(rec.log_at(0).spans_dropped(), 0u);  // budgets are per thread
+  EXPECT_EQ(rec.merged_events().size(), obs::kMaxSpansPerThread);
 }
 
-TEST(Recorder, SpanBudgetDropsAreCounted) {
-  obs::RecorderConfig cfg;
-  cfg.max_events_per_thread = 4;
-  obs::Recorder rec(cfg);
-  rec.reserve_threads(1);
-  for (int i = 0; i < 10; ++i) OBS_SPAN(&rec, 0, "tick");
-  EXPECT_EQ(rec.merged_events().size(), 4u);
-  EXPECT_EQ(rec.counter(obs::Counter::kSpansDropped), 6u);
-}
-
-TEST(Recorder, MergeIsDeterministicAcrossThreadSlots) {
-  // Identical per-thread logs must merge to the same totals regardless
-  // of how work was spread over slots.
-  auto fill = [](obs::Recorder& rec, std::uint32_t threads) {
-    rec.reserve_threads(threads);
-    for (std::uint32_t w = 0; w < threads; ++w) {
-      rec.log(w)->add_stage(obs::Stage::kVit, 0.25, 3);
-      rec.log(w)->add(obs::Counter::kHelpFirstRescues, 2);
-    }
-  };
-  obs::Recorder one, four;
-  fill(one, 1);
-  fill(four, 4);
-  EXPECT_DOUBLE_EQ(one.stage_seconds(obs::Stage::kVit), 0.25);
-  EXPECT_DOUBLE_EQ(four.stage_seconds(obs::Stage::kVit), 1.0);
-  EXPECT_EQ(four.stage_items(obs::Stage::kVit), 12u);
-  EXPECT_EQ(four.counter(obs::Counter::kHelpFirstRescues), 8u);
-  // And a second identical merge reads back the exact same doubles.
-  EXPECT_DOUBLE_EQ(four.stage_seconds(obs::Stage::kVit),
-                   four.stage_seconds(obs::Stage::kVit));
-}
-
-// ------------------------------------------- disabled mode: truly free
+// --------------------------------------- no recorder attached: truly free
 
 TEST(Recorder, DisabledModeAllocatesNothing) {
-  obs::RecorderConfig cfg;
-  cfg.enabled = false;
-  obs::Recorder rec(cfg);
+  // With no recorder attached every instrumentation site is one pointer
+  // test: no log, no clock read, no allocation.
   obs::Recorder* null_rec = nullptr;
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
-    rec.reserve_threads(8);             // no-op when disabled
-    EXPECT_EQ(rec.log(0), nullptr);     // callers see "no log"
-    OBS_SPAN(&rec, 0, "hot");           // RAII span: no-op
-    OBS_SPAN(null_rec, 0, "hot");       // null recorder: no-op
-    obs::ScopedSpan s(null_rec, 0, "hot", obs::Stage::kMsv);
-    s.set_items(1);
+    OBS_SPAN(null_rec, 0, "hot");
+    obs::ScopedSpan s(null_rec, 7, "hot");
+    { OBS_SPAN(null_rec, 3, "nested"); }
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
 }
@@ -431,6 +398,50 @@ struct TelemetryFixture {
   }
 };
 
+TEST(EngineTelemetry, EveryEngineReportsWithoutARecorder) {
+  // The engines count their own work: no recorder is needed for the
+  // snapshot, and without one no per-thread row reports a span.
+  TelemetryFixture fx(60, 300);
+  const pipeline::HmmSearch search(fx.model);
+  ASSERT_EQ(search.recorder(), nullptr);
+  ThreadPool pool(2);
+  const bio::PackedDatabase packed(fx.db);
+  const auto serial = search.run_cpu(fx.db);
+  const auto overlapped = search.run_cpu_overlapped(fx.db, pool);
+  const auto gpu =
+      search.run_gpu({simt::DeviceSpec::tesla_k40()}, fx.db, packed);
+  const auto coalesced =
+      pipeline::HmmSearch::run_cpu_coalesced({&search}, fx.db, pool);
+
+  const std::pair<const char*, const std::optional<obs::ScanTelemetry>*>
+      engines[] = {{"cpu_serial", &serial.telemetry},
+                   {"cpu_overlapped", &overlapped.telemetry},
+                   {"gpu_sim", &gpu.telemetry}};
+  for (const auto& [engine, tel] : engines) {
+    ASSERT_TRUE(tel->has_value()) << engine;
+    EXPECT_EQ((*tel)->engine, engine);
+    EXPECT_EQ((*tel)->sequences, fx.db.size()) << engine;
+    EXPECT_FALSE((*tel)->stages.empty()) << engine;
+  }
+  EXPECT_EQ(coalesced.telemetry.engine, "cpu_coalesced");
+  // The CPU engines count the same cells (the SIMT rows count the rows
+  // the warp kernels actually ran).
+  EXPECT_DOUBLE_EQ(overlapped.telemetry->total_cells(),
+                   serial.telemetry->total_cells());
+  EXPECT_DOUBLE_EQ(coalesced.telemetry.total_cells(),
+                   serial.telemetry->total_cells());
+
+  for (const obs::ScanTelemetry* t :
+       {&*serial.telemetry, &*overlapped.telemetry, &coalesced.telemetry}) {
+    ASSERT_EQ(t->per_thread.size(), t->threads) << t->engine;
+    for (const auto& row : t->per_thread) {
+      EXPECT_EQ(row.spans, 0u) << t->engine;
+      EXPECT_EQ(row.spans_dropped, 0u) << t->engine;
+    }
+  }
+  EXPECT_EQ(overlapped.telemetry->threads, pool.workers());
+}
+
 TEST(EngineTelemetry, OverlappedQueueInvariantsHold) {
   TelemetryFixture fx;
   pipeline::HmmSearch search(fx.model);
@@ -529,7 +540,7 @@ TEST(EngineTelemetry, OverlappedHitsMatchSerialWithRecorderAttached) {
   TelemetryFixture fx;
   pipeline::HmmSearch search(fx.model);
   auto serial = search.run_cpu(fx.db);
-  EXPECT_FALSE(serial.telemetry.has_value());  // no recorder attached
+  EXPECT_TRUE(serial.telemetry.has_value());  // reported with no recorder
 
   obs::Recorder rec;
   search.set_recorder(&rec);
@@ -542,6 +553,25 @@ TEST(EngineTelemetry, OverlappedHitsMatchSerialWithRecorderAttached) {
   EXPECT_EQ(overlapped.msv.n_passed, serial.msv.n_passed);
   EXPECT_EQ(overlapped.fwd.n_in, serial.fwd.n_in);
   EXPECT_DOUBLE_EQ(overlapped.msv.cells, serial.msv.cells);
+
+  // The recorder adds spans and their per-thread tallies, nothing else:
+  // the crew's item totals are the unrecorded serial engine's.
+  ASSERT_TRUE(overlapped.telemetry.has_value());
+  const auto& rows = overlapped.telemetry->per_thread;
+  ASSERT_EQ(rows.size(), rec.threads());
+  std::uint64_t spans = 0;
+  for (std::size_t w = 0; w < rows.size(); ++w) {
+    EXPECT_EQ(rows[w].spans, rec.log_at(w).events().size()) << w;
+    EXPECT_EQ(rows[w].spans_dropped, 0u) << w;
+    spans += rows[w].spans;
+  }
+  EXPECT_GT(spans, 0u);
+  EXPECT_EQ(spans, rec.merged_events().size());
+  for (int st = 0; st < obs::kStageCount; ++st) {
+    std::uint64_t items = 0;
+    for (const auto& row : rows) items += row.stage_items[st];
+    EXPECT_EQ(items, serial.telemetry->per_thread[0].stage_items[st]) << st;
+  }
 }
 
 TEST(EngineTelemetry, SerialAndParallelEnginesReportTheSameSchema) {
@@ -556,7 +586,6 @@ TEST(EngineTelemetry, SerialAndParallelEnginesReportTheSameSchema) {
   EXPECT_EQ(serial.telemetry->threads, 1u);
   EXPECT_FALSE(serial.telemetry->queue.has_value());
 
-  rec.clear();
   auto parallel = search.run_cpu_overlapped(fx.db, 2);
   ASSERT_TRUE(parallel.telemetry.has_value());
   EXPECT_EQ(parallel.telemetry->engine, "cpu_overlapped");

@@ -8,7 +8,9 @@
 //   --port <n>       TCP port; 0 lets the kernel pick (default 0).  The
 //                    bound port is printed as "finehmmd: listening on
 //                    HOST:PORT" either way, so scripts can scrape it.
-//   --threads <n>    scan-pool workers (default: hardware concurrency)
+//   --threads <n>    scan-pool threads (default: hardware concurrency);
+//                    each sweep also runs on the scheduler thread, so
+//                    n + 1 workers
 //   --queue <n>      admission queue capacity (default 64)
 //   --max-batch <n>  most requests per coalesced sweep (default 16)
 //   --window-ms <n>  coalesce gather window in milliseconds (default 2)

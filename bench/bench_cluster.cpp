@@ -105,8 +105,7 @@ ShardPoint run_point(std::size_t n_shards, std::size_t requests,
     manifest.shards.push_back(std::move(info));
 
     server::ServerConfig cfg;
-    cfg.scan_threads = 1;        // scale-out, not scale-up, is measured
-    cfg.coalesce_window_ms = 0;  // one serial client: gathering is waste
+    cfg.scan_threads = 1;  // scale-out, not scale-up, is measured
     cfg.role = server::NodeRole::kShard;
     cfg.shard_id = static_cast<std::uint32_t>(k);
     servers.push_back(std::make_unique<server::SearchServer>(cfg));

@@ -13,8 +13,11 @@
 //                         (default 8e6; raise for tighter statistics)
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bio/packing.hpp"
@@ -126,6 +129,62 @@ inline StageMeasurement measure_vit(const simt::DeviceSpec& dev,
       static_cast<double>(m.run.counters.cells) * factor);
   m.occupancy = m.run.plan.occ.fraction;
   return m;
+}
+
+/// An interleaved A/B timing (time_ab): medians of each arm plus the
+/// spread of the per-pair overheads.
+struct AbTiming {
+  double baseline_seconds = 0;  // median of the A runs
+  double variant_seconds = 0;   // median of the B runs
+  std::size_t pairs = 0;
+  double pair_q1 = 0, pair_q3 = 0;  // quartiles of B/A - 1 over the pairs
+  /// Fractional cost of B over A; negative values are noise.
+  double overhead() const {
+    return obs::valid_rate(variant_seconds, baseline_seconds)
+               // finehmm-lint: allow(unguarded-rate) -- valid_rate-guarded
+               ? variant_seconds / baseline_seconds - 1.0
+               : 0.0;
+  }
+};
+
+/// Time arm A (`run(false)`) against arm B (`run(true)`) in interleaved
+/// pairs, alternating which arm runs first, until at least `min_pairs`
+/// pairs and `min_seconds` of timed runs are in; one warm-up pair is
+/// discarded.  `run` returns the seconds of its own timed region, so
+/// set-up stays outside the clock.  Interleaving exposes both arms to
+/// the same clock ramp and cache drift, and medians over many pairs keep
+/// one descheduled run from deciding a percent-level comparison.
+template <class Run>
+AbTiming time_ab(Run&& run, double min_seconds, std::size_t min_pairs = 21) {
+  std::vector<double> a, b, ratio;
+  double timed = 0;
+  run(false);
+  run(true);
+  while (a.size() < min_pairs || timed < min_seconds) {
+    const bool b_first = a.size() % 2 == 1;
+    const double first = run(b_first);
+    const double second = run(!b_first);
+    const double sa = b_first ? second : first;
+    const double sb = b_first ? first : second;
+    a.push_back(sa);
+    b.push_back(sb);
+    ratio.push_back(obs::safe_rate(sb, sa) - 1.0);
+    timed += sa + sb;
+  }
+  const auto quantile = [](std::vector<double> v, double q) {
+    const auto k =
+        static_cast<std::size_t>(q * static_cast<double>(v.size() - 1));
+    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(k),
+                     v.end());
+    return v[k];
+  };
+  AbTiming t;
+  t.baseline_seconds = quantile(a, 0.5);
+  t.variant_seconds = quantile(b, 0.5);
+  t.pairs = a.size();
+  t.pair_q1 = quantile(ratio, 0.25);
+  t.pair_q3 = quantile(ratio, 0.75);
+  return t;
 }
 
 /// The model sizes of Figs. 9-11.

@@ -4,9 +4,9 @@
 // Each client owns one connection and fires requests back to back; the
 // daemon coalesces whatever is queued at each scheduler wake-up into one
 // shared database sweep.  What coalescing amortizes is everything paid
-// per SWEEP rather than per QUERY: the gather window a lone client eats
-// on every request, pool dispatch, schedule traversal, and per-sequence
-// decode — the per-query DP cells are irreducible.  So 16 closed-loop
+// per SWEEP rather than per QUERY: pool dispatch, sweep setup, schedule
+// traversal, and per-sequence decode — the per-query DP cells are
+// irreducible.  So 16 closed-loop
 // clients riding ~16-query sweeps must clear at least 2x the
 // single-client rate; that factor is asserted (exit 1), it is the
 // subsystem's reason to exist.  Latency percentiles come along for the
@@ -72,7 +72,6 @@ LoadPoint run_point(std::size_t clients, std::size_t per_client,
                     const bio::SequenceDatabase& db) {
   server::ServerConfig cfg;
   cfg.max_batch = 16;
-  cfg.coalesce_window_ms = 2;
   server::SearchServer srv(cfg);
   srv.add_database(db);
 

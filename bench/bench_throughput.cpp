@@ -27,6 +27,7 @@
 #include <unistd.h>
 #endif
 
+#include "bench_common.hpp"
 #include "bio/seq_db_io.hpp"
 #include "bio/synthetic.hpp"
 #include "cpu/simd_backend/backend.hpp"
@@ -122,37 +123,36 @@ void check_hits_match(const pipeline::SearchResult& a,
 }
 
 /// Telemetry sections of the emitted JSON: one ScanTelemetry snapshot of
-/// the overlapped scan, plus the span-tracing overhead measurement.
+/// the overlapped scan, plus the span-tracing overhead measurement (arm
+/// B: a tracing recorder attached; the roadmap's guard is < 2%).
 struct TelemetryReport {
   std::optional<obs::ScanTelemetry> snapshot;  // overlapped, max threads
-  double baseline_seconds = 0;  // no recorder attached (best-of-5)
-  double tracing_seconds = 0;   // tracing recorder attached (best-of-5)
-  /// Fractional slowdown of span tracing; the roadmap's guard is < 2%.
-  /// Negative values are measurement noise.
-  double tracing_overhead() const {
-    return obs::valid_rate(tracing_seconds, baseline_seconds)
-               // finehmm-lint: allow(unguarded-rate) -- valid_rate-guarded
-               ? tracing_seconds / baseline_seconds - 1.0
-               : 0.0;
-  }
+  bench::AbTiming tracing;
 };
 
 /// The always-on per-request observability cost: the daemon records
 /// every completed request into three ConcurrentHistograms and a
 /// TraceRing (server.cpp finish_request_trace) — instrumentation that
-/// is never compiled out or gated.  Replay exactly that bookkeeping
-/// around each scan and compare against the bare scan.  The roadmap
-/// guard (checked in CI) is < 2%.
-struct HistogramReport {
-  double baseline_seconds = 0;      // bare overlapped scan (best-of-3)
-  double instrumented_seconds = 0;  // scan + per-request records
-  double overhead() const {
-    return obs::valid_rate(instrumented_seconds, baseline_seconds)
-               // finehmm-lint: allow(unguarded-rate) -- valid_rate-guarded
-               ? instrumented_seconds / baseline_seconds - 1.0
-               : 0.0;
-  }
-};
+/// is never compiled out or gated.  Arm B replays exactly that
+/// bookkeeping around each scan.  The roadmap guard (checked in CI) is
+/// < 2%.
+using HistogramReport = bench::AbTiming;
+
+/// One overhead guard's JSON fields: both medians under their names,
+/// the overhead, and its spread over the interleaved pairs.
+void write_ab(std::ostream& out, const char* variant_key,
+              const bench::AbTiming& t) {
+  out << "{\"baseline_seconds\": " << t.baseline_seconds << ", \""
+      << variant_key << "\": " << t.variant_seconds
+      << ", \"overhead_fraction\": " << t.overhead()
+      << ", \"pairs\": " << t.pairs << ", \"overhead_q1\": " << t.pair_q1
+      << ", \"overhead_q3\": " << t.pair_q3 << "}";
+}
+
+/// Each overhead guard times interleaved pairs for at least this long:
+/// a CI-scale scan takes about a millisecond, so a handful of best-of
+/// runs measures host noise, not a percent-level cost.
+constexpr double kGuardSeconds = 1.0;
 
 /// End-to-end pipeline sweep: database load (from .fsqdb) + full filter
 /// cascade through the overlapped engine, heap-decoded vs. mmap'd,
@@ -223,87 +223,65 @@ std::vector<PipelineRecord> bench_pipeline(double scale, int M,
   // no recorder vs. a tracing recorder attached must cost < 2%.  Each
   // traced run gets a fresh recorder whose logs are built before the
   // clock starts, so the timed region holds only the span recording.
-  // Every engine fills its telemetry either way; the last traced run's
-  // snapshot goes into the report.
-  {
-    const std::size_t threads = thread_counts.back();
-    bio::MappedSeqDb mapped(path);
-    auto timed_run = [&](obs::Recorder* rec) {
-      search.set_recorder(rec);
-      Timer t;
-      auto r = search.run_cpu_overlapped(mapped, threads);
-      const double s = t.seconds();
-      search.set_recorder(nullptr);
-      tel.snapshot = std::move(r.telemetry);
-      return s;
-    };
-    // Interleaved pairs (first is warm-up): clock ramp and cache drift
-    // hit both arms equally, so the smoke-scale comparison isn't
-    // dominated by which arm happened to run first.
-    double base_best = 0, trace_best = 0;
-    for (int rep = 0; rep < 6; ++rep) {
-      const double b = timed_run(nullptr);
-      obs::Recorder rec;
-      rec.reserve_threads(threads + 1);  // the crew: pool + caller
-      const double d = timed_run(&rec);
-      if (rep == 0) continue;
-      if (base_best == 0 || b < base_best) base_best = b;
-      if (trace_best == 0 || d < trace_best) trace_best = d;
-    }
-    tel.baseline_seconds = base_best;
-    tel.tracing_seconds = trace_best;
-    std::printf("telemetry overhead (tracing recorder): %+.2f%%\n",
-                tel.tracing_overhead() * 100.0);
-  }
+  // Both guards scan on one persistent pool, so crew start-up is not in
+  // the timed region.  Every engine fills its telemetry either way; the
+  // last traced run's snapshot goes into the report.
+  const std::size_t guard_threads = thread_counts.back();
+  bio::MappedSeqDb mapped(path);
+  ThreadPool pool(guard_threads);
+  tel.tracing = bench::time_ab(
+      [&](bool traced) {
+        obs::Recorder rec;
+        if (traced) rec.reserve_threads(pool.workers());
+        search.set_recorder(traced ? &rec : nullptr);
+        Timer t;
+        auto r = search.run_cpu_overlapped(mapped, pool);
+        const double s = t.seconds();
+        search.set_recorder(nullptr);
+        if (traced) tel.snapshot = std::move(r.telemetry);
+        return s;
+      },
+      kGuardSeconds);
+  std::printf("telemetry overhead (tracing recorder): %+.2f%% "
+              "(pairs %zu, q1 %+.2f%%, q3 %+.2f%%)\n",
+              tel.tracing.overhead() * 100.0, tel.tracing.pairs,
+              tel.tracing.pair_q1 * 100.0, tel.tracing.pair_q3 * 100.0);
 
   // Always-on histogram guard: the same overlapped scan, with and
   // without the daemon's per-completed-request bookkeeping (three
   // ConcurrentHistogram records, the steady_clock reads that feed them,
   // and a TraceRing push).  A request's sweep costs milliseconds; the
   // records cost a few relaxed atomic adds, so this should be noise.
-  {
-    const std::size_t threads = thread_counts.back();
-    bio::MappedSeqDb mapped(path);
-    obs::ConcurrentHistogram e2e_hist, queue_hist, sweep_hist;
-    obs::TraceRing ring(64);
-    auto timed_run = [&](bool instrumented) {
-      Timer t;
-      const auto admitted = std::chrono::steady_clock::now();
-      auto r = search.run_cpu_overlapped(mapped, threads);
-      if (instrumented) {
-        const auto done = std::chrono::steady_clock::now();
-        const double total =
-            std::chrono::duration<double>(done - admitted).count();
-        const auto ns = static_cast<std::uint64_t>(total * 1e9);
-        e2e_hist.record(ns);
-        queue_hist.record(0);
-        sweep_hist.record(ns);
-        obs::RequestTrace trace;
-        trace.trace_id = obs::next_trace_id();
-        trace.verb = "BENCH";
-        trace.sweep_seconds = total;
-        trace.total_seconds = total;
-        ring.push(trace);
-      }
-      (void)r;
-      return t.seconds();
-    };
-    // Interleave the arms pair-by-pair (first pair is warm-up) so clock
-    // ramp and cache drift hit both equally; the smoke-scale scan is
-    // ~10 ms, where a sequential A-then-B comparison is noise-bound.
-    double base_best = 0, inst_best = 0;
-    for (int rep = 0; rep < 6; ++rep) {
-      const double b = timed_run(false);
-      const double i = timed_run(true);
-      if (rep == 0) continue;
-      if (base_best == 0 || b < base_best) base_best = b;
-      if (inst_best == 0 || i < inst_best) inst_best = i;
-    }
-    hist.baseline_seconds = base_best;
-    hist.instrumented_seconds = inst_best;
-    std::printf("histogram overhead (per-request records): %+.2f%%\n",
-                hist.overhead() * 100.0);
-  }
+  obs::ConcurrentHistogram e2e_hist, queue_hist, sweep_hist;
+  obs::TraceRing ring(64);
+  hist = bench::time_ab(
+      [&](bool instrumented) {
+        Timer t;
+        const auto admitted = std::chrono::steady_clock::now();
+        auto r = search.run_cpu_overlapped(mapped, pool);
+        if (instrumented) {
+          const auto done = std::chrono::steady_clock::now();
+          const double total =
+              std::chrono::duration<double>(done - admitted).count();
+          const auto ns = static_cast<std::uint64_t>(total * 1e9);
+          e2e_hist.record(ns);
+          queue_hist.record(0);
+          sweep_hist.record(ns);
+          obs::RequestTrace trace;
+          trace.trace_id = obs::next_trace_id();
+          trace.verb = "BENCH";
+          trace.sweep_seconds = total;
+          trace.total_seconds = total;
+          ring.push(trace);
+        }
+        (void)r;
+        return t.seconds();
+      },
+      kGuardSeconds);
+  std::printf("histogram overhead (per-request records): %+.2f%% "
+              "(pairs %zu, q1 %+.2f%%, q3 %+.2f%%)\n",
+              hist.overhead() * 100.0, hist.pairs, hist.pair_q1 * 100.0,
+              hist.pair_q3 * 100.0);
   std::remove(path.c_str());
   return records;
 }
@@ -568,16 +546,14 @@ int main(int argc, char** argv) {
   out << "  },\n";
   // Overhead of span tracing (roadmap guard: < 2%), and the overlapped
   // scan's unified snapshot.
-  out << "  \"telemetry_overhead\": {\"baseline_seconds\": "
-      << tel.baseline_seconds
-      << ", \"tracing_recorder_seconds\": " << tel.tracing_seconds
-      << ", \"overhead_fraction\": " << tel.tracing_overhead() << "},\n";
+  out << "  \"telemetry_overhead\": ";
+  write_ab(out, "tracing_recorder_seconds", tel.tracing);
+  out << ",\n";
   // Per-request histogram + trace-ring bookkeeping (always on in the
   // daemon; roadmap guard: < 2%).
-  out << "  \"histogram_overhead\": {\"baseline_seconds\": "
-      << hist.baseline_seconds
-      << ", \"instrumented_seconds\": " << hist.instrumented_seconds
-      << ", \"overhead_fraction\": " << hist.overhead() << "},\n";
+  out << "  \"histogram_overhead\": ";
+  write_ab(out, "instrumented_seconds", hist);
+  out << ",\n";
   out << "  \"telemetry\":";
   if (tel.snapshot) {
     out << "\n";

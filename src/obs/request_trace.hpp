@@ -6,9 +6,13 @@
 // end to end.  When the request completes, the server folds its timing
 // into one RequestTrace record:
 //
-//   queue_seconds      admission enqueue -> scheduler pop
-//   coalesce_seconds   scheduler pop -> sweep start (window gathering)
-//   sweep_seconds      the batch sweep this request rode in
+//   queue_seconds      admission enqueue -> its group starts (for a
+//                      SCAN, this includes waiting in the SCAN FIFO)
+//   coalesce_seconds   group start -> sweep start (the deadline check;
+//                      about 0 — the scheduler never waits for
+//                      companions)
+//   sweep_seconds      the sweep this request rode in, without the
+//                      intervals a SCAN yielded to other batches
 //   stage_seconds[]    the sweep's ssv/msv/vit/fwd/bwd busy time,
 //                      attributed to this request as its share of the
 //                      batch (whole-batch seconds / batch_size)

@@ -385,9 +385,13 @@ SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
 
 SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
                                           ThreadPool& pool) const {
-  CoalescedScan scan = sweep({this}, src, pool, nullptr, nullptr, recorder_);
+  Sweep sweep({this}, src, pool, nullptr, nullptr, recorder_);
+  sweep.advance(pool);
+  CoalescedScan scan = sweep.finish();
   SearchResult out = std::move(scan.per_model[0]);
   scan.telemetry.engine = "cpu_overlapped";
+  // One query in one pass: the batch counters say nothing here.
+  for (auto& st : scan.telemetry.stages) st.counters.clear();
   out.telemetry = std::move(scan.telemetry);
   return out;
 }
@@ -396,27 +400,9 @@ HmmSearch::CoalescedScan HmmSearch::run_cpu_coalesced(
     const std::vector<const HmmSearch*>& searches, ScanSource src,
     ThreadPool& pool, const hmm::FusePlan* plan,
     const ScanSchedule* schedule, obs::Recorder* rec) {
-  FH_REQUIRE(!searches.empty(), "coalesced scan needs at least one query");
-  for (const HmmSearch* hs : searches)
-    FH_REQUIRE(hs != nullptr, "coalesced scan given a null query");
-  CoalescedScan out = sweep(searches, src, pool, plan, schedule, rec);
-  obs::ScanTelemetry& t = out.telemetry;
-  t.engine = plan != nullptr ? "cpu_fused" : "cpu_coalesced";
-  for (auto& st : t.stages) {
-    if (st.stage != "msv") continue;
-    st.counters.emplace_back("batch.queries",
-                             static_cast<double>(searches.size()));
-    st.counters.emplace_back("batch.sweeps", 1.0);
-    if (plan == nullptr) continue;
-    st.counters.emplace_back("fuse.groups",
-                             static_cast<double>(plan->groups.size()));
-    st.counters.emplace_back("fuse.fused_models",
-                             static_cast<double>(plan->fused_models()));
-    st.counters.emplace_back("fuse.models_per_group",
-                             plan->models_per_group());
-    st.counters.emplace_back("fuse.lane_occupancy", plan->lane_occupancy());
-  }
-  return out;
+  Sweep sweep(searches, src, pool, plan, schedule, rec);
+  sweep.advance(pool);
+  return sweep.finish();
 }
 
 hmm::FusePlan plan_fusion(const std::vector<const HmmSearch*>& searches) {
@@ -427,24 +413,18 @@ hmm::FusePlan plan_fusion(const std::vector<const HmmSearch*>& searches) {
   return hmm::plan_model_groups(lengths, active_u8_lanes());
 }
 
-HmmSearch::CoalescedScan HmmSearch::sweep(
-    const std::vector<const HmmSearch*>& queries, ScanSource src,
-    ThreadPool& pool, const hmm::FusePlan* plan,
-    const ScanSchedule* schedule, obs::Recorder* rec) {
-  const std::size_t k = queries.size();
-  const std::size_t n = src.size();
-  const std::size_t crew = pool.workers();
-  if (rec) rec->reserve_threads(crew);
-  Timer total;
+// --- The sweep core -------------------------------------------------------
 
+struct HmmSearch::Sweep::State {
+  static constexpr std::size_t kChunk = 16;
+
+  std::vector<const HmmSearch*> queries;
+  ScanSource src;
+  std::size_t k, n, crew;
+  const hmm::FusePlan* plan;
+  obs::Recorder* rec;
   ScanSchedule local;
-  if (schedule == nullptr) {
-    local = make_length_schedule(
-        n, [&src](std::size_t i) { return src.length(i); });
-    schedule = &local;
-  }
-  FH_REQUIRE(schedule->order.size() == n,
-             "scan schedule built for a different database");
+  const ScanSchedule* schedule;
 
   // Per-query scanners own each query's word-stage DP state per worker;
   // model parameters are immutable and shared across the crew.  Every
@@ -452,38 +432,96 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
   // built on a worker's first call, so queries without survivors skip it.
   std::vector<std::unique_ptr<BatchScanner>> scanners;
   bool any_ssv = false, any_domains = false;
-  for (const HmmSearch* hs : queries) {
-    scanners.push_back(
-        std::make_unique<BatchScanner>(hs->msv_, hs->vit_, &hs->fwd_, crew));
-    any_ssv = any_ssv || hs->thr_.use_ssv_prefilter;
-    any_domains = any_domains || hs->thr_.define_domains;
+  std::vector<FuseGroup> groups;
+  std::vector<SweepWorker> workers;
+
+  // Per-pair state: two keep bytes per (query, sequence), row q = query q.
+  // ssv_keep stays 1 for queries without the SSV stage.
+  std::vector<std::uint8_t> ssv_keep, msv_keep;
+
+  // Stage busy time banks into per-worker clocks; each survivor also
+  // carries its own word-stage times so the replay can attribute them
+  // per query.  Neither is written by two threads.
+  std::vector<WorkerClock> clocks;
+
+  // Schedule position: the next chunk any advance fetches.  Chunks are
+  // fetched whole and scored to the end, so everything below the cursor
+  // is done once an advance returns.
+  std::atomic<std::size_t> cursor{0};
+  std::size_t queue_capacity;
+  BoundedMpmcQueue<std::uint64_t>::Stats queue_stats;  // over every advance
+  double wall_s = 0.0;  // setup + advances + replay
+
+  State(const std::vector<const HmmSearch*>& qs, ScanSource source,
+        std::size_t crew_size, const hmm::FusePlan* fuse_plan,
+        const ScanSchedule* cached, obs::Recorder* recorder)
+      : queries(qs),
+        src(source),
+        k(qs.size()),
+        n(source.size()),
+        crew(crew_size),
+        plan(fuse_plan),
+        rec(recorder),
+        schedule(cached),
+        workers(crew_size),
+        ssv_keep(k * n, 1),
+        msv_keep(k * n, 0),
+        clocks(crew_size),
+        queue_capacity(std::max<std::size_t>(64, 8 * crew_size)) {
+    FH_REQUIRE(!queries.empty(), "coalesced scan needs at least one query");
+    for (const HmmSearch* hs : queries)
+      FH_REQUIRE(hs != nullptr, "coalesced scan given a null query");
+    if (schedule == nullptr) {
+      local = make_length_schedule(
+          n, [this](std::size_t i) { return src.length(i); });
+      schedule = &local;
+    }
+    FH_REQUIRE(schedule->order.size() == n,
+               "scan schedule built for a different database");
+    for (const HmmSearch* hs : queries) {
+      scanners.push_back(
+          std::make_unique<BatchScanner>(hs->msv_, hs->vit_, &hs->fwd_, crew));
+      any_ssv = any_ssv || hs->thr_.use_ssv_prefilter;
+      any_domains = any_domains || hs->thr_.define_domains;
+    }
+    build_groups();
+    for (SweepWorker& me : workers) {
+      me.passed.reserve(k);
+      if (src.zero_copy()) me.words.codes.resize(src.max_length());
+    }
+  }
+
+  bool ssv_on(std::size_t q) const {
+    return queries[q]->thr_.use_ssv_prefilter;
+  }
+
+  void add_group(std::vector<std::size_t> members,
+                 std::unique_ptr<cpu::FusedMsvGroup> table) {
+    FuseGroup& g = groups.emplace_back();
+    g.members = std::move(members);
+    g.table = std::move(table);
+    for (std::size_t w = 0; w < crew; ++w)
+      g.filters.push_back(std::make_unique<cpu::FusedMsvFilter>(*g.table));
+    for (std::size_t q : g.members) g.any_ssv = g.any_ssv || ssv_on(q);
+    for (SweepWorker& me : workers)
+      if (me.group_scores.size() < g.members.size())
+        me.group_scores.resize(g.members.size());
   }
 
   // Byte-stage routing: every query's SSV/MSV runs through one fuse
   // group — the plan's groups as planned, every other query as a
   // one-member group (the single-model striped layout) — so one loop per
   // stage scores them all through the one byte-stage kernel.
-  const int lane_width = active_u8_lanes();
-  std::vector<FuseGroup> groups;
-  std::vector<SweepWorker> workers(crew);
-  const auto add_group = [&](std::vector<std::size_t> members,
-                             std::unique_ptr<cpu::FusedMsvGroup> table) {
-    FuseGroup& g = groups.emplace_back();
-    g.members = std::move(members);
-    g.table = std::move(table);
-    for (std::size_t w = 0; w < crew; ++w)
-      g.filters.push_back(std::make_unique<cpu::FusedMsvFilter>(*g.table));
-    for (std::size_t q : g.members)
-      g.any_ssv = g.any_ssv || queries[q]->thr_.use_ssv_prefilter;
-    for (SweepWorker& me : workers)
-      if (me.group_scores.size() < g.members.size())
-        me.group_scores.resize(g.members.size());
-  };
-  const auto add_alone = [&](std::size_t q) {
-    add_group({q}, std::make_unique<cpu::FusedMsvGroup>(queries[q]->msv_,
-                                                        lane_width));
-  };
-  if (plan != nullptr) {
+  void build_groups() {
+    const int lane_width = active_u8_lanes();
+    const auto add_alone = [&](std::size_t q) {
+      add_group({q}, std::make_unique<cpu::FusedMsvGroup>(queries[q]->msv_,
+                                                          lane_width));
+    };
+    if (plan == nullptr) {
+      for (std::size_t q = 0; q < k; ++q) add_alone(q);
+      return;
+    }
     FH_REQUIRE(plan->lane_width == lane_width,
                "fuse plan built for a different lane width");
     std::vector<std::uint8_t> seen(k, 0);
@@ -507,38 +545,9 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
     }
     FH_REQUIRE(std::find(seen.begin(), seen.end(), 0) == seen.end(),
                "fuse plan misses a model");
-  } else {
-    for (std::size_t q = 0; q < k; ++q) add_alone(q);
-  }
-  for (SweepWorker& me : workers) {
-    me.passed.reserve(k);
-    if (src.zero_copy()) me.words.codes.resize(src.max_length());
   }
 
-  // Per-pair state: two keep bytes per (query, sequence), row q = query q.
-  // ssv_keep stays 1 for queries without the SSV stage.
-  std::vector<std::uint8_t> ssv_keep(k * n, 1);
-  std::vector<std::uint8_t> msv_keep(k * n, 0);
-  const auto ssv_on = [&](std::size_t q) {
-    return queries[q]->thr_.use_ssv_prefilter;
-  };
-
-  // Stage busy time banks into per-worker clocks; each survivor also
-  // carries its own word-stage times so the replay can attribute them
-  // per query.  Neither is written by two threads.
-  std::vector<WorkerClock> clocks(crew);
-
-  // Every (query, sequence) survivor flows through one bounded queue to
-  // whichever worker goes idle first.  try_push backpressure is
-  // "help-first": a producer facing a full ring rescores one queued
-  // survivor itself, so the crew cannot deadlock and the queue stays a
-  // fixed ring.
-  BoundedMpmcQueue<std::uint64_t> queue(std::max<std::size_t>(64, 8 * crew));
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> producing{crew};
-  constexpr std::size_t kChunk = 16;
-
-  const auto rescore = [&](std::size_t w, std::uint64_t key) {
+  void rescore(std::size_t w, std::uint64_t key) {
     OBS_SPAN(rec, w, "rescore");
     const std::size_t q = key >> 32;
     const std::size_t s = key & 0xffffffffu;
@@ -568,13 +577,18 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
     }
     for (int st = 0; st < obs::kStageCount; ++st)
       clock.stage_s[st] += sv.stage_s[st];
-  };
+  }
 
   // The byte stage of sequence s for every query: SSV for all queries
   // that use it, then MSV for every query SSV kept, one fuse group at a
   // time.  Per query the gate decisions are exactly run_cpu's, so the
-  // replay reproduces its hits.
-  const auto byte_stage = [&](std::size_t w, std::size_t s) {
+  // replay reproduces its hits.  Every (query, sequence) survivor flows
+  // through one bounded queue to whichever worker goes idle first.
+  // try_push backpressure is "help-first": a producer facing a full ring
+  // rescores one queued survivor itself, so the crew cannot deadlock and
+  // the queue stays a fixed ring.
+  void byte_stage(std::size_t w, std::size_t s,
+                  BoundedMpmcQueue<std::uint64_t>& queue) {
     SweepWorker& me = workers[w];
     WorkerClock& clock = clocks[w];
     const std::size_t L = src.length(s);
@@ -637,126 +651,196 @@ HmmSearch::CoalescedScan HmmSearch::sweep(
         }
       }
     }
-  };
+  }
 
-  pool.run_workers(crew, [&](std::size_t w) {
-    {
-      // The last producer out closes the queue, which wakes every
-      // drainer for the final pops — also when a sweep throws, so the
-      // crew still joins and run_workers can rethrow.
-      struct Leave {
-        std::atomic<std::size_t>& producing;
-        BoundedMpmcQueue<std::uint64_t>& queue;
-        ~Leave() {
-          if (producing.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            queue.close();
+  void advance(ThreadPool& pool, const std::function<bool()>& yield) {
+    FH_REQUIRE(pool.workers() == crew,
+               "sweep advanced on a pool of a different size");
+    Timer timer;
+    BoundedMpmcQueue<std::uint64_t> queue(queue_capacity);
+    std::atomic<std::size_t> producing{crew};
+    std::atomic<bool> stop{false};
+    // True when no worker may fetch another chunk: a worker saw the
+    // predicate fire, or polls it now.
+    const auto yielding = [&] {
+      if (stop.load(std::memory_order_relaxed)) return true;
+      if (!yield || !yield()) return false;
+      stop.store(true, std::memory_order_relaxed);
+      return true;
+    };
+    pool.run_workers(crew, [&](std::size_t w) {
+      {
+        // The last producer out closes the queue, which wakes every
+        // drainer for the final pops — also when a sweep throws, so the
+        // crew still joins and run_workers can rethrow.
+        struct Leave {
+          std::atomic<std::size_t>& producing;
+          BoundedMpmcQueue<std::uint64_t>& queue;
+          ~Leave() {
+            if (producing.fetch_sub(1, std::memory_order_acq_rel) == 1)
+              queue.close();
+          }
+        } leave{producing, queue};
+        // Each worker scores one chunk before it polls: every advance
+        // makes progress, and on the whole crew at once — a yield never
+        // leaves workers idle behind one worker's chunk.
+        for (bool first = true; first || !yielding(); first = false) {
+          const std::size_t begin =
+              cursor.fetch_add(kChunk, std::memory_order_relaxed);
+          if (begin >= n) break;
+          const std::size_t end = std::min(begin + kChunk, n);
+          OBS_SPAN(rec, w, "produce.chunk");
+          for (std::size_t idx = begin; idx < end; ++idx) {
+            if (idx + 1 < end) src.prefetch(schedule->order[idx + 1]);
+            byte_stage(w, schedule->order[idx], queue);
+          }
         }
-      } leave{producing, queue};
+      }
+      // Drain: sleep (not spin — co-located shard daemons keep the cores)
+      // until a survivor arrives or the closed queue runs dry.
+      OBS_SPAN(rec, w, "drain");
+      std::uint64_t key;
       for (;;) {
-        const std::size_t begin =
-            cursor.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= n) break;
-        const std::size_t end = std::min(begin + kChunk, n);
-        OBS_SPAN(rec, w, "produce.chunk");
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          if (idx + 1 < end) src.prefetch(schedule->order[idx + 1]);
-          byte_stage(w, schedule->order[idx]);
+        const PopStatus st =
+            queue.pop_wait(key, std::chrono::milliseconds(50));
+        if (st == PopStatus::kClosed) break;
+        if (st == PopStatus::kItem) rescore(w, key);
+      }
+    });
+    FINEHMM_CHECK(queue.empty(), "sweep left survivors queued");
+    const auto qs = queue.stats();
+    queue_stats.pushes += qs.pushes;
+    queue_stats.pops += qs.pops;
+    queue_stats.push_failures += qs.push_failures;
+    queue_stats.max_depth = std::max(queue_stats.max_depth, qs.max_depth);
+    wall_s += timer.seconds();
+  }
+
+  bool done() const { return cursor.load(std::memory_order_relaxed) >= n; }
+
+  CoalescedScan finish() {
+    FH_REQUIRE(done(), "sweep finished before it covered the database");
+    Timer timer;
+    // ---- Serial replay in (query, sequence) order: output identical to
+    // run_cpu regardless of which worker rescored what, when.
+    std::vector<Survivor*> found;
+    for (SweepWorker& me : workers)
+      for (Survivor& sv : me.found) found.push_back(&sv);
+    std::sort(found.begin(), found.end(),
+              [](const Survivor* a, const Survivor* b) {
+                return a->key < b->key;
+              });
+    double byte_s[2] = {0.0, 0.0};
+    for (const WorkerClock& c : clocks) {
+      byte_s[0] += c.stage_s[kSsv];
+      byte_s[1] += c.stage_s[kMsv];
+    }
+    CoalescedScan out;
+    out.per_model.resize(k);
+    std::size_t next = 0;
+    for (std::size_t q = 0; q < k; ++q) {
+      const HmmSearch& hs = *queries[q];
+      SearchResult& res = out.per_model[q];
+      res.msv.n_in = n;
+      for (std::size_t s = 0; s < n; ++s) {
+        const double L = static_cast<double>(src.length(s));
+        if (ssv_on(q)) {
+          res.ssv.n_in += 1;
+          res.ssv.cells += L * hs.msv_.length();
+          if (!ssv_keep[q * n + s]) continue;
+          res.ssv.n_passed += 1;
         }
+        res.msv.cells += L * hs.msv_.length();
+        if (!msv_keep[q * n + s]) continue;
+        FH_REQUIRE(next < found.size() &&
+                       found[next]->key == (std::uint64_t{q} << 32 | s),
+                   "every MSV survivor is rescored exactly once");
+        Survivor& sv = *found[next++];
+        res.vit.n_in += 1;
+        res.vit.cells += L * hs.vit_.length();
+        res.vit.seconds += sv.stage_s[kVit];
+        if (!sv.vit_pass) continue;
+        res.vit.n_passed += 1;
+        res.fwd.cells += L * hs.prof_.length();
+        res.fwd.seconds += sv.stage_s[kFwd];
+        if (!sv.reported) continue;
+        if (hs.thr_.define_domains) {
+          res.bwd.n_in += 1;
+          res.bwd.n_passed += 1;
+          res.bwd.cells += L * hs.prof_.length();
+          res.bwd.seconds += sv.stage_s[kBwd];
+        }
+        res.hits.push_back(std::move(sv.hit));
       }
-    }
-    // Drain: sleep (not spin — co-located shard daemons keep the cores)
-    // until a survivor arrives or the closed queue runs dry.
-    OBS_SPAN(rec, w, "drain");
-    std::uint64_t key;
-    for (;;) {
-      const PopStatus st = queue.pop_wait(key, std::chrono::milliseconds(50));
-      if (st == PopStatus::kClosed) break;
-      if (st == PopStatus::kItem) rescore(w, key);
-    }
-  });
-  FINEHMM_CHECK(queue.empty(), "sweep left survivors queued");
-
-  // ---- Serial replay in (query, sequence) order: output identical to
-  // run_cpu regardless of which worker rescored what, when.
-  std::vector<Survivor*> found;
-  for (SweepWorker& me : workers)
-    for (Survivor& sv : me.found) found.push_back(&sv);
-  std::sort(found.begin(), found.end(),
-            [](const Survivor* a, const Survivor* b) { return a->key < b->key; });
-  double byte_s[2] = {0.0, 0.0};
-  for (const WorkerClock& c : clocks) {
-    byte_s[0] += c.stage_s[kSsv];
-    byte_s[1] += c.stage_s[kMsv];
-  }
-  CoalescedScan out;
-  out.per_model.resize(k);
-  std::size_t next = 0;
-  for (std::size_t q = 0; q < k; ++q) {
-    const HmmSearch& hs = *queries[q];
-    SearchResult& res = out.per_model[q];
-    res.msv.n_in = n;
-    for (std::size_t s = 0; s < n; ++s) {
-      const double L = static_cast<double>(src.length(s));
       if (ssv_on(q)) {
-        res.ssv.n_in += 1;
-        res.ssv.cells += L * hs.msv_.length();
-        if (!ssv_keep[q * n + s]) continue;
-        res.ssv.n_passed += 1;
+        res.msv.n_in = res.ssv.n_passed;
+        res.ssv.seconds = byte_s[0];
       }
-      res.msv.cells += L * hs.msv_.length();
-      if (!msv_keep[q * n + s]) continue;
-      FH_REQUIRE(next < found.size() &&
-                     found[next]->key == (std::uint64_t{q} << 32 | s),
-                 "every MSV survivor is rescored exactly once");
-      Survivor& sv = *found[next++];
-      res.vit.n_in += 1;
-      res.vit.cells += L * hs.vit_.length();
-      res.vit.seconds += sv.stage_s[kVit];
-      if (!sv.vit_pass) continue;
-      res.vit.n_passed += 1;
-      res.fwd.cells += L * hs.prof_.length();
-      res.fwd.seconds += sv.stage_s[kFwd];
-      if (!sv.reported) continue;
-      if (hs.thr_.define_domains) {
-        res.bwd.n_in += 1;
-        res.bwd.n_passed += 1;
-        res.bwd.cells += L * hs.prof_.length();
-        res.bwd.seconds += sv.stage_s[kBwd];
-      }
-      res.hits.push_back(std::move(sv.hit));
+      res.msv.n_passed = res.vit.n_in;
+      res.msv.seconds = byte_s[1];
+      res.fwd.n_in = res.vit.n_passed;
+      res.fwd.n_passed = res.hits.size();
+      sort_hits(res.hits);
     }
-    if (ssv_on(q)) {
-      res.msv.n_in = res.ssv.n_passed;
-      res.ssv.seconds = byte_s[0];
-    }
-    res.msv.n_passed = res.vit.n_in;
-    res.msv.seconds = byte_s[1];
-    res.fwd.n_in = res.vit.n_passed;
-    res.fwd.n_passed = res.hits.size();
-    sort_hits(res.hits);
-  }
-  FH_REQUIRE(next == found.size(), "a survivor was rescored twice");
+    FH_REQUIRE(next == found.size(), "a survivor was rescored twice");
 
-  obs::ScanTelemetry& t = out.telemetry;
-  t = make_telemetry(src, crew, out.per_model.data(), k, total.seconds(),
-                     any_ssv, any_domains);
-  // Stages overlap by design, so no per-stage wall clock exists.
-  for (auto& st : t.stages) st.wall_seconds = 0.0;
-  const auto qs = queue.stats();
-  obs::QueueTelemetry qt;
-  qt.capacity = queue.capacity();
-  qt.enqueued = qs.pushes;
-  qt.dequeued = qs.pops;
-  qt.enqueue_stalls = qs.push_failures;
-  qt.max_depth = qs.max_depth;
-  for (const WorkerClock& c : clocks) qt.help_first_rescues += c.rescues;
-  t.queue = qt;
-  t.buckets.reserve(schedule->bucket_sequences.size());
-  for (std::size_t b = 0; b < schedule->bucket_sequences.size(); ++b)
-    t.buckets.push_back(obs::BucketTelemetry{schedule->bucket_sequences[b],
-                                             schedule->bucket_residues[b]});
-  fill_threads(t, crew, clocks.data(), rec);
-  return out;
+    obs::ScanTelemetry& t = out.telemetry;
+    t = make_telemetry(src, crew, out.per_model.data(), k,
+                       wall_s + timer.seconds(), any_ssv, any_domains);
+    t.engine = plan != nullptr ? "cpu_fused" : "cpu_coalesced";
+    // Stages overlap by design, so no per-stage wall clock exists.
+    for (auto& st : t.stages) {
+      st.wall_seconds = 0.0;
+      if (st.stage != "msv") continue;
+      st.counters.emplace_back("batch.queries", static_cast<double>(k));
+      st.counters.emplace_back("batch.sweeps", 1.0);
+      if (plan == nullptr) continue;
+      st.counters.emplace_back("fuse.groups",
+                               static_cast<double>(plan->groups.size()));
+      st.counters.emplace_back("fuse.fused_models",
+                               static_cast<double>(plan->fused_models()));
+      st.counters.emplace_back("fuse.models_per_group",
+                               plan->models_per_group());
+      st.counters.emplace_back("fuse.lane_occupancy", plan->lane_occupancy());
+    }
+    obs::QueueTelemetry qt;
+    qt.capacity = queue_capacity;
+    qt.enqueued = queue_stats.pushes;
+    qt.dequeued = queue_stats.pops;
+    qt.enqueue_stalls = queue_stats.push_failures;
+    qt.max_depth = queue_stats.max_depth;
+    for (const WorkerClock& c : clocks) qt.help_first_rescues += c.rescues;
+    t.queue = qt;
+    t.buckets.reserve(schedule->bucket_sequences.size());
+    for (std::size_t b = 0; b < schedule->bucket_sequences.size(); ++b)
+      t.buckets.push_back(obs::BucketTelemetry{
+          schedule->bucket_sequences[b], schedule->bucket_residues[b]});
+    fill_threads(t, crew, clocks.data(), rec);
+    return out;
+  }
+};
+
+HmmSearch::Sweep::Sweep(const std::vector<const HmmSearch*>& queries,
+                        ScanSource src, const ThreadPool& pool,
+                        const hmm::FusePlan* plan,
+                        const ScanSchedule* schedule, obs::Recorder* rec) {
+  Timer setup;
+  const std::size_t crew = pool.workers();
+  if (rec) rec->reserve_threads(crew);
+  state_ = std::make_unique<State>(queries, src, crew, plan, schedule, rec);
+  state_->wall_s += setup.seconds();
+}
+
+HmmSearch::Sweep::~Sweep() = default;
+
+bool HmmSearch::Sweep::advance(ThreadPool& pool,
+                               const std::function<bool()>& yield) {
+  state_->advance(pool, yield);
+  return state_->done();
+}
+
+HmmSearch::CoalescedScan HmmSearch::Sweep::finish() {
+  return state_->finish();
 }
 
 namespace {
@@ -813,10 +897,14 @@ SearchResult HmmSearch::run_gpu(
   Timer total;
   Timer timer;
   // Closes a filter stage: survivors, cells, wall clock, SIMT counters.
-  const auto finish = [&](const char* row, StageStats& st,
-                         std::size_t n_passed, const simt::PerfCounters& c) {
+  // Cells are L x M per scored sequence, as the CPU engines count them;
+  // the SIMT counters (which stop at an overflow) ride as counters.
+  const auto finish = [&](const char* row, StageStats& st, int M,
+                          const std::vector<std::size_t>& scored,
+                          std::size_t n_passed, const simt::PerfCounters& c) {
     st.n_passed = n_passed;
-    st.cells = static_cast<double>(c.cells);
+    for (std::size_t s : scored)
+      st.cells += static_cast<double>(db[s].length()) * M;
     st.seconds = timer.seconds();
     timer.reset();
     simt_rows.emplace_back(row, c);
@@ -834,7 +922,7 @@ SearchResult HmmSearch::run_gpu(
           if (byte_gate(null, p_max, {score, overflowed}, db[s].length()))
             pass.push_back(s);
         });
-    finish(row, st, pass.size(), c);
+    finish(row, st, msv_.length(), items, pass.size(), c);
     items.swap(pass);
   };
 
@@ -872,7 +960,7 @@ SearchResult HmmSearch::run_gpu(
             vit_bits.push_back(bits);
           }
         });
-    finish("vit", out.vit, vit_pass.size(), c);
+    finish("vit", out.vit, vit_.length(), items, vit_pass.size(), c);
   }
 
   BatchScanner scanner(msv_, vit_, &fwd_, /*workers=*/1);

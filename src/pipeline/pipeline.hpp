@@ -20,6 +20,8 @@
 //     CPU, as in the paper).
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -205,6 +207,47 @@ class HmmSearch {
       ThreadPool& pool, const hmm::FusePlan* plan = nullptr,
       const ScanSchedule* schedule = nullptr, obs::Recorder* rec = nullptr);
 
+  /// The sweep core behind run_cpu_overlapped and run_cpu_coalesced (the
+  /// byte stage over fuse groups, one-member groups for unfused queries;
+  /// the word stages through one BatchScanner per query) as a resumable
+  /// object, so a long sweep can give way to other work between chunks
+  /// (the daemon's SCAN verb, docs/server.md §3).  The constructor sets
+  /// up once — scanners, fuse groups, keep bytes, per-worker clocks;
+  /// advance() runs the crew from the current length-schedule position;
+  /// finish() replays the results serially.  Every per-(query, sequence)
+  /// decision and the replay are independent of when a chunk runs, so
+  /// hits, stage counts and per-thread item totals do not depend on
+  /// where advances stopped.
+  class Sweep {
+   public:
+    /// The arguments of run_cpu_coalesced; the crew is pool.workers().
+    Sweep(const std::vector<const HmmSearch*>& queries, ScanSource src,
+          const ThreadPool& pool, const hmm::FusePlan* plan = nullptr,
+          const ScanSchedule* schedule = nullptr,
+          obs::Recorder* rec = nullptr);
+    ~Sweep();
+    Sweep(const Sweep&) = delete;
+    Sweep& operator=(const Sweep&) = delete;
+
+    /// Run the crew on `pool` (the construction pool's size) from the
+    /// current schedule position.  Each worker scores one chunk, then
+    /// polls `yield` before fetching another (from every worker
+    /// concurrently, so it must be thread-safe); once it returns true, no
+    /// worker fetches again, the survivors already queued are rescored,
+    /// and advance returns.  An empty `yield` runs to the end.
+    /// Returns whether the byte stage has covered the whole database.
+    /// A sweep whose advance threw is unusable.
+    bool advance(ThreadPool& pool, const std::function<bool()>& yield = {});
+    /// The serial replay, once an advance returned true.  The snapshot is
+    /// run_cpu_coalesced's; its wall time is the sweep's own — setup,
+    /// advances, replay — without the intervals between advances.
+    CoalescedScan finish();
+
+   private:
+    struct State;
+    std::unique_ptr<State> state_;
+  };
+
   /// Scan with the warp-synchronous SIMT kernels: SSV (when enabled) ->
   /// MSV -> P7Viterbi on `devs`, then Forward on the CPU through the same
   /// rescore as run_cpu.  Each stage's items are split across the devices
@@ -220,15 +263,6 @@ class HmmSearch {
       std::optional<gpu::ParamPlacement> placement = std::nullopt) const;
 
  private:
-  /// The sweep core behind run_cpu_overlapped and run_cpu_coalesced: the
-  /// byte stage over fuse groups (one-member groups for unfused queries),
-  /// the word stages through one BatchScanner per query.
-  static CoalescedScan sweep(const std::vector<const HmmSearch*>& queries,
-                             ScanSource src, ThreadPool& pool,
-                             const hmm::FusePlan* plan,
-                             const ScanSchedule* schedule,
-                             obs::Recorder* rec);
-
   /// Serial post-filter logic (run_cpu, run_gpu): P7Viterbi
   /// survivors -> Forward -> hits, on worker 0 of `scanner`.
   void forward_stage(ScanSource src, BatchScanner& scanner,

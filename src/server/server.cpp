@@ -41,12 +41,20 @@ std::shared_ptr<pipeline::HmmSearch> search_from_blob(
   return std::make_shared<pipeline::HmmSearch>(model, thr);
 }
 
+/// ServerConfig::scan_threads, with 0 resolved so that the crew (the
+/// pool plus the scheduler thread) matches the hardware concurrency.
+std::size_t pool_threads(std::size_t scan_threads) {
+  if (scan_threads != 0) return scan_threads;
+  const std::size_t hw = std::thread::hardware_concurrency();
+  return hw > 1 ? hw - 1 : 1;
+}
+
 }  // namespace
 
 SearchServer::SearchServer(ServerConfig cfg)
     : Frontend(PingInfo{kWireRevision, cfg.role, cfg.shard_id}),
       cfg_(cfg),
-      pool_(cfg.scan_threads),
+      pool_(pool_threads(cfg.scan_threads)),
       queue_(cfg.admission_capacity == 0 ? 1 : cfg.admission_capacity),
       trace_ring_(cfg.trace_ring_capacity) {
   paused_ = cfg.start_paused;
@@ -237,82 +245,80 @@ void SearchServer::wait_while_paused() {
 }
 
 void SearchServer::scheduler_loop() {
-  std::vector<std::shared_ptr<Pending>> batch;
   for (;;) {
     wait_while_paused();
-
+    if (!scans_.empty()) {
+      // Set-aside SCANs run in arrival order, each yielding to whatever
+      // is queued at its chunk boundaries.
+      ScanGroup next = std::move(scans_.front());
+      scans_.pop_front();
+      run_sweep(next.db_id, true, next.group);
+      continue;
+    }
     std::shared_ptr<Pending> first;
     const PopStatus st = queue_.pop_wait(first, std::chrono::milliseconds(50));
-    if (st == PopStatus::kClosed) break;  // drained: every admitted item done
+    // Drained: every admitted item is done and no SCAN is set aside.
+    if (st == PopStatus::kClosed) break;
     if (st == PopStatus::kTimeout) continue;
     // A pause that began while pop_wait blocked holds this item too:
     // once set_paused(true) returns, nothing is scheduled.
     wait_while_paused();
-
-    batch.clear();
-    first->popped_at = SteadyClock::now();  // ends the queue-wait span
-    batch.push_back(std::move(first));
-
-    // Coalesce window: companions that arrive within it share the sweep.
-    const auto window_end =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(cfg_.coalesce_window_ms);
-    while (batch.size() < cfg_.max_batch) {
-      std::shared_ptr<Pending> more;
-      if (queue_.try_pop(more)) {
-        more->popped_at = SteadyClock::now();
-        batch.push_back(std::move(more));
-        continue;
-      }
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= window_end) break;
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(window_end -
-                                                                now);
-      if (queue_.pop_wait(more, std::max(remaining,
-                                         std::chrono::milliseconds(1))) !=
-          PopStatus::kItem)
-        break;
-      more->popped_at = SteadyClock::now();
-      batch.push_back(std::move(more));
-    }
-
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.batches;
-      stats_.max_batch_size =
-          std::max<std::uint64_t>(stats_.max_batch_size, batch.size());
-    }
-    run_batch(batch);
-    batch.clear();
+    run_batch(std::move(first));
   }
 }
 
-void SearchServer::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
+void SearchServer::run_batch(std::shared_ptr<Pending> first) {
+  // The batch is whatever is queued right now, up to max_batch: the
+  // scheduler never idles waiting for companions.
+  std::vector<std::shared_ptr<Pending>> batch;
+  if (first) batch.push_back(std::move(first));
+  for (std::shared_ptr<Pending> more;
+       batch.size() < cfg_.max_batch && queue_.try_pop(more);)
+    batch.push_back(std::move(more));
+  if (batch.empty()) return;
+  {
+    MutexLock lock(stats_mu_);
+    ++stats_.batches;
+    stats_.max_batch_size =
+        std::max<std::uint64_t>(stats_.max_batch_size, batch.size());
+  }
   // One sweep per (database, verb): the SEARCHes queued for a resident db
-  // coalesce into one sweep, and its SCANs share one fused library sweep.
+  // coalesce into one sweep and run now; its SCANs share one fused
+  // library sweep, set aside to run after the SCAN in flight.
   std::map<std::pair<std::uint32_t, bool>,
            std::vector<std::shared_ptr<Pending>>>
       groups;
-  const auto now = std::chrono::steady_clock::now();
-  for (std::shared_ptr<Pending>& p : batch) {
-    if (p->has_deadline && now > p->deadline) {
-      {
-        MutexLock lock(stats_mu_);
-        ++stats_.requests_deadline_expired;
-      }
-      send_error(*p->session, p->request_id, ErrorCode::kDeadlineExpired,
-                 "request expired while queued");
-      continue;
-    }
+  for (std::shared_ptr<Pending>& p : batch)
     groups[{p->db_id, p->is_scan}].push_back(std::move(p));
+  for (auto& [key, group] : groups) {
+    if (key.second)
+      scans_.push_back(ScanGroup{key.first, std::move(group)});
+    else
+      run_sweep(key.first, false, group);
   }
-  for (auto& [key, group] : groups) run_sweep(key.first, key.second, group);
 }
 
-void SearchServer::run_sweep(
-    std::uint32_t db_id, bool scan,
-    const std::vector<std::shared_ptr<Pending>>& group) {
+void SearchServer::run_sweep(std::uint32_t db_id, bool scan,
+                             std::vector<std::shared_ptr<Pending>>& group) {
+  // Deadlines are checked when a group starts; its queue wait ends here.
+  const auto started = SteadyClock::now();
+  std::vector<std::shared_ptr<Pending>> live;
+  for (std::shared_ptr<Pending>& p : group) {
+    p->popped_at = started;
+    if (!p->has_deadline || started <= p->deadline) {
+      live.push_back(std::move(p));
+      continue;
+    }
+    {
+      MutexLock lock(stats_mu_);
+      ++stats_.requests_deadline_expired;
+    }
+    send_error(*p->session, p->request_id, ErrorCode::kDeadlineExpired,
+               "request expired while queued");
+  }
+  group.swap(live);
+  if (group.empty()) return;
+
   const Db& db = dbs_[db_id];
   // A SEARCH sweep scores each request's own query; a SCAN sweep scores
   // the resident library once for every SCAN in the group.
@@ -328,11 +334,27 @@ void SearchServer::run_sweep(
     for (const auto& p : group) searches.push_back(p->search.get());
   }
 
+  // A SCAN gives way at each chunk boundary once a request is queued:
+  // one batch of what is queued runs (its SEARCHes at once, its SCANs
+  // set aside) and the SCAN resumes, unless a pause holds it.  SEARCH
+  // sweeps never yield.
+  std::function<bool()> queued;
+  if (scan) queued = [this] { return !queue_.empty(); };
   pipeline::HmmSearch::CoalescedScan sweep;
   const auto sweep_start = SteadyClock::now();
   try {
-    sweep = pipeline::HmmSearch::run_cpu_coalesced(
-        searches, db.view(), pool_, plan, &db.schedule);
+    pipeline::HmmSearch::Sweep core(searches, db.view(), pool_, plan,
+                                    &db.schedule);
+    while (!core.advance(pool_, queued)) {
+      {
+        MutexLock lock(stats_mu_);
+        ++stats_.scan_yields;
+      }
+      wait_while_paused();
+      run_batch(nullptr);
+      wait_while_paused();
+    }
+    sweep = core.finish();
   } catch (const Error& e) {
     {
       MutexLock lock(stats_mu_);
@@ -343,8 +365,6 @@ void SearchServer::run_sweep(
                  std::string("scan failed: ") + e.what());
     return;
   }
-  const auto sweep_end = SteadyClock::now();
-
   // Sweep-level accounting lands BEFORE any reply goes out, so a client
   // that reads STATS right after its result already sees the sweep it
   // rode in (test_server leans on this ordering too).
@@ -382,7 +402,7 @@ void SearchServer::run_sweep(
       MutexLock lock(stats_mu_);
       ++stats_.responses_dropped;
     }
-    finish_request_trace(p, scan ? "SCAN" : "SEARCH", sweep_start, sweep_end,
+    finish_request_trace(p, scan ? "SCAN" : "SEARCH", sweep_start,
                          seconds_between(serialize_start, SteadyClock::now()),
                          sweep.telemetry, group.size());
   }
@@ -491,8 +511,8 @@ obs::ScanTelemetry SearchServer::telemetry() const {
 
 void SearchServer::finish_request_trace(
     const Pending& p, const char* verb, SteadyClock::time_point sweep_start,
-    SteadyClock::time_point sweep_end, double serialize_seconds,
-    const obs::ScanTelemetry& sweep_telemetry, std::size_t batch_size) {
+    double serialize_seconds, const obs::ScanTelemetry& sweep_telemetry,
+    std::size_t batch_size) {
   const auto done = SteadyClock::now();
 
   obs::RequestTrace t;
@@ -502,7 +522,10 @@ void SearchServer::finish_request_trace(
   t.start_ns = ns_between(start_time(), p.admitted_at);
   t.queue_seconds = seconds_between(p.admitted_at, p.popped_at);
   t.coalesce_seconds = seconds_between(p.popped_at, sweep_start);
-  t.sweep_seconds = seconds_between(sweep_start, sweep_end);
+  // The sweep's own time: a yielded SCAN's intervals (other batches
+  // running) are in no named span, only in total_seconds
+  // (docs/observability.md §6).
+  t.sweep_seconds = sweep_telemetry.wall_seconds;
   t.serialize_seconds = serialize_seconds;
   t.total_seconds = seconds_between(p.admitted_at, done);
   t.batch_size = static_cast<std::uint32_t>(batch_size == 0 ? 1 : batch_size);
@@ -522,7 +545,7 @@ void SearchServer::finish_request_trace(
   // Always-on histograms: three relaxed atomic adds per request.
   e2e_hist_.record(ns_between(p.admitted_at, done));
   queue_hist_.record(ns_between(p.admitted_at, p.popped_at));
-  sweep_hist_.record(ns_between(sweep_start, sweep_end));
+  sweep_hist_.record(static_cast<std::uint64_t>(t.sweep_seconds * 1e9));
   trace_ring_.push(t);
 
   if (cfg_.slow_request_seconds > 0.0 &&
@@ -586,6 +609,7 @@ std::string SearchServer::stats_json() const {
   os << "  \"scan_requests\": " << s.scan_requests << ",\n";
   os << "  \"scan_sweeps\": " << s.scan_sweeps << ",\n";
   os << "  \"scan_models_scored\": " << s.scan_models_scored << ",\n";
+  os << "  \"scan_yields\": " << s.scan_yields << ",\n";
   os << "  \"scan_fuse_groups\": " << s.scan_fuse_groups << ",\n";
   os << "  \"scan_lane_occupancy\": " << s.scan_lane_occupancy << ",\n";
   os << "  \"latency\": {\n";
@@ -652,6 +676,7 @@ std::string SearchServer::metrics_text() const {
       {"scan_requests", s.scan_requests},
       {"scan_sweeps", s.scan_sweeps},
       {"scan_models_scored", s.scan_models_scored},
+      {"scan_yields", s.scan_yields},
   };
   for (const auto& [name, value] : events)
     os << "finehmm_server_events_total{event=\"" << name << "\"} " << value

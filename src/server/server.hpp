@@ -19,11 +19,14 @@
 //                       it onto the admission queue.  try_push failure =
 //                       immediate OVERLOAD reply: the daemon sheds,
 //                       never stalls.
-//   * scheduler thread — pops the admission queue, gathers up to
-//                       max_batch requests inside coalesce_window_ms,
-//                       groups them by database, drops expired
-//                       deadlines, runs the coalesced scan on the shared
+//   * scheduler thread — pops what is queued (up to max_batch, never
+//                       waiting for companions), groups it by database
+//                       and verb, drops expired deadlines as each group
+//                       starts, runs the coalesced sweep on the shared
 //                       ThreadPool, and writes each client its result.
+//                       SEARCH groups run at once; SCAN groups wait in
+//                       a FIFO, and a running SCAN yields at its next
+//                       chunk boundary whenever a request is queued.
 //
 // Drain (SIGTERM): begin_drain() stops the accept loop and flags new
 // SEARCH/SCAN frames for rejection (kShuttingDown); everything already
@@ -35,6 +38,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -59,19 +63,19 @@
 namespace finehmm::server {
 
 struct ServerConfig {
-  /// Threads in the shared scan pool (0 = hardware concurrency).  Each
-  /// sweep also runs on the scheduler thread, so it has scan_threads + 1
-  /// workers (a scan_threads=1 shard sweeps on 2).
+  /// Threads in the shared scan pool.  Each sweep also runs on the
+  /// scheduler thread, so it has scan_threads + 1 workers (a
+  /// scan_threads=1 shard sweeps on 2).  0 sizes the crew at the
+  /// hardware concurrency (one pool thread fewer): with no coalesce
+  /// window the crew is rarely idle, and one worker more than the cores
+  /// stalls every sweep's drain on a descheduled worker.
   std::size_t scan_threads = 0;
   /// Admission queue capacity: requests queued beyond this are shed with
   /// an OVERLOAD reply instead of blocking the client.
   std::size_t admission_capacity = 64;
-  /// Most requests one coalesced sweep will carry.
+  /// Most requests one batch will carry: the scheduler takes what is
+  /// queued when it pops, up to this many, and never waits for more.
   std::size_t max_batch = 16;
-  /// How long the scheduler waits for companions after the first request
-  /// of a batch arrives.  The window is the coalescing opportunity: a
-  /// lone client pays it once per request; concurrent clients share it.
-  std::uint32_t coalesce_window_ms = 2;
   /// Test hook: start with the scheduler paused (set_paused(false) to
   /// release), so tests can deterministically fill the admission queue.
   bool start_paused = false;
@@ -107,6 +111,7 @@ struct ServerStats : FrontendCounters {
   std::uint64_t scan_requests = 0;       // admitted SCAN requests
   std::uint64_t scan_sweeps = 0;         // fused library sweeps run
   std::uint64_t scan_models_scored = 0;  // sum of library size per sweep
+  std::uint64_t scan_yields = 0;  // SCAN sweeps paused for queued requests
   std::uint64_t scan_fuse_groups = 0;    // groups in the current fuse plan
   double scan_lane_occupancy = 0.0;      // cell-weighted mean, 0..1
 };
@@ -134,7 +139,8 @@ class SearchServer final : public Frontend {
   /// Test hook: freeze/release the scheduler so tests can stage the
   /// admission queue deterministically.  Once set_paused(true) returns,
   /// no request is scheduled until the release (one the scheduler had
-  /// already popped waits too).  begin_drain() releases a pause.
+  /// already popped waits too) and a yielded SCAN does not resume.
+  /// begin_drain() releases a pause.
   void set_paused(bool paused) FINEHMM_EXCLUDES(state_mu_);
 
   // --- Observability --------------------------------------------------
@@ -192,7 +198,8 @@ class SearchServer final : public Frontend {
     std::shared_ptr<Session> session;
     // Request-scoped tracing: the id travels with the request from
     // admission through the sweep to the reply; the timestamps become
-    // the queue-wait / coalesce-wait spans of its RequestTrace.
+    // the queue-wait / coalesce-wait spans of its RequestTrace
+    // (popped_at: when its group started).
     std::uint64_t trace_id = 0;
     std::chrono::steady_clock::time_point admitted_at;
     std::chrono::steady_clock::time_point popped_at;
@@ -219,16 +226,20 @@ class SearchServer final : public Frontend {
   void scheduler_loop() FINEHMM_EXCLUDES(state_mu_, stats_mu_);
   /// Block while the scheduler is paused (set_paused).
   void wait_while_paused() FINEHMM_EXCLUDES(state_mu_);
-  /// The coalescer's sweep path: runs with NO server lock held — the
-  /// sweep blocks for milliseconds and replies re-enter per-session
-  /// write_mu; holding state_mu_ or stats_mu_ across it would stall
-  /// drain and every observability read.
-  void run_batch(std::vector<std::shared_ptr<Pending>>& batch)
+  /// One batch: `first` (may be null) plus what is queued, up to
+  /// max_batch.  Its SEARCH groups run now; its SCAN groups go to the
+  /// back of scans_.  Runs with NO server lock held — a sweep blocks for
+  /// milliseconds and replies re-enter per-session write_mu; holding
+  /// state_mu_ or stats_mu_ across it would stall drain and every
+  /// observability read.
+  void run_batch(std::shared_ptr<Pending> first)
       FINEHMM_EXCLUDES(state_mu_, stats_mu_);
-  /// The one batch path: sweep -> account -> reply.  SEARCH and SCAN
-  /// groups differ only in what the sweep scores and the reply encoder.
+  /// The one group path: deadlines -> sweep -> account -> reply.  SEARCH
+  /// and SCAN groups differ only in what the sweep scores, the reply
+  /// encoder, and that a SCAN sweep yields to queued requests (running
+  /// one run_batch per yield).  Expired requests leave `group`.
   void run_sweep(std::uint32_t db_id, bool scan,
-                 const std::vector<std::shared_ptr<Pending>>& group)
+                 std::vector<std::shared_ptr<Pending>>& group)
       FINEHMM_EXCLUDES(state_mu_, stats_mu_);
   static SearchResultWire search_reply(const Pending& p, const Db& db,
                                        const pipeline::SearchResult& r);
@@ -242,7 +253,6 @@ class SearchServer final : public Frontend {
   /// latency histograms, push the ring, and emit the slow-request log.
   void finish_request_trace(const Pending& p, const char* verb,
                             std::chrono::steady_clock::time_point sweep_start,
-                            std::chrono::steady_clock::time_point sweep_end,
                             double serialize_seconds,
                             const obs::ScanTelemetry& sweep_telemetry,
                             std::size_t batch_size);
@@ -260,6 +270,14 @@ class SearchServer final : public Frontend {
   std::vector<std::unique_ptr<pipeline::HmmSearch>> scan_searches_;
   std::vector<std::string> scan_names_;
   std::optional<hmm::FusePlan> scan_plan_;
+
+  /// SCAN groups set aside by run_batch, run in arrival order after the
+  /// SCAN in flight.  Scheduler thread only.
+  struct ScanGroup {
+    std::uint32_t db_id = 0;
+    std::vector<std::shared_ptr<Pending>> group;
+  };
+  std::deque<ScanGroup> scans_;
 
   // Under the frontend's state_mu_ / stats_mu_.  The frontend-owned
   // counters live outside stats_, which leaves them at zero; stats()

@@ -9,12 +9,15 @@
 // leak across lane spans.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bio/seq_db_io.hpp"
@@ -529,137 +532,218 @@ void expect_stage_identical(const pipeline::StageStats& a,
 
 class CoalescedDifferential
     : public ::testing::TestWithParam<std::tuple<std::size_t, bool, PlanKind>> {
+ protected:
+  /// The fixture's database, heap or mapped per the parameter, and the
+  /// parameter's plan (checked to mix SSV-on and SSV-off members).
+  void SetUp() override {
+    const auto [threads, mapped, plan_kind] = GetParam();
+    if (mapped) {
+      path_ = ::testing::TempDir() + "finehmm_coalesced_diff_" +
+              std::to_string(threads) + "_" +
+              std::to_string(static_cast<int>(plan_kind)) + ".fsqdb";
+      bio::write_seq_db_file(path_, fx().db);
+      mdb_.emplace(path_);
+    }
+    std::vector<int> lengths;
+    for (const auto& s : fx().searches) {
+      ptrs_.push_back(s.get());
+      lengths.push_back(s->profile().length());
+    }
+    if (plan_kind == PlanKind::kAuto) {
+      plan_ = pipeline::plan_fusion(ptrs_);
+      plan_ptr_ = &plan_;
+    } else if (plan_kind == PlanKind::kForce) {
+      hmm::FuseOptions opts;
+      opts.forced = true;
+      const int lane_width =
+          cpu::backend::tier_kernels(cpu::resolve_simd_tier(
+                                         cpu::active_simd_tier()))
+              .u8_lanes;
+      plan_ = hmm::plan_model_groups(lengths, lane_width, opts);
+      plan_ptr_ = &plan_;
+    }
+    if (plan_ptr_ != nullptr) {
+      bool mixed = false;
+      for (const auto& g : plan_.groups) {
+        std::size_t on = 0;
+        for (std::size_t m : g.members)
+          on += ptrs_[m]->thresholds().use_ssv_prefilter ? 1 : 0;
+        mixed = mixed || (on > 0 && on < g.members.size());
+      }
+      ASSERT_TRUE(mixed) << "no fuse group mixes SSV-on and SSV-off members";
+    }
+  }
+
+  void TearDown() override {
+    mdb_.reset();
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+
+  static const DifferentialFx& fx() {
+    static const DifferentialFx fixture;
+    return fixture;
+  }
+
+  pipeline::ScanSource src() const {
+    return mdb_ ? pipeline::ScanSource(*mdb_) : pipeline::ScanSource(fx().db);
+  }
+
+  /// Every per-query result (hits with alignments and domains, stage
+  /// counts and cells) bit-identical to run_cpu, and the per-thread items
+  /// summing back to the stage counts.
+  void expect_matches_run_cpu(const pipeline::HmmSearch::CoalescedScan& scan,
+                              std::size_t crew) const {
+    ASSERT_EQ(scan.per_model.size(), ptrs_.size());
+    std::size_t reported = 0, domains = 0, alignments = 0;
+    for (std::size_t q = 0; q < ptrs_.size(); ++q) {
+      SCOPED_TRACE(q);
+      const pipeline::SearchResult ref = ptrs_[q]->run_cpu(src());
+      const pipeline::SearchResult& got = scan.per_model[q];
+      expect_stage_identical(ref.ssv, got.ssv, "ssv");
+      expect_stage_identical(ref.msv, got.msv, "msv");
+      expect_stage_identical(ref.vit, got.vit, "vit");
+      expect_stage_identical(ref.fwd, got.fwd, "fwd");
+      expect_stage_identical(ref.bwd, got.bwd, "bwd");
+      ASSERT_EQ(ref.hits.size(), got.hits.size());
+      for (std::size_t i = 0; i < ref.hits.size(); ++i) {
+        const pipeline::Hit& a = ref.hits[i];
+        const pipeline::Hit& b = got.hits[i];
+        EXPECT_EQ(a.seq_index, b.seq_index);
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.msv_bits, b.msv_bits);
+        EXPECT_EQ(a.vit_bits, b.vit_bits);
+        EXPECT_EQ(a.fwd_bits, b.fwd_bits);
+        EXPECT_EQ(a.bias_bits, b.bias_bits);
+        EXPECT_EQ(a.pvalue, b.pvalue);
+        EXPECT_EQ(a.evalue, b.evalue);
+        expect_alignments_identical(a.alignments, b.alignments);
+        ASSERT_EQ(a.domains.size(), b.domains.size());
+        for (std::size_t d = 0; d < a.domains.size(); ++d) {
+          EXPECT_EQ(a.domains[d].i_start, b.domains[d].i_start);
+          EXPECT_EQ(a.domains[d].i_end, b.domains[d].i_end);
+          EXPECT_EQ(a.domains[d].bits, b.domains[d].bits);
+          expect_alignments_identical(a.domains[d].alignments,
+                                      b.domains[d].alignments);
+        }
+        alignments += a.alignments.size();
+        domains += a.domains.size();
+      }
+      reported += ref.hits.size();
+    }
+    // Non-vacuous: the word stages, alignments and decode all ran.
+    EXPECT_GT(reported, 0u);
+    EXPECT_GT(alignments, 0u);
+    EXPECT_GT(domains, 0u);
+
+    // Per-thread items count every (query, non-empty sequence) pair a
+    // stage scored on that worker — fused members as much as one-member
+    // groups — so they sum back to the stage counts.  Zero-length
+    // sequences enter the first active stage unscored.
+    std::size_t empties = 0;
+    for (std::size_t s = 0; s < src().size(); ++s)
+      empties += src().length(s) == 0 ? 1 : 0;
+    std::uint64_t want[obs::kStageCount] = {};
+    for (std::size_t q = 0; q < ptrs_.size(); ++q) {
+      const pipeline::SearchResult& got = scan.per_model[q];
+      const bool ssv = ptrs_[q]->thresholds().use_ssv_prefilter;
+      if (ssv) want[kSsv] += got.ssv.n_in - empties;
+      want[kMsv] += got.msv.n_in - (ssv ? 0 : empties);
+      want[kVit] += got.vit.n_in;
+      want[kFwd] += got.fwd.n_in;
+      want[kBwd] += got.bwd.n_in;
+    }
+    const std::vector<std::uint64_t> items = item_totals(scan, crew);
+    for (int st : {kSsv, kMsv, kVit, kFwd, kBwd})
+      EXPECT_EQ(items[st], want[st]) << "stage " << st;
+  }
+
+  /// Per-stage items summed over the per-thread rows, each row checked
+  /// against its own total.
+  static std::vector<std::uint64_t> item_totals(
+      const pipeline::HmmSearch::CoalescedScan& scan, std::size_t crew) {
+    std::vector<std::uint64_t> items(obs::kStageCount, 0);
+    const auto& rows = scan.telemetry.per_thread;
+    EXPECT_EQ(rows.size(), crew);
+    for (const obs::ThreadTelemetry& row : rows) {
+      std::uint64_t row_items = 0;
+      for (int st = 0; st < obs::kStageCount; ++st) {
+        items[st] += row.stage_items[st];
+        row_items += row.stage_items[st];
+      }
+      EXPECT_EQ(row.sequences_scored, row_items) << "thread " << row.thread;
+    }
+    return items;
+  }
+
+  static constexpr int kSsv = static_cast<int>(obs::Stage::kSsv);
+  static constexpr int kMsv = static_cast<int>(obs::Stage::kMsv);
+  static constexpr int kVit = static_cast<int>(obs::Stage::kVit);
+  static constexpr int kFwd = static_cast<int>(obs::Stage::kFwd);
+  static constexpr int kBwd = static_cast<int>(obs::Stage::kBwd);
+
+  std::vector<const pipeline::HmmSearch*> ptrs_;
+  hmm::FusePlan plan_;
+  const hmm::FusePlan* plan_ptr_ = nullptr;
+
+ private:
+  std::string path_;
+  std::optional<bio::MappedSeqDb> mdb_;
 };
 
 TEST_P(CoalescedDifferential, EveryQueryMatchesRunCpu) {
-  const auto [threads, mapped, plan_kind] = GetParam();
-  static const DifferentialFx fx;
-
-  std::string path;
-  std::optional<bio::MappedSeqDb> mdb;
-  if (mapped) {
-    path = ::testing::TempDir() + "finehmm_coalesced_diff_" +
-           std::to_string(threads) + "_" +
-           std::to_string(static_cast<int>(plan_kind)) + ".fsqdb";
-    bio::write_seq_db_file(path, fx.db);
-    mdb.emplace(path);
-  }
-  const pipeline::ScanSource src =
-      mdb ? pipeline::ScanSource(*mdb) : pipeline::ScanSource(fx.db);
-
-  std::vector<const pipeline::HmmSearch*> ptrs;
-  std::vector<int> lengths;
-  for (const auto& s : fx.searches) {
-    ptrs.push_back(s.get());
-    lengths.push_back(s->profile().length());
-  }
-  hmm::FusePlan plan;
-  const hmm::FusePlan* plan_ptr = nullptr;
-  if (plan_kind == PlanKind::kAuto) {
-    plan = pipeline::plan_fusion(ptrs);
-    plan_ptr = &plan;
-  } else if (plan_kind == PlanKind::kForce) {
-    hmm::FuseOptions opts;
-    opts.forced = true;
-    const int lane_width =
-        cpu::backend::tier_kernels(cpu::resolve_simd_tier(
-                                       cpu::active_simd_tier()))
-            .u8_lanes;
-    plan = hmm::plan_model_groups(lengths, lane_width, opts);
-    plan_ptr = &plan;
-  }
-  if (plan_ptr != nullptr) {
-    bool mixed = false;
-    for (const auto& g : plan.groups) {
-      std::size_t on = 0;
-      for (std::size_t m : g.members)
-        on += ptrs[m]->thresholds().use_ssv_prefilter ? 1 : 0;
-      mixed = mixed || (on > 0 && on < g.members.size());
-    }
-    ASSERT_TRUE(mixed) << "no fuse group mixes SSV-on and SSV-off members";
-  }
-
-  ThreadPool pool(threads);
+  ThreadPool pool(std::get<0>(GetParam()));
   const auto scan =
-      pipeline::HmmSearch::run_cpu_coalesced(ptrs, src, pool, plan_ptr);
-  ASSERT_EQ(scan.per_model.size(), ptrs.size());
-  std::size_t reported = 0, domains = 0, alignments = 0;
-  for (std::size_t q = 0; q < ptrs.size(); ++q) {
-    SCOPED_TRACE(q);
-    const pipeline::SearchResult ref = ptrs[q]->run_cpu(src);
-    const pipeline::SearchResult& got = scan.per_model[q];
-    expect_stage_identical(ref.ssv, got.ssv, "ssv");
-    expect_stage_identical(ref.msv, got.msv, "msv");
-    expect_stage_identical(ref.vit, got.vit, "vit");
-    expect_stage_identical(ref.fwd, got.fwd, "fwd");
-    expect_stage_identical(ref.bwd, got.bwd, "bwd");
-    ASSERT_EQ(ref.hits.size(), got.hits.size());
-    for (std::size_t i = 0; i < ref.hits.size(); ++i) {
-      const pipeline::Hit& a = ref.hits[i];
-      const pipeline::Hit& b = got.hits[i];
-      EXPECT_EQ(a.seq_index, b.seq_index);
-      EXPECT_EQ(a.name, b.name);
-      EXPECT_EQ(a.msv_bits, b.msv_bits);
-      EXPECT_EQ(a.vit_bits, b.vit_bits);
-      EXPECT_EQ(a.fwd_bits, b.fwd_bits);
-      EXPECT_EQ(a.bias_bits, b.bias_bits);
-      EXPECT_EQ(a.pvalue, b.pvalue);
-      EXPECT_EQ(a.evalue, b.evalue);
-      expect_alignments_identical(a.alignments, b.alignments);
-      ASSERT_EQ(a.domains.size(), b.domains.size());
-      for (std::size_t d = 0; d < a.domains.size(); ++d) {
-        EXPECT_EQ(a.domains[d].i_start, b.domains[d].i_start);
-        EXPECT_EQ(a.domains[d].i_end, b.domains[d].i_end);
-        EXPECT_EQ(a.domains[d].bits, b.domains[d].bits);
-        expect_alignments_identical(a.domains[d].alignments,
-                                    b.domains[d].alignments);
-      }
-      alignments += a.alignments.size();
-      domains += a.domains.size();
-    }
-    reported += ref.hits.size();
-  }
-  // Non-vacuous: the word stages, alignments and decode all ran.
-  EXPECT_GT(reported, 0u);
-  EXPECT_GT(alignments, 0u);
-  EXPECT_GT(domains, 0u);
+      pipeline::HmmSearch::run_cpu_coalesced(ptrs_, src(), pool, plan_ptr_);
+  expect_matches_run_cpu(scan, pool.workers());
+}
 
-  // Per-thread items count every (query, non-empty sequence) pair a stage
-  // scored on that worker — fused members as much as one-member groups —
-  // so they sum back to the stage counts.  Zero-length sequences enter
-  // the first active stage unscored.
-  std::size_t empties = 0;
-  for (std::size_t s = 0; s < src.size(); ++s)
-    empties += src.length(s) == 0 ? 1 : 0;
-  constexpr int kSsv = static_cast<int>(obs::Stage::kSsv);
-  constexpr int kMsv = static_cast<int>(obs::Stage::kMsv);
-  constexpr int kVit = static_cast<int>(obs::Stage::kVit);
-  constexpr int kFwd = static_cast<int>(obs::Stage::kFwd);
-  constexpr int kBwd = static_cast<int>(obs::Stage::kBwd);
-  std::uint64_t want[obs::kStageCount] = {};
-  for (std::size_t q = 0; q < ptrs.size(); ++q) {
-    const pipeline::SearchResult& got = scan.per_model[q];
-    const bool ssv = ptrs[q]->thresholds().use_ssv_prefilter;
-    if (ssv) want[kSsv] += got.ssv.n_in - empties;
-    want[kMsv] += got.msv.n_in - (ssv ? 0 : empties);
-    want[kVit] += got.vit.n_in;
-    want[kFwd] += got.fwd.n_in;
-    want[kBwd] += got.bwd.n_in;
-  }
-  const auto& rows = scan.telemetry.per_thread;
-  ASSERT_EQ(rows.size(), pool.workers());
-  std::uint64_t items[obs::kStageCount] = {};
-  for (const obs::ThreadTelemetry& row : rows) {
-    std::uint64_t row_items = 0;
-    for (int st = 0; st < obs::kStageCount; ++st) {
-      items[st] += row.stage_items[st];
-      row_items += row.stage_items[st];
+// A sweep advanced under a yield predicate — one that fires at every
+// chunk boundary, and one that fires at random ones — gives way many
+// times, and still reproduces the uninterrupted sweep and run_cpu: every
+// per-(query, sequence) decision is independent of when its chunk runs.
+TEST_P(CoalescedDifferential, YieldedSweepMatchesUninterrupted) {
+  ThreadPool pool(std::get<0>(GetParam()));
+  const auto whole =
+      pipeline::HmmSearch::run_cpu_coalesced(ptrs_, src(), pool, plan_ptr_);
+  const std::vector<std::uint64_t> whole_items =
+      item_totals(whole, pool.workers());
+  // A database chunk is 16 sequences; each worker scores one per advance
+  // before it polls.
+  const std::size_t chunks = (src().size() + 15) / 16;
+  ASSERT_GE(chunks, 4u);
+
+  std::atomic<std::uint64_t> polls{0};
+  const std::function<bool()> every = [] { return true; };
+  const std::function<bool()> random = [&polls] {
+    // splitmix64 over a shared counter: thread-safe, roughly 1 in 3.
+    std::uint64_t z = polls.fetch_add(1) + 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return (z ^ (z >> 31)) % 3 == 0;
+  };
+  for (const auto& [name, yield] :
+       {std::pair<const char*, const std::function<bool()>*>{"every", &every},
+        {"random", &random}}) {
+    SCOPED_TRACE(name);
+    pipeline::HmmSearch::Sweep sweep(ptrs_, src(), pool, plan_ptr_);
+    std::size_t advances = 0;
+    while (!sweep.advance(pool, *yield)) {
+      ++advances;
+      ASSERT_LT(advances, chunks) << "an advance made no progress";
     }
-    EXPECT_EQ(row.sequences_scored, row_items) << "thread " << row.thread;
+    if (yield == &every) {
+      // Every advance stops after at most one chunk per worker.
+      EXPECT_GT(advances, 0u);
+      EXPECT_GE(advances + 1, (chunks + pool.workers() - 1) / pool.workers());
+    }
+    const auto got = sweep.finish();
+    expect_matches_run_cpu(got, pool.workers());
+    EXPECT_EQ(item_totals(got, pool.workers()), whole_items);
+    EXPECT_EQ(got.telemetry.engine, whole.telemetry.engine);
+    ASSERT_TRUE(got.telemetry.queue.has_value());
+    EXPECT_EQ(got.telemetry.queue->enqueued, whole.telemetry.queue->enqueued);
+    EXPECT_EQ(got.telemetry.queue->dequeued, got.telemetry.queue->enqueued);
   }
-  for (int st : {kSsv, kMsv, kVit, kFwd, kBwd})
-    EXPECT_EQ(items[st], want[st]) << "stage " << st;
-  if (mapped) std::remove(path.c_str());
 }
 
 std::string differential_case_name(

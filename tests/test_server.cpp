@@ -11,8 +11,10 @@
 //   (d) drain completes everything admitted and rejects new searches
 //       with kShuttingDown.
 // Plus the failure paths: deadline expiry, mid-request disconnect,
-// malformed frames (connection torn down, server survives), and a
-// multi-client stress run written for the tsan preset.  The connection
+// malformed frames (connection torn down, server survives), SCAN sweeps
+// yielding to queued requests at chunk boundaries (a reply gate parks
+// the scheduler at a known point), and a multi-client stress run
+// written for the tsan preset.  The connection
 // tier both daemons share (malformed frames, PING handshake, drain,
 // HTTP routes) is also covered once per daemon in test_frontend.cpp.
 #include <gtest/gtest.h>
@@ -40,6 +42,8 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/transport.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace {
 
@@ -1035,6 +1039,261 @@ TEST(SearchServer, ScanWithoutLibraryOrDatabaseIsAnError) {
   EXPECT_EQ(bad_db.error.code, ErrorCode::kUnknownDatabase);
 }
 
+// ------------------------------------------------- SCAN yields
+
+/// Server replies pass a gate the test shuts and opens: a shut gate
+/// parks the scheduler inside its next reply write, a point the test can
+/// see (waiting()) and act at before letting it go.
+class ReplyGate {
+ public:
+  void set_open(bool open) {
+    {
+      MutexLock lock(mu_);
+      open_ = open;
+    }
+    cv_.notify_all();
+  }
+  std::size_t waiting() const {
+    MutexLock lock(mu_);
+    return waiting_;
+  }
+  void pass() {
+    MutexLock lock(mu_);
+    ++waiting_;
+    while (!open_) cv_.wait(mu_);
+    --waiting_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  bool open_ FINEHMM_GUARDED_BY(mu_) = true;
+  std::size_t waiting_ FINEHMM_GUARDED_BY(mu_) = 0;
+  CondVar cv_;
+};
+
+class GatedListener final : public Listener {
+ public:
+  GatedListener(std::unique_ptr<Listener> inner, ReplyGate& gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+  std::unique_ptr<Connection> accept() override {
+    std::unique_ptr<Connection> conn = inner_->accept();
+    if (!conn) return nullptr;
+    return std::make_unique<Gated>(std::move(conn), gate_);
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  class Gated final : public Connection {
+   public:
+    Gated(std::unique_ptr<Connection> inner, ReplyGate& gate)
+        : inner_(std::move(inner)), gate_(gate) {}
+    bool send_all(const void* data, std::size_t n) override {
+      gate_.pass();
+      return inner_->send_all(data, n);
+    }
+    std::size_t recv_some(void* buf, std::size_t n) override {
+      return inner_->recv_some(buf, n);
+    }
+    void shutdown() override { inner_->shutdown(); }
+
+   private:
+    std::unique_ptr<Connection> inner_;
+    ReplyGate& gate_;
+  };
+
+  std::unique_ptr<Listener> inner_;
+  ReplyGate& gate_;
+};
+
+/// A SCAN held mid-sweep.  SCAN `a` and SEARCHes `x1`, `x2` are staged
+/// behind a paused scheduler with max_batch 1, so the SCAN starts alone
+/// and yields to x1 at its first chunk boundary.  The reply gate parks
+/// the scheduler in x1's reply; the test pauses it there and opens the
+/// gate, so the SCAN is held before its resume with x2 still queued.
+/// It cannot finish before yielding to x2 and to anything queued later:
+/// an advance fetches at most one 16-sequence chunk per worker, and the
+/// database holds 25 chunks.
+struct HeldScan {
+  static ServerConfig config() {
+    ServerConfig cfg;
+    cfg.start_paused = true;
+    cfg.max_batch = 1;
+    return cfg;
+  }
+
+  ReplyGate gate;
+  ServerFixture fx{config(), /*M=*/48, /*n=*/400};
+  std::vector<hmm::Plan7Hmm> models;
+  stats::ModelStats cal;
+  RemoteScanResult a;
+  RemoteResult x1, x2;
+  std::vector<std::thread> clients;
+  bool staged = false;
+
+  HeldScan() {
+    const std::string lib = write_scan_library(models, 4);
+    EXPECT_EQ(fx.srv->add_model_library(lib), 4u);
+    std::remove(lib.c_str());
+    fx.listener = std::make_unique<GatedListener>(fx.hub.listener(), gate);
+    fx.serve_thread = std::thread([this] { fx.srv->serve(*fx.listener); });
+    cal = fx.calibration();
+    send([this] { a = fx.connect().scan(0); });
+    send([this] { x1 = fx.connect().search(0, fx.model, &cal); });
+    send([this] { x2 = fx.connect().search(0, fx.model, &cal); });
+    gate.set_open(false);
+    fx.srv->set_paused(false);
+    staged = eventually([&] { return gate.waiting() == 1; });
+    fx.srv->set_paused(true);
+    gate.set_open(true);
+    const ServerStats st = fx.srv->stats();
+    staged = staged && st.requests_completed == 1 && st.scan_yields == 1 &&
+             st.scan_sweeps == 0;
+  }
+
+  ~HeldScan() {
+    gate.set_open(true);
+    fx.stop();  // releases a pause, so every client gets its answer
+    join();
+  }
+
+  /// Start a client request and wait until the server has admitted it,
+  /// so requests queue in the order they are sent.
+  void send(std::function<void()> request) {
+    const std::uint64_t admitted = fx.srv->stats().requests_admitted;
+    clients.emplace_back(std::move(request));
+    EXPECT_TRUE(eventually([&] {
+      return fx.srv->stats().requests_admitted == admitted + 1;
+    }));
+  }
+
+  void join() {
+    for (std::thread& t : clients)
+      if (t.joinable()) t.join();
+  }
+
+  /// The SCAN's hits, bit-identical to one local run_cpu per model.
+  void expect_scan_matches_local() const {
+    ASSERT_EQ(a.status, ClientStatus::kOk);
+    ASSERT_EQ(a.result.models.size(), models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const pipeline::HmmSearch local(
+          models[m], pipeline::HmmSearch(models[m]).model_stats());
+      const pipeline::SearchResult ref = local.run_cpu(fx.db);
+      const auto& hits = a.result.models[m].hits;
+      ASSERT_EQ(hits.size(), ref.hits.size()) << "model=" << m;
+      for (std::size_t i = 0; i < ref.hits.size(); ++i) {
+        EXPECT_EQ(hits[i].seq_index, ref.hits[i].seq_index);
+        EXPECT_EQ(hits[i].fwd_bits, ref.hits[i].fwd_bits);
+        EXPECT_EQ(hits[i].evalue, ref.hits[i].evalue);
+      }
+    }
+  }
+};
+
+TEST(SearchServerScanYield, SearchAdmittedMidScanIsAnsweredFirst) {
+  HeldScan h;
+  ASSERT_TRUE(h.staged);
+  RemoteResult y;
+  h.send([&] { y = h.fx.connect().search(0, h.fx.model, &h.cal); });
+  h.fx.srv->set_paused(false);
+  h.join();
+
+  const pipeline::SearchResult ref = h.fx.local_reference();
+  expect_remote_matches_local(h.x1, ref, h.fx.db);
+  expect_remote_matches_local(h.x2, ref, h.fx.db);
+  expect_remote_matches_local(y, ref, h.fx.db);
+  h.expect_scan_matches_local();
+
+  // Replies complete in trace-ring order: y's before the SCAN's.
+  std::size_t y_at = 0, scan_at = 0, seen = 0;
+  const std::vector<obs::RequestTrace> traces = h.fx.srv->recent_traces();
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    if (traces[i].trace_id == y.result.trace_id) y_at = i, ++seen;
+    if (std::string(traces[i].verb) == "SCAN") scan_at = i, ++seen;
+  }
+  ASSERT_EQ(seen, 2u);
+  EXPECT_LT(y_at, scan_at);
+  const ServerStats st = h.fx.srv->stats();
+  EXPECT_GE(st.scan_yields, 3u);  // to x1, x2 and y
+  EXPECT_EQ(st.scan_sweeps, 1u);
+  EXPECT_EQ(st.db_sweeps, 3u);
+}
+
+TEST(SearchServerScanYield, SearchWhoseDeadlinePassesMidScanIsExpired) {
+  HeldScan h;
+  ASSERT_TRUE(h.staged);
+  RemoteResult y;
+  h.send([&] {
+    y = h.fx.connect().search(0, h.fx.model, &h.cal, 10.0,
+                              /*deadline_ms=*/1);
+  });
+  // Let the 1 ms deadline lapse while the SCAN is held mid-sweep.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  h.fx.srv->set_paused(false);
+  h.join();
+
+  ASSERT_EQ(y.status, ClientStatus::kError);
+  EXPECT_EQ(y.error.code, ErrorCode::kDeadlineExpired);
+  EXPECT_EQ(h.x2.status, ClientStatus::kOk);
+  h.expect_scan_matches_local();
+  const ServerStats st = h.fx.srv->stats();
+  EXPECT_EQ(st.requests_deadline_expired, 1u);
+  EXPECT_EQ(st.requests_completed, 3u);
+}
+
+TEST(SearchServerScanYield, DrainWithYieldedScanAnswersEveryAdmittedRequest) {
+  HeldScan h;
+  ASSERT_TRUE(h.staged);
+  // A second SCAN, popped at one of the held SCAN's yields and set aside.
+  RemoteScanResult b;
+  h.send([&] { b = h.fx.connect().scan(0); });
+  h.fx.srv->begin_drain();  // releases the pause
+  h.join();
+  h.fx.serve_thread.join();  // serve() returns once drained
+
+  EXPECT_EQ(h.x2.status, ClientStatus::kOk);
+  h.expect_scan_matches_local();
+  ASSERT_EQ(b.status, ClientStatus::kOk);
+  ASSERT_EQ(b.result.models.size(), h.a.result.models.size());
+  for (std::size_t m = 0; m < b.result.models.size(); ++m)
+    EXPECT_EQ(b.result.models[m].hits.size(),
+              h.a.result.models[m].hits.size());
+  const ServerStats st = h.fx.srv->stats();
+  EXPECT_EQ(st.requests_admitted, 4u);
+  EXPECT_EQ(st.requests_completed, 4u);
+  EXPECT_EQ(st.scan_sweeps, 2u);
+}
+
+TEST(SearchServerScanYield, PauseHoldsAYieldedScan) {
+  HeldScan h;
+  ASSERT_TRUE(h.staged);
+  // Held: neither x2 nor the SCAN completes while the pause lasts.
+  EXPECT_FALSE(eventually(
+      [&] { return h.fx.srv->stats().requests_completed > 1; }, 200));
+  ServerStats st = h.fx.srv->stats();
+  EXPECT_EQ(st.requests_completed, 1u);
+  EXPECT_EQ(st.scan_sweeps, 0u);
+  EXPECT_EQ(st.scan_yields, 1u);
+
+  h.fx.srv->set_paused(false);
+  h.join();
+  EXPECT_EQ(h.x2.status, ClientStatus::kOk);
+  h.expect_scan_matches_local();
+  st = h.fx.srv->stats();
+  EXPECT_EQ(st.requests_completed, 3u);
+  EXPECT_EQ(st.scan_sweeps, 1u);
+  EXPECT_GE(st.scan_yields, 2u);
+
+  // The counter is exported through STATS and /metrics.
+  EXPECT_NE(h.fx.srv->stats_json().find("\"scan_yields\": " +
+                                        std::to_string(st.scan_yields)),
+            std::string::npos);
+  EXPECT_NE(h.fx.srv->metrics_text().find(
+                "finehmm_server_events_total{event=\"scan_yields\"} " +
+                std::to_string(st.scan_yields)),
+            std::string::npos);
+}
+
 TEST(ServerProtocol, ScanRequestAndResultRoundTrip) {
   ScanRequest req;
   req.db_id = 3;
@@ -1095,9 +1354,7 @@ TEST(ServerProtocol, ScanRequestAndResultRoundTrip) {
 // malformed bytes all interleave across threads against one server.
 // Plain builds get the functional half: every search bit-identical.
 TEST(SearchServerStress, InterleavedClientsStayConsistent) {
-  ServerConfig cfg;
-  cfg.coalesce_window_ms = 1;
-  ServerFixture fx(cfg, /*M=*/40, /*n=*/80);
+  ServerFixture fx(ServerConfig{}, /*M=*/40, /*n=*/80);
   fx.start();
   const pipeline::SearchResult ref = fx.local_reference();
   const stats::ModelStats cal = fx.calibration();

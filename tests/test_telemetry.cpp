@@ -424,11 +424,13 @@ TEST(EngineTelemetry, EveryEngineReportsWithoutARecorder) {
     EXPECT_FALSE((*tel)->stages.empty()) << engine;
   }
   EXPECT_EQ(coalesced.telemetry.engine, "cpu_coalesced");
-  // The CPU engines count the same cells (the SIMT rows count the rows
-  // the warp kernels actually ran).
+  // Every engine counts L x M per scored sequence (the SIMT counters,
+  // which stop at an overflow, ride on gpu_sim's stage rows instead).
   EXPECT_DOUBLE_EQ(overlapped.telemetry->total_cells(),
                    serial.telemetry->total_cells());
   EXPECT_DOUBLE_EQ(coalesced.telemetry.total_cells(),
+                   serial.telemetry->total_cells());
+  EXPECT_DOUBLE_EQ(gpu.telemetry->total_cells(),
                    serial.telemetry->total_cells());
 
   for (const obs::ScanTelemetry* t :

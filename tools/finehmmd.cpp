@@ -8,12 +8,13 @@
 //   --port <n>       TCP port; 0 lets the kernel pick (default 0).  The
 //                    bound port is printed as "finehmmd: listening on
 //                    HOST:PORT" either way, so scripts can scrape it.
-//   --threads <n>    scan-pool threads (default: hardware concurrency);
+//   --threads <n>    scan-pool threads (default: hardware concurrency - 1);
 //                    each sweep also runs on the scheduler thread, so
 //                    n + 1 workers
 //   --queue <n>      admission queue capacity (default 64)
-//   --max-batch <n>  most requests per coalesced sweep (default 16)
-//   --window-ms <n>  coalesce gather window in milliseconds (default 2)
+//   --max-batch <n>  most requests per batch: the scheduler takes what
+//                    is queued, up to n, and never waits for more
+//                    (default 16)
 //   --models <f>     load a pressed model library (.fhpdb); repeatable
 //   --shard-id <n>   announce role "shard" with this id in the PONG
 //                    handshake (the daemon serves shard n of a sharded
@@ -53,7 +54,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: finehmmd [--host addr] [--port n] [--threads n] "
                "[--queue n] [--max-batch n]\n"
-               "                [--window-ms n] [--models lib.fhpdb]... "
+               "                [--models lib.fhpdb]... "
                "[--shard-id n] [--pid-file f]\n"
                "                [--metrics-port n] [--slow-ms n] "
                "[--log level] <db.fsqdb>...\n");
@@ -78,8 +79,6 @@ int main(int argc, char** argv) {
       cfg.admission_capacity = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--max-batch" && i + 1 < argc) {
       cfg.max_batch = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--window-ms" && i + 1 < argc) {
-      cfg.coalesce_window_ms = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--models" && i + 1 < argc) {
       model_paths.push_back(argv[++i]);
     } else if (arg == "--shard-id" && i + 1 < argc) {

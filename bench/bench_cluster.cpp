@@ -19,7 +19,8 @@
 // (the file is created standalone when bench_throughput has not run).
 //
 // Usage: bench_cluster [db_scale] [model_length] [requests] [out.json]
-//   defaults: 0.002 (~900 sequences, DP-dominated), 120, 8,
+//   defaults: 0.002 (~900 sequences, DP-dominated), 120, 8 (a minimum
+//   after one warm-up request; each point runs >= 1 s),
 //   BENCH_throughput.json
 #include <algorithm>
 #include <cstdio>
@@ -32,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "bio/synthetic.hpp"
 #include "cluster/cluster_client.hpp"
 #include "cluster/shard_map.hpp"
@@ -68,8 +70,12 @@ struct ShardPoint {
   }
 };
 
+/// Timed duration of each shard point (a request is a few ms here).
+constexpr double kPointSeconds = 1.0;
+
 /// One closed-loop run: split the db into `n_shards`, stand a cluster
-/// up, fire `requests` searches serially, tear the cluster down.
+/// up, fire one warm-up search and then searches serially for at least
+/// `requests` and kPointSeconds, tear the cluster down.
 ShardPoint run_point(std::size_t n_shards, std::size_t requests,
                      const hmm::Plan7Hmm& model,
                      const stats::ModelStats& model_stats,
@@ -131,25 +137,22 @@ ShardPoint run_point(std::size_t n_shards, std::size_t requests,
   const std::string bytes = blob.str();
   req.model_blob.assign(bytes.begin(), bytes.end());
 
-  ShardPoint pt;
-  pt.shards = n_shards;
-  std::vector<double> lat_ms;
-  lat_ms.reserve(requests);
-  Timer wall;
-  for (std::size_t i = 0; i < requests; ++i) {
-    Timer t;
-    const cluster::ClusterSearchResult rr = client.search(req);
-    if (rr.status == server::ClientStatus::kOk && !rr.degraded)
-      lat_ms.push_back(t.seconds() * 1e3);
-    else
-      ++pt.failed;
-  }
-  pt.wall_seconds = wall.seconds();
+  const bench::LoadRun run = bench::run_closed_loop(
+      1, requests, kPointSeconds, [&](std::size_t) {
+        return [&] {
+          const cluster::ClusterSearchResult rr = client.search(req);
+          return rr.status == server::ClientStatus::kOk && !rr.degraded;
+        };
+      });
 
   for (auto& srv : servers) srv->begin_drain();
   for (std::thread& t : serve_threads) t.join();
 
-  std::sort(lat_ms.begin(), lat_ms.end());
+  ShardPoint pt;
+  pt.shards = n_shards;
+  pt.failed = run.failed;
+  pt.wall_seconds = run.wall_seconds;
+  const std::vector<double>& lat_ms = run.latency_ms;
   pt.completed = lat_ms.size();
   pt.p50 = percentile(lat_ms, 50);
   pt.p95 = percentile(lat_ms, 95);

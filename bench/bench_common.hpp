@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdlib>
+#include <latch>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "perf/cost_model.hpp"
 #include "pipeline/workload.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace finehmm::bench {
 
@@ -185,6 +188,60 @@ AbTiming time_ab(Run&& run, double min_seconds, std::size_t min_pairs = 21) {
   t.pair_q1 = quantile(ratio, 0.25);
   t.pair_q3 = quantile(ratio, 0.75);
   return t;
+}
+
+/// One closed-loop load point (run_closed_loop).
+struct LoadRun {
+  std::vector<double> latency_ms;  // timed requests that succeeded, sorted
+  std::size_t failed = 0;          // warm-up and timed requests
+  double wall_seconds = 0;         // the timed phase
+  double requests_per_sec() const {
+    return obs::safe_rate(static_cast<double>(latency_ms.size()),
+                          wall_seconds);
+  }
+};
+
+/// Drive `clients` closed-loop clients.  `connect(c)` runs on client c's
+/// thread and returns its request callable (`bool()`, true on success).
+/// Each client makes one untimed warm-up request; once every client is
+/// warm, all of them fire requests back to back until the point has run
+/// `min_seconds` and each has made `min_requests`.  Connection set-up and
+/// first-touch costs stay off the clock, and the minimum duration keeps
+/// one stall from deciding a point of a few milliseconds.
+template <class Connect>
+LoadRun run_closed_loop(std::size_t clients, std::size_t min_requests,
+                        double min_seconds, Connect&& connect) {
+  std::vector<std::vector<double>> lat(clients);
+  std::vector<std::size_t> failed(clients, 0);
+  std::latch warm(static_cast<std::ptrdiff_t>(clients + 1));
+  std::vector<std::thread> crew;
+  for (std::size_t c = 0; c < clients; ++c) {
+    crew.emplace_back([&, c] {
+      auto request = connect(c);
+      if (!request()) ++failed[c];
+      warm.arrive_and_wait();
+      const Timer since;
+      for (std::size_t n = 0;
+           n < min_requests || since.seconds() < min_seconds; ++n) {
+        const Timer t;
+        if (request())
+          lat[c].push_back(t.seconds() * 1e3);
+        else
+          ++failed[c];
+      }
+    });
+  }
+  warm.arrive_and_wait();
+  const Timer wall;
+  for (std::thread& t : crew) t.join();
+  LoadRun run;
+  run.wall_seconds = wall.seconds();
+  for (std::size_t c = 0; c < clients; ++c) {
+    run.latency_ms.insert(run.latency_ms.end(), lat[c].begin(), lat[c].end());
+    run.failed += failed[c];
+  }
+  std::sort(run.latency_ms.begin(), run.latency_ms.end());
+  return run;
 }
 
 /// The model sizes of Figs. 9-11.

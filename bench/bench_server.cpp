@@ -15,20 +15,27 @@
 // Results are spliced into BENCH_throughput.json under a "server" key
 // (the file is created standalone when bench_throughput has not run).
 //
+// Each load point gives every client one untimed warm-up request, then
+// runs for at least a second (bench::run_closed_loop), so the
+// single-client point times hundreds of requests, not a handful.
+//
 // Usage: bench_server [db_scale] [model_length] [requests_per_client]
 //                     [out.json]
 //   defaults: 0.0002 (~90 sequences — small enough that sweep overhead,
-//   not DP work, dominates), 60, 6, BENCH_throughput.json
+//   not DP work, dominates), 60, 6 (a minimum; the point runs >= 1 s),
+//   BENCH_throughput.json
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "bio/synthetic.hpp"
 #include "hmm/generator.hpp"
 #include "obs/telemetry.hpp"
@@ -64,8 +71,13 @@ struct LoadPoint {
   }
 };
 
-/// One closed-loop run: `clients` threads, `per_client` requests each,
-/// against a freshly started server (so sweep counts are per-point).
+/// Timed duration of each load point: long enough that one stall does
+/// not decide the single-client point (a request is ~1 ms here).
+constexpr double kPointSeconds = 1.0;
+
+/// One closed-loop run: `clients` threads, a warm-up request each, then
+/// at least `per_client` requests each and kPointSeconds of load, against
+/// a freshly started server (so sweep counts are per-point).
 LoadPoint run_point(std::size_t clients, std::size_t per_client,
                     const hmm::Plan7Hmm& model,
                     const stats::ModelStats& model_stats,
@@ -79,40 +91,25 @@ LoadPoint run_point(std::size_t clients, std::size_t per_client,
   auto listener = hub.listener();
   std::thread serve_thread([&] { srv.serve(*listener); });
 
-  std::vector<std::vector<double>> lat_ms(clients);
-  std::vector<std::size_t> failures(clients, 0);
-  std::vector<std::thread> crew;
-  Timer wall;
-  for (std::size_t c = 0; c < clients; ++c) {
-    crew.emplace_back([&, c] {
-      server::BlockingClient client(hub.connect());
-      lat_ms[c].reserve(per_client);
-      for (std::size_t i = 0; i < per_client; ++i) {
-        Timer t;
-        const server::RemoteResult rr =
-            client.search(0, model, &model_stats);
-        if (rr.status == server::ClientStatus::kOk)
-          lat_ms[c].push_back(t.seconds() * 1e3);
-        else
-          ++failures[c];
-      }
-    });
-  }
-  for (std::thread& t : crew) t.join();
+  const bench::LoadRun run = bench::run_closed_loop(
+      clients, per_client, kPointSeconds, [&](std::size_t) {
+        return [client = std::make_unique<server::BlockingClient>(
+                    hub.connect()),
+                &model, &model_stats] {
+          return client->search(0, model, &model_stats).status ==
+                 server::ClientStatus::kOk;
+        };
+      });
 
   LoadPoint pt;
   pt.clients = clients;
-  pt.wall_seconds = wall.seconds();
+  pt.wall_seconds = run.wall_seconds;
+  pt.failed = run.failed;
   srv.begin_drain();
   serve_thread.join();
   pt.sweeps = srv.stats().db_sweeps;
 
-  std::vector<double> all;
-  for (std::size_t c = 0; c < clients; ++c) {
-    all.insert(all.end(), lat_ms[c].begin(), lat_ms[c].end());
-    pt.failed += failures[c];
-  }
-  std::sort(all.begin(), all.end());
+  const std::vector<double>& all = run.latency_ms;
   pt.completed = all.size();
   pt.p50 = percentile(all, 50);
   pt.p95 = percentile(all, 95);

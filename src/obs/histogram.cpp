@@ -1,8 +1,6 @@
 #include "obs/histogram.hpp"
 
 #include <cmath>
-#include <ostream>
-#include <utility>
 
 namespace finehmm::obs {
 
@@ -71,32 +69,6 @@ LatencyQuantiles latency_quantiles(const Histogram& h) {
   q.p99 = h.quantile(0.99);
   q.p999 = h.quantile(0.999);
   return q;
-}
-
-void write_latency_json(std::ostream& os, const Histogram& h) {
-  const LatencyQuantiles q = latency_quantiles(h);
-  os << "{\"count\": " << q.count
-     << ", \"sum_seconds\": " << static_cast<double>(q.sum) * 1e-9
-     << ", \"p50_seconds\": " << static_cast<double>(q.p50) * 1e-9
-     << ", \"p90_seconds\": " << static_cast<double>(q.p90) * 1e-9
-     << ", \"p99_seconds\": " << static_cast<double>(q.p99) * 1e-9
-     << ", \"p999_seconds\": " << static_cast<double>(q.p999) * 1e-9
-     << ", \"max_seconds\": " << static_cast<double>(h.max()) * 1e-9 << "}";
-}
-
-void write_latency_prometheus(std::ostream& os, const char* name,
-                              const Histogram& h, const std::string& labels) {
-  const LatencyQuantiles q = latency_quantiles(h);
-  const std::string sep = labels.empty() ? "" : ",";
-  const std::string set = labels.empty() ? "" : "{" + labels + "}";
-  const std::pair<const char*, std::uint64_t> quantiles[] = {
-      {"0.5", q.p50}, {"0.9", q.p90}, {"0.99", q.p99}, {"0.999", q.p999}};
-  for (const auto& [quantile, value] : quantiles)
-    os << name << "{" << labels << sep << "quantile=\"" << quantile << "\"} "
-       << static_cast<double>(value) * 1e-9 << "\n";
-  os << name << "_sum" << set << " " << static_cast<double>(q.sum) * 1e-9
-     << "\n";
-  os << name << "_count" << set << " " << q.count << "\n";
 }
 
 }  // namespace finehmm::obs

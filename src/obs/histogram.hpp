@@ -34,8 +34,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 
 namespace finehmm::obs {
 
@@ -146,7 +144,8 @@ class ConcurrentHistogram {
 
 /// The quantile set every latency surface reports
 /// (docs/observability.md): p50 / p90 / p99 / p99.9, in the recorded
-/// unit (the server records nanoseconds).
+/// unit (the server records nanoseconds).  obs::MetricSet formats it
+/// once per scrape for STATS, /metrics and /statusz alike.
 struct LatencyQuantiles {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
@@ -157,18 +156,5 @@ struct LatencyQuantiles {
 };
 
 LatencyQuantiles latency_quantiles(const Histogram& h);
-
-/// One latency surface as a JSON object in seconds: count, sum, the
-/// quantile set and max.  The STATS payloads and /metrics both go
-/// through latency_quantiles with the same formatting, so they agree on
-/// p99.
-void write_latency_json(std::ostream& os, const Histogram& h);
-
-/// One latency surface as the samples of a Prometheus summary family,
-/// in seconds; the caller writes the family's `# HELP` / `# TYPE` once.
-/// `labels` is a pre-rendered label set ("" or "shard=\"3\"").
-void write_latency_prometheus(std::ostream& os, const char* name,
-                              const Histogram& h,
-                              const std::string& labels = "");
 
 }  // namespace finehmm::obs

@@ -74,7 +74,7 @@ namespace {
 /// to the request's admission; ts in the file is microseconds.
 void chrome_event(std::ostream& os, bool& first, const char* name,
                   std::size_t tid, double base_us, double start_s,
-                  double dur_s, const RequestTrace& t) {
+                  double dur_s, const RequestTrace& t, bool active = false) {
   if (dur_s <= 0.0) return;
   if (!first) os << ",";
   first = false;
@@ -82,8 +82,9 @@ void chrome_event(std::ostream& os, bool& first, const char* name,
      << "\"request\", \"pid\": 1, \"tid\": " << tid
      << ", \"ts\": " << base_us + start_s * 1e6
      << ", \"dur\": " << dur_s * 1e6 << ", \"args\": {\"trace_id\": \""
-     << trace_id_hex(t.trace_id) << "\", \"batch_size\": " << t.batch_size
-     << "}}";
+     << trace_id_hex(t.trace_id) << "\", \"batch_size\": " << t.batch_size;
+  if (active) os << ", \"sweep_seconds\": " << t.sweep_seconds;
+  os << "}}";
 }
 
 }  // namespace
@@ -106,17 +107,17 @@ void write_chrome_trace(std::ostream& os,
     chrome_event(os, first, "coalesce", i, base_us, at, t.coalesce_seconds,
                  t);
     at += t.coalesce_seconds;
-    chrome_event(os, first, "sweep", i, base_us, at, t.sweep_seconds, t);
+    chrome_event(os, first, "sweep", i, base_us, at, t.sweep_span_seconds,
+                 t, true);
     // Stage shares nest inside the sweep span, back to back.
-    double stage_at = at;
     for (int s = 0; s < kStageCount; ++s) {
       chrome_event(os, first, stage_name(static_cast<Stage>(s)), i, base_us,
-                   stage_at, t.stage_seconds[s], t);
-      stage_at += t.stage_seconds[s];
+                   at, t.stage_seconds[s], t);
+      at += t.stage_seconds[s];
     }
-    at += t.sweep_seconds;
-    chrome_event(os, first, "serialize", i, base_us, at,
-                 t.serialize_seconds, t);
+    chrome_event(os, first, "serialize", i, base_us,
+                 t.total_seconds - t.serialize_seconds, t.serialize_seconds,
+                 t);
   }
   os << "\n]}\n";
 }
@@ -133,6 +134,8 @@ void write_trace_json(std::ostream& os, const RequestTrace& trace,
      << pad << "  \"queue_seconds\": " << trace.queue_seconds << ",\n"
      << pad << "  \"coalesce_seconds\": " << trace.coalesce_seconds << ",\n"
      << pad << "  \"sweep_seconds\": " << trace.sweep_seconds << ",\n"
+     << pad << "  \"sweep_span_seconds\": " << trace.sweep_span_seconds
+     << ",\n"
      << pad << "  \"serialize_seconds\": " << trace.serialize_seconds
      << ",\n"
      << pad << "  \"total_seconds\": " << trace.total_seconds << ",\n"

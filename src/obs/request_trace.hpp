@@ -13,6 +13,9 @@
 //                      companions)
 //   sweep_seconds      the sweep this request rode in, without the
 //                      intervals a SCAN yielded to other batches
+//   sweep_span_seconds sweep start -> sweep end on the wall clock, the
+//                      yielded intervals included (the sweep starts at
+//                      queue + coalesce)
 //   stage_seconds[]    the sweep's ssv/msv/vit/fwd/bwd busy time,
 //                      attributed to this request as its share of the
 //                      batch (whole-batch seconds / batch_size)
@@ -47,6 +50,7 @@ struct RequestTrace {
   double queue_seconds = 0.0;
   double coalesce_seconds = 0.0;
   double sweep_seconds = 0.0;
+  double sweep_span_seconds = 0.0;
   double serialize_seconds = 0.0;
   double total_seconds = 0.0;     // admission -> reply written
   /// Per-stage busy share of the sweep attributed to this request
@@ -87,7 +91,9 @@ class TraceRing {
 /// Recorder::write_chrome_trace: "X" events, microsecond ts/dur, one
 /// pid).  Each request gets its own tid so its queue/coalesce/sweep/
 /// serialize spans stack on one track; the trace id and batch size ride
-/// in `args`.
+/// in `args`.  Spans sit where they happened: the sweep covers its whole
+/// wall span (a yielded SCAN's gaps included; its active sweep_seconds
+/// ride in `args`), and serialize ends the request.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<RequestTrace>& traces);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "obs/log.hpp"
@@ -52,7 +51,9 @@ std::size_t pool_threads(std::size_t scan_threads) {
 }  // namespace
 
 SearchServer::SearchServer(ServerConfig cfg)
-    : Frontend(PingInfo{kWireRevision, cfg.role, cfg.shard_id}),
+    : Frontend(PingInfo{kWireRevision, cfg.role, cfg.shard_id},
+               {"finehmmd status", "finehmm.server_stats.v2", "finehmm",
+                "finehmm_server_events_total"}),
       cfg_(cfg),
       pool_(pool_threads(cfg.scan_threads)),
       queue_(cfg.admission_capacity == 0 ? 1 : cfg.admission_capacity),
@@ -342,6 +343,7 @@ void SearchServer::run_sweep(std::uint32_t db_id, bool scan,
   if (scan) queued = [this] { return !queue_.empty(); };
   pipeline::HmmSearch::CoalescedScan sweep;
   const auto sweep_start = SteadyClock::now();
+  SteadyClock::time_point sweep_end;
   try {
     pipeline::HmmSearch::Sweep core(searches, db.view(), pool_, plan,
                                     &db.schedule);
@@ -355,6 +357,7 @@ void SearchServer::run_sweep(std::uint32_t db_id, bool scan,
       wait_while_paused();
     }
     sweep = core.finish();
+    sweep_end = SteadyClock::now();
   } catch (const Error& e) {
     {
       MutexLock lock(stats_mu_);
@@ -403,6 +406,7 @@ void SearchServer::run_sweep(std::uint32_t db_id, bool scan,
       ++stats_.responses_dropped;
     }
     finish_request_trace(p, scan ? "SCAN" : "SEARCH", sweep_start,
+                         sweep_end,
                          seconds_between(serialize_start, SteadyClock::now()),
                          sweep.telemetry, group.size());
   }
@@ -511,8 +515,8 @@ obs::ScanTelemetry SearchServer::telemetry() const {
 
 void SearchServer::finish_request_trace(
     const Pending& p, const char* verb, SteadyClock::time_point sweep_start,
-    double serialize_seconds, const obs::ScanTelemetry& sweep_telemetry,
-    std::size_t batch_size) {
+    SteadyClock::time_point sweep_end, double serialize_seconds,
+    const obs::ScanTelemetry& sweep_telemetry, std::size_t batch_size) {
   const auto done = SteadyClock::now();
 
   obs::RequestTrace t;
@@ -526,6 +530,7 @@ void SearchServer::finish_request_trace(
   // running) are in no named span, only in total_seconds
   // (docs/observability.md §6).
   t.sweep_seconds = sweep_telemetry.wall_seconds;
+  t.sweep_span_seconds = seconds_between(sweep_start, sweep_end);
   t.serialize_seconds = serialize_seconds;
   t.total_seconds = seconds_between(p.admitted_at, done);
   t.batch_size = static_cast<std::uint32_t>(batch_size == 0 ? 1 : batch_size);
@@ -577,201 +582,86 @@ void SearchServer::finish_request_trace(
   }
 }
 
-std::string SearchServer::stats_json() const {
-  const ServerStats s = stats();
-  const obs::ScanTelemetry t = telemetry();
-  const obs::Histogram e2e = e2e_hist_.snapshot();
-  const obs::Histogram queue_wait = queue_hist_.snapshot();
-  const obs::Histogram sweep = sweep_hist_.snapshot();
-  const std::vector<obs::RequestTrace> traces = trace_ring_.snapshot();
-
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"finehmm.server_stats.v2\",\n";
-  os << "  \"uptime_seconds\": " << uptime_seconds() << ",\n";
-  os << "  \"queue_depth\": " << queue_.size() << ",\n";
-  os << "  \"draining\": " << (draining() ? "true" : "false") << ",\n";
-  os << "  \"connections_accepted\": " << s.connections_accepted << ",\n";
-  os << "  \"requests_admitted\": " << s.requests_admitted << ",\n";
-  os << "  \"requests_completed\": " << s.requests_completed << ",\n";
-  os << "  \"requests_overloaded\": " << s.requests_overloaded << ",\n";
-  os << "  \"requests_rejected_draining\": " << s.requests_rejected_draining
-     << ",\n";
-  os << "  \"requests_deadline_expired\": " << s.requests_deadline_expired
-     << ",\n";
-  os << "  \"requests_bad\": " << s.requests_bad << ",\n";
-  os << "  \"requests_failed\": " << s.requests_failed << ",\n";
-  os << "  \"batches\": " << s.batches << ",\n";
-  os << "  \"db_sweeps\": " << s.db_sweeps << ",\n";
-  os << "  \"max_batch_size\": " << s.max_batch_size << ",\n";
-  os << "  \"responses_dropped\": " << s.responses_dropped << ",\n";
-  os << "  \"frames_malformed\": " << s.frames_malformed << ",\n";
-  os << "  \"scan_requests\": " << s.scan_requests << ",\n";
-  os << "  \"scan_sweeps\": " << s.scan_sweeps << ",\n";
-  os << "  \"scan_models_scored\": " << s.scan_models_scored << ",\n";
-  os << "  \"scan_yields\": " << s.scan_yields << ",\n";
-  os << "  \"scan_fuse_groups\": " << s.scan_fuse_groups << ",\n";
-  os << "  \"scan_lane_occupancy\": " << s.scan_lane_occupancy << ",\n";
-  os << "  \"latency\": {\n";
-  os << "    \"e2e\": ";
-  obs::write_latency_json(os, e2e);
-  os << ",\n    \"queue_wait\": ";
-  obs::write_latency_json(os, queue_wait);
-  os << ",\n    \"sweep\": ";
-  obs::write_latency_json(os, sweep);
-  os << "\n  },\n";
-  os << "  \"recent_traces\": [";
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    obs::write_trace_json(os, traces[i], 4);
-  }
-  os << (traces.empty() ? "" : "\n  ") << "],\n";
-  os << "  \"telemetry\":\n";
-  t.write_json(os, 2);
-  os << "\n}\n";
-  return os.str();
-}
-
-std::string SearchServer::metrics_text() const {
-  const ServerStats s = stats();
-  const obs::ScanTelemetry t = telemetry();
-
-  std::ostringstream os;
-  os << "# HELP finehmm_up Whether finehmmd is serving (drain flips to 0).\n";
-  os << "# TYPE finehmm_up gauge\n";
-  os << "finehmm_up " << (draining() ? 0 : 1) << "\n";
-  os << "# HELP finehmm_uptime_seconds Seconds since the server started.\n";
-  os << "# TYPE finehmm_uptime_seconds gauge\n";
-  os << "finehmm_uptime_seconds " << uptime_seconds() << "\n";
-  os << "# HELP finehmm_queue_depth Admission queue occupancy right now.\n";
-  os << "# TYPE finehmm_queue_depth gauge\n";
-  os << "finehmm_queue_depth " << queue_.size() << "\n";
-  os << "# HELP finehmm_queue_capacity Admission queue bound (shed above).\n";
-  os << "# TYPE finehmm_queue_capacity gauge\n";
-  os << "finehmm_queue_capacity " << queue_.capacity() << "\n";
-  os << "# HELP finehmm_resident_databases Databases held mmap-resident.\n";
-  os << "# TYPE finehmm_resident_databases gauge\n";
-  os << "finehmm_resident_databases " << dbs_.size() << "\n";
-  os << "# HELP finehmm_resident_models Models loaded from .fhpdb "
-        "libraries.\n";
-  os << "# TYPE finehmm_resident_models gauge\n";
-  os << "finehmm_resident_models " << models_.size() << "\n";
-
-  os << "# HELP finehmm_server_events_total Monotonic server request and "
-        "connection counters by event.\n";
-  os << "# TYPE finehmm_server_events_total counter\n";
-  const std::pair<const char*, std::uint64_t> events[] = {
-      {"connections_accepted", s.connections_accepted},
-      {"requests_admitted", s.requests_admitted},
-      {"requests_completed", s.requests_completed},
-      {"requests_overloaded", s.requests_overloaded},
-      {"requests_rejected_draining", s.requests_rejected_draining},
-      {"requests_deadline_expired", s.requests_deadline_expired},
-      {"requests_bad", s.requests_bad},
-      {"requests_failed", s.requests_failed},
-      {"batches", s.batches},
-      {"db_sweeps", s.db_sweeps},
-      {"responses_dropped", s.responses_dropped},
-      {"frames_malformed", s.frames_malformed},
-      {"scan_requests", s.scan_requests},
-      {"scan_sweeps", s.scan_sweeps},
-      {"scan_models_scored", s.scan_models_scored},
-      {"scan_yields", s.scan_yields},
-  };
-  for (const auto& [name, value] : events)
-    os << "finehmm_server_events_total{event=\"" << name << "\"} " << value
-       << "\n";
-
-  os << "# HELP finehmm_max_batch_size Largest coalesced batch so far.\n";
-  os << "# TYPE finehmm_max_batch_size gauge\n";
-  os << "finehmm_max_batch_size " << s.max_batch_size << "\n";
-  os << "# HELP finehmm_scan_fuse_groups Groups in the current fuse plan.\n";
-  os << "# TYPE finehmm_scan_fuse_groups gauge\n";
-  os << "finehmm_scan_fuse_groups " << s.scan_fuse_groups << "\n";
-  os << "# HELP finehmm_scan_lane_occupancy Cell-weighted SIMD lane "
-        "occupancy of fused sweeps (0..1).\n";
-  os << "# TYPE finehmm_scan_lane_occupancy gauge\n";
-  os << "finehmm_scan_lane_occupancy " << s.scan_lane_occupancy << "\n";
-
-  const std::tuple<const char*, const char*, const obs::ConcurrentHistogram*>
-      latencies[] = {
-          {"finehmm_request_latency_seconds",
-           "End-to-end request latency (admission to reply written).",
-           &e2e_hist_},
-          {"finehmm_queue_wait_seconds",
-           "Time requests spent in the admission queue.", &queue_hist_},
-          {"finehmm_sweep_seconds",
-           "Wall time of the database sweep each request rode in.",
-           &sweep_hist_},
-      };
-  for (const auto& [name, help, hist] : latencies) {
-    os << "# HELP " << name << " " << help << "\n";
-    os << "# TYPE " << name << " summary\n";
-    obs::write_latency_prometheus(os, name, hist->snapshot());
-  }
-
-  t.write_prometheus(os);
-  return os.str();
-}
-
-std::string SearchServer::statusz_text() const {
+void SearchServer::declare_metrics(obs::MetricSet& m,
+                                   obs::MetricFamily& events) const {
   const ServerStats s = stats();
   std::uint64_t db_seqs = 0, db_residues = 0;
   for (const Db& db : dbs_) {
     db_seqs += db.sequences;
     db_residues += db.residues;
   }
-  const std::uint64_t sweeps = s.db_sweeps + s.scan_sweeps;
+  m.gauge("queue_depth", "Admission queue occupancy right now.",
+          queue_.size());
+  m.gauge("queue_capacity", "Admission queue bound (shed above).",
+          queue_.capacity());
+  m.gauge("resident_databases", "Databases held mmap-resident.",
+          dbs_.size());
+  m.gauge("resident_sequences", "Sequences in the resident databases.",
+          db_seqs);
+  m.gauge("resident_residues", "Residues in the resident databases.",
+          db_residues);
+  m.gauge("resident_models", "Models loaded from .fhpdb libraries.",
+          models_.size());
+  events.add({"requests_admitted"}, s.requests_admitted)
+      .add({"requests_completed"}, s.requests_completed)
+      .add({"requests_overloaded"}, s.requests_overloaded)
+      .add({"requests_deadline_expired"}, s.requests_deadline_expired)
+      .add({"requests_failed"}, s.requests_failed)
+      .add({"batches"}, s.batches)
+      .add({"db_sweeps"}, s.db_sweeps)
+      .add({"responses_dropped"}, s.responses_dropped)
+      .add({"scan_requests"}, s.scan_requests)
+      .add({"scan_sweeps"}, s.scan_sweeps)
+      .add({"scan_models_scored"}, s.scan_models_scored)
+      .add({"scan_yields"}, s.scan_yields);
+  m.gauge("max_batch_size", "Largest coalesced batch so far.",
+          s.max_batch_size);
+  m.gauge("scan_fuse_groups", "Groups in the current fuse plan.",
+          s.scan_fuse_groups);
+  m.gauge("scan_lane_occupancy",
+          "Cell-weighted SIMD lane occupancy of fused sweeps (0..1).",
+          s.scan_lane_occupancy);
+  m.family("finehmm_request_latency_seconds", obs::MetricKind::kSummary,
+           "End-to-end request latency (admission to reply written).",
+           "latency.e2e")
+      .add({}, e2e_hist_.snapshot());
+  m.family("finehmm_queue_wait_seconds", obs::MetricKind::kSummary,
+           "Time requests spent in the admission queue.",
+           "latency.queue_wait")
+      .add({}, queue_hist_.snapshot());
+  m.family("finehmm_sweep_seconds", obs::MetricKind::kSummary,
+           "Wall time of the database sweep each request rode in.",
+           "latency.sweep")
+      .add({}, sweep_hist_.snapshot());
 
-  std::ostringstream os;
-  os << "finehmmd status\n";
-  os << "===============\n";
-  os << "uptime_seconds:     " << uptime_seconds() << "\n";
-  os << "state:              " << (draining() ? "draining" : "serving")
-     << "\n";
-  os << "resident databases: " << dbs_.size() << " (" << db_seqs
-     << " sequences, " << db_residues << " residues)\n";
-  os << "resident models:    " << models_.size() << "\n";
-  os << "queue depth:        " << queue_.size() << " / " << queue_.capacity()
-     << "\n";
-  os << "requests:           admitted " << s.requests_admitted
-     << ", completed " << s.requests_completed << ", shed "
-     << s.requests_overloaded << ", failed " << s.requests_failed << "\n";
-  os << "coalescing:         " << sweeps << " sweeps for "
-     << s.requests_completed << " requests ("
-     << obs::safe_rate(static_cast<double>(s.requests_completed),
-                       static_cast<double>(sweeps))
-     << " requests/sweep, max batch " << s.max_batch_size << ")\n";
-  os << "fuse plan:          " << s.scan_fuse_groups << " groups, lane "
-     << "occupancy " << s.scan_lane_occupancy << "\n";
+  const obs::ScanTelemetry t = telemetry();
+  t.declare_metrics(m);
 
-  const char* names[] = {"e2e", "queue_wait", "sweep"};
-  const obs::Histogram hists[] = {e2e_hist_.snapshot(),
-                                  queue_hist_.snapshot(),
-                                  sweep_hist_.snapshot()};
-  for (int i = 0; i < 3; ++i) {
-    const obs::LatencyQuantiles q = obs::latency_quantiles(hists[i]);
-    os << "latency " << names[i] << " (ms):";
-    for (int pad = static_cast<int>(std::string(names[i]).size()); pad < 11;
-         ++pad)
-      os << ' ';
-    os << "p50 " << static_cast<double>(q.p50) * 1e-6 << ", p90 "
-       << static_cast<double>(q.p90) * 1e-6 << ", p99 "
-       << static_cast<double>(q.p99) * 1e-6 << ", p99.9 "
-       << static_cast<double>(q.p999) * 1e-6 << " (n=" << q.count << ")\n";
-  }
-
+  // Appendices: the trace ring and the telemetry document.
   const std::vector<obs::RequestTrace> traces = trace_ring_.snapshot();
-  os << "recent requests:    " << traces.size() << " (newest last)\n";
-  const std::size_t show = traces.size() > 8 ? traces.size() - 8 : 0;
-  for (std::size_t i = show; i < traces.size(); ++i) {
-    const obs::RequestTrace& tr = traces[i];
-    os << "  " << obs::trace_id_hex(tr.trace_id) << " " << tr.verb
-       << " total " << tr.total_seconds * 1e3 << " ms (queue "
-       << tr.queue_seconds * 1e3 << ", sweep " << tr.sweep_seconds * 1e3
-       << ", batch " << tr.batch_size << ")\n";
+  std::ostringstream ring;
+  ring << "[";
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    ring << (i == 0 ? "\n" : ",\n");
+    obs::write_trace_json(ring, traces[i], 4);
   }
-  return os.str();
+  ring << (traces.empty() ? "" : "\n  ") << "]";
+  m.stats_appendix("recent_traces", ring.str());
+  std::ostringstream doc;
+  t.write_json(doc, 2);
+  m.stats_appendix("telemetry", doc.str().substr(2));
+
+  std::ostringstream recent;
+  recent << "recent requests: " << traces.size() << " (newest last)";
+  for (std::size_t i = traces.size() > 8 ? traces.size() - 8 : 0;
+       i < traces.size(); ++i) {
+    const obs::RequestTrace& tr = traces[i];
+    recent << "\n  " << obs::trace_id_hex(tr.trace_id) << " " << tr.verb
+           << " total " << tr.total_seconds * 1e3 << " ms (queue "
+           << tr.queue_seconds * 1e3 << ", sweep " << tr.sweep_seconds * 1e3
+           << ", batch " << tr.batch_size << ")";
+  }
+  m.statusz_appendix(recent.str());
 }
 
 }  // namespace finehmm::server

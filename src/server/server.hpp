@@ -149,26 +149,14 @@ class SearchServer final : public Frontend {
   /// (engine "server"; the `batch.sweeps` / `batch.queries` counters on
   /// the msv stage make coalescing observable).
   obs::ScanTelemetry telemetry() const FINEHMM_EXCLUDES(stats_mu_);
-  /// The STATS verb's payload ("finehmm.server_stats.v2"): ServerStats +
-  /// latency histogram quantiles + recent request traces + telemetry.
-  std::string stats_json() const override FINEHMM_EXCLUDES(stats_mu_);
 
-  /// Always-on latency snapshots in nanoseconds: end-to-end
-  /// (admission -> reply written), queue wait, and sweep time.
+  /// Always-on end-to-end latency (admission -> reply written), ns.
   obs::Histogram latency_histogram() const { return e2e_hist_.snapshot(); }
-  obs::Histogram queue_wait_histogram() const {
-    return queue_hist_.snapshot();
-  }
-  obs::Histogram sweep_histogram() const { return sweep_hist_.snapshot(); }
 
   /// The most recent completed request traces, oldest first.
   std::vector<obs::RequestTrace> recent_traces() const {
     return trace_ring_.snapshot();
   }
-
-  /// /metrics and /statusz bodies (routed by Frontend::handle_http).
-  std::string metrics_text() const override;
-  std::string statusz_text() const override;
 
  private:
   struct Db {
@@ -220,6 +208,11 @@ class SearchServer final : public Frontend {
              const std::function<std::optional<ErrorInfo>(Pending&)>& resolve)
       FINEHMM_EXCLUDES(state_mu_, stats_mu_);
   void on_drain() override FINEHMM_REQUIRES(state_mu_);
+  /// ServerStats, the resident data, the latency histograms and the
+  /// merged telemetry; recent traces and the telemetry document ride as
+  /// STATS appendices.
+  void declare_metrics(obs::MetricSet& m, obs::MetricFamily& events) const
+      override FINEHMM_EXCLUDES(stats_mu_);
   /// Close the admission queue (accepted items keep flowing, which IS
   /// "finish in-flight") and join the scheduler once it is empty.
   void on_listener_closed() override;
@@ -253,6 +246,7 @@ class SearchServer final : public Frontend {
   /// latency histograms, push the ring, and emit the slow-request log.
   void finish_request_trace(const Pending& p, const char* verb,
                             std::chrono::steady_clock::time_point sweep_start,
+                            std::chrono::steady_clock::time_point sweep_end,
                             double serialize_seconds,
                             const obs::ScanTelemetry& sweep_telemetry,
                             std::size_t batch_size);

@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bio/sequence.hpp"
 #include "cluster/cluster_client.hpp"
 #include "cluster/coordinator.hpp"
@@ -544,7 +546,8 @@ TEST(ClusterClientTest, MergedScanBitIdenticalToUnshardedScan) {
     e.model_stats = pipeline::HmmSearch(e.model).model_stats();
     entries.push_back(std::move(e));
   }
-  const std::string lib = "/tmp/finehmm_test_cluster_scanlib.fhpdb";
+  const std::string lib = "/tmp/finehmm_test_cluster_scanlib." +
+                          std::to_string(::getpid()) + ".fhpdb";
   hmm::write_model_db_file(lib, entries);
 
   ClusterFixture fx(2, ServerConfig{}, lib);

@@ -24,6 +24,7 @@
 #include "hmm/generator.hpp"
 #include "obs/histogram.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "pipeline/pipeline.hpp"
@@ -215,9 +216,9 @@ TEST(Telemetry, PrometheusExportCoversTheFamilies) {
   obs::QueueTelemetry q;
   q.capacity = 64;
   t.queue = q;
-  std::ostringstream os;
-  t.write_prometheus(os);
-  const std::string text = os.str();
+  obs::MetricSet m;
+  t.declare_metrics(m);
+  const std::string text = m.prometheus();
   EXPECT_NE(text.find("finehmm_scan_wall_seconds"), std::string::npos);
   EXPECT_NE(text.find("finehmm_stage_seconds"), std::string::npos);
   EXPECT_NE(text.find("finehmm_queue_enqueued_total"), std::string::npos);
@@ -270,9 +271,9 @@ TEST(Telemetry, PrometheusEveryFamilyHasTypeAndHelp) {
   obs::QueueTelemetry q;
   q.capacity = 64;
   t.queue = q;
-  std::ostringstream os;
-  t.write_prometheus(os);
-  const std::string text = os.str();
+  obs::MetricSet m;
+  t.declare_metrics(m);
+  const std::string text = m.prometheus();
 
   // Hostile engine name arrives escaped, never raw.
   EXPECT_NE(text.find("cpu\\\"over\\nlapped\\\\x"), std::string::npos);
@@ -298,6 +299,135 @@ TEST(Telemetry, PrometheusEveryFamilyHasTypeAndHelp) {
             std::string::npos);
   EXPECT_NE(text.find("counter=\"warp\\\\div\\\"ergence\""),
             std::string::npos);
+}
+
+TEST(Telemetry, PrometheusMatchesTheFrozenExposition) {
+  // The scan families moved from a hand-written exporter to metric
+  // declarations; scrapers must see the same bytes.  These goldens are
+  // the hand-written exporter's output for the same structs: every
+  // family (queue and stage counters included), a quoted engine name,
+  // a zero-busy thread slot that is skipped, and the empty snapshot whose
+  // optional families are absent and whose list families keep their
+  // headers.
+  obs::ScanTelemetry t;
+  t.engine = "cpu_\"fused\"";
+  t.threads = 2;
+  t.sequences = 1234567;
+  t.residues = 987654321;
+  t.wall_seconds = 0.123456789;
+  obs::StageTelemetry msv;
+  msv.stage = "msv";
+  msv.n_in = 1234567;
+  msv.n_passed = 24691;
+  msv.cells = 3.5e11;
+  msv.wall_seconds = 0.1;
+  msv.busy_seconds = 0.19876543;
+  msv.counters = {{"batch.sweeps", 3}, {"batch.queries", 7}};
+  obs::StageTelemetry vit;
+  vit.stage = "vit";
+  vit.n_in = 24691;
+  vit.n_passed = 250;
+  vit.cells = 7.25e9;
+  vit.busy_seconds = 0.0421;
+  t.stages = {msv, vit};
+  obs::QueueTelemetry q;
+  q.capacity = 256;
+  q.enqueued = 24691;
+  q.dequeued = 24691;
+  q.enqueue_stalls = 12;
+  q.help_first_rescues = 3;
+  q.max_depth = 200;
+  t.queue = q;
+  t.buckets = {{1000, 500000}, {200, 20000}, {0, 0}};
+  obs::ThreadTelemetry a;
+  a.thread = 0;
+  a.stage_busy_seconds[static_cast<int>(obs::Stage::kMsv)] = 0.1;
+  a.stage_busy_seconds[static_cast<int>(obs::Stage::kVit)] = 0.02;
+  obs::ThreadTelemetry b;
+  b.thread = 1;
+  b.stage_busy_seconds[static_cast<int>(obs::Stage::kMsv)] = 0.09876543;
+  t.per_thread = {a, b};
+
+  const auto exposition = [](const obs::ScanTelemetry& tel) {
+    obs::MetricSet m;
+    tel.declare_metrics(m);
+    return m.prometheus();
+  };
+  EXPECT_EQ(exposition(t), R"(# HELP finehmm_scan_wall_seconds End-to-end scan wall clock in seconds.
+# TYPE finehmm_scan_wall_seconds gauge
+finehmm_scan_wall_seconds{engine="cpu_\"fused\""} 0.123457
+# HELP finehmm_scan_sequences Database sequences covered by the scan.
+# TYPE finehmm_scan_sequences gauge
+finehmm_scan_sequences{engine="cpu_\"fused\""} 1234567
+# HELP finehmm_scan_cells_total DP cells evaluated across all stages.
+# TYPE finehmm_scan_cells_total counter
+finehmm_scan_cells_total{engine="cpu_\"fused\""} 3.5725e+11
+# HELP finehmm_stage_seconds Per-stage wall and merged busy seconds.
+# TYPE finehmm_stage_seconds gauge
+finehmm_stage_seconds{engine="cpu_\"fused\"",stage="msv",kind="wall"} 0.1
+finehmm_stage_seconds{engine="cpu_\"fused\"",stage="msv",kind="busy"} 0.198765
+finehmm_stage_seconds{engine="cpu_\"fused\"",stage="vit",kind="wall"} 0
+finehmm_stage_seconds{engine="cpu_\"fused\"",stage="vit",kind="busy"} 0.0421
+# HELP finehmm_stage_sequences Sequences entering and surviving each filter stage.
+# TYPE finehmm_stage_sequences gauge
+finehmm_stage_sequences{engine="cpu_\"fused\"",stage="msv",dir="in"} 1234567
+finehmm_stage_sequences{engine="cpu_\"fused\"",stage="msv",dir="passed"} 24691
+finehmm_stage_sequences{engine="cpu_\"fused\"",stage="vit",dir="in"} 24691
+finehmm_stage_sequences{engine="cpu_\"fused\"",stage="vit",dir="passed"} 250
+# HELP finehmm_stage_cells_total DP cells evaluated per stage.
+# TYPE finehmm_stage_cells_total counter
+finehmm_stage_cells_total{engine="cpu_\"fused\"",stage="msv"} 3.5e+11
+finehmm_stage_cells_total{engine="cpu_\"fused\"",stage="vit"} 7.25e+09
+# HELP finehmm_stage_counter Engine-specific per-stage counters (SIMT PerfCounters).
+# TYPE finehmm_stage_counter gauge
+finehmm_stage_counter{engine="cpu_\"fused\"",stage="msv",counter="batch.sweeps"} 3
+finehmm_stage_counter{engine="cpu_\"fused\"",stage="msv",counter="batch.queries"} 7
+# HELP finehmm_queue_enqueued_total Survivors pushed into the overlapped queue.
+# TYPE finehmm_queue_enqueued_total counter
+finehmm_queue_enqueued_total{engine="cpu_\"fused\""} 24691
+# HELP finehmm_queue_dequeued_total Survivors drained from the overlapped queue.
+# TYPE finehmm_queue_dequeued_total counter
+finehmm_queue_dequeued_total{engine="cpu_\"fused\""} 24691
+# HELP finehmm_queue_enqueue_stalls_total try_push rejections (ring full).
+# TYPE finehmm_queue_enqueue_stalls_total counter
+finehmm_queue_enqueue_stalls_total{engine="cpu_\"fused\""} 12
+# HELP finehmm_queue_help_first_rescues_total Producers that drained one survivor themselves.
+# TYPE finehmm_queue_help_first_rescues_total counter
+finehmm_queue_help_first_rescues_total{engine="cpu_\"fused\""} 3
+# HELP finehmm_queue_max_depth High-water occupancy of the overlapped queue.
+# TYPE finehmm_queue_max_depth gauge
+finehmm_queue_max_depth{engine="cpu_\"fused\""} 200
+# HELP finehmm_thread_busy_seconds Per-worker busy seconds by stage.
+# TYPE finehmm_thread_busy_seconds gauge
+finehmm_thread_busy_seconds{engine="cpu_\"fused\"",thread="0",stage="msv"} 0.1
+finehmm_thread_busy_seconds{engine="cpu_\"fused\"",thread="0",stage="vit"} 0.02
+finehmm_thread_busy_seconds{engine="cpu_\"fused\"",thread="1",stage="msv"} 0.0987654
+# HELP finehmm_bucket_sequences Sequences per geometric length bucket of the scan schedule.
+# TYPE finehmm_bucket_sequences gauge
+finehmm_bucket_sequences{engine="cpu_\"fused\"",bucket="0"} 1000
+finehmm_bucket_sequences{engine="cpu_\"fused\"",bucket="1"} 200
+finehmm_bucket_sequences{engine="cpu_\"fused\"",bucket="2"} 0
+)");
+  EXPECT_EQ(exposition(obs::ScanTelemetry{}), R"(# HELP finehmm_scan_wall_seconds End-to-end scan wall clock in seconds.
+# TYPE finehmm_scan_wall_seconds gauge
+finehmm_scan_wall_seconds{engine=""} 0
+# HELP finehmm_scan_sequences Database sequences covered by the scan.
+# TYPE finehmm_scan_sequences gauge
+finehmm_scan_sequences{engine=""} 0
+# HELP finehmm_scan_cells_total DP cells evaluated across all stages.
+# TYPE finehmm_scan_cells_total counter
+finehmm_scan_cells_total{engine=""} 0
+# HELP finehmm_stage_seconds Per-stage wall and merged busy seconds.
+# TYPE finehmm_stage_seconds gauge
+# HELP finehmm_stage_sequences Sequences entering and surviving each filter stage.
+# TYPE finehmm_stage_sequences gauge
+# HELP finehmm_stage_cells_total DP cells evaluated per stage.
+# TYPE finehmm_stage_cells_total counter
+# HELP finehmm_thread_busy_seconds Per-worker busy seconds by stage.
+# TYPE finehmm_thread_busy_seconds gauge
+# HELP finehmm_bucket_sequences Sequences per geometric length bucket of the scan schedule.
+# TYPE finehmm_bucket_sequences gauge
+)");
 }
 
 // ------------------------------------------------- structured logging
